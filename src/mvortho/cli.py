@@ -41,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="angular points (ann/cur/tor)")
     run.add_argument("--n-phi", type=int, default=None,
                      help="azimuthal points (tor)")
-    run.add_argument("--experimental-wopp", action="store_true",
-                     help="enable the experimental d>3 closure")
     return parser
 
 
@@ -60,7 +58,6 @@ def main(argv=None) -> int:
         seed=args.seed,
         cloud_path=args.cloud,
         output_dir=args.out,
-        experimental_wopp=args.experimental_wopp,
     )
     try:
         result = run_experiment(config)

@@ -8,11 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .evaluation import BasisEvaluation
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, node_chunks
 from .recurrence import RecurrenceData
-
-DEFAULT_CHUNK = 131072
 
 
 @dataclass
@@ -20,59 +17,35 @@ class ErrorReport:
     """Gram error of a computed basis w.r.t. its construction measure.
 
     ``error_matrix`` is blockGram - I over all degrees; ``max_abs`` its
-    entrywise maximum magnitude.  ``per_degree_cond`` and
-    ``cc_residuals`` are attached by the experiment driver when
-    available.
+    entrywise maximum magnitude.
     """
 
     error_matrix: np.ndarray
     max_abs: float
-    per_degree_cond: np.ndarray | None = None
-    cc_residuals: list | None = None
 
 
-def gram_matrix_streaming(evaluate_chunk, measure: DiscreteMeasure, size: int,
-                          chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
-    """Accumulate sum_m w_m v(x_m) v(x_m)^T without materializing all values.
-
-    ``evaluate_chunk`` maps an (m, d) point chunk to a (size, m) value
-    matrix.
-    """
+def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
+                         size: int) -> ErrorReport:
+    """Gram error accumulated in node chunks; ``evaluate_chunk`` maps an
+    (m, d) point chunk to the (size, m) stacked basis values."""
     gram = np.zeros((size, size))
-    for lo in range(0, measure.n_nodes, chunk_size):
-        sl = slice(lo, min(lo + chunk_size, measure.n_nodes))
+    for sl in node_chunks(measure.n_nodes):
         vals = evaluate_chunk(measure.nodes[sl])
         gram += (vals * measure.weights[sl][None, :]) @ vals.T
-    return 0.5 * (gram + gram.T)
-
-
-def gram_error(basis_values: BasisEvaluation, measure: DiscreteMeasure) -> ErrorReport:
-    """Gram error matrix of materialized basis values."""
-    stacked = basis_values.stacked
-    gram = (stacked * measure.weights[None, :]) @ stacked.T
-    err = 0.5 * (gram + gram.T) - np.eye(stacked.shape[0])
+    err = 0.5 * (gram + gram.T) - np.eye(size)
     return ErrorReport(error_matrix=err, max_abs=float(np.max(np.abs(err))))
 
 
-def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure, size: int,
-                         chunk_size: int = DEFAULT_CHUNK) -> ErrorReport:
-    """Gram error accumulated in node chunks (large node sets)."""
-    gram = gram_matrix_streaming(evaluate_chunk, measure, size, chunk_size)
-    err = gram - np.eye(size)
-    return ErrorReport(error_matrix=err, max_abs=float(np.max(np.abs(err))))
-
-
-def commuting_residuals(rec: RecurrenceData, max_degree: int | None = None) -> list:
+def commuting_residuals(rec: RecurrenceData) -> list:
     """Max-norm defects of the three compatibility identities.
 
-    Returns tuples (n, i, j, res1, res2, res3) for 0 <= n < max_degree and
+    Returns tuples (n, i, j, res1, res2, res3) for 0 <= n < rec.max_degree and
     coordinate pairs i < j.  The first identity applies from n = 0 (the
     degree-0 raising term is vacuous); the other two start at n = 1 and
     are reported as 0 for n = 0.
     """
-    n_max = rec.max_degree if max_degree is None else max_degree
     out = []
-    for n in range(n_max):
+    for n in range(rec.max_degree):
         for i in range(rec.d):
             for j in range(i + 1, rec.d):
                 b_i, b_j = rec.B[n + 1][i], rec.B[n + 1][j]
@@ -92,34 +65,32 @@ def commuting_residuals(rec: RecurrenceData, max_degree: int | None = None) -> l
     return out
 
 
-def max_commuting_residual(rec: RecurrenceData, max_degree: int | None = None) -> float:
-    rows = commuting_residuals(rec, max_degree)
+def max_commuting_residual(rec: RecurrenceData) -> float:
+    rows = commuting_residuals(rec)
     if not rows:
         return 0.0
     return max(max(row[3:]) for row in rows)
 
 
-def symmetry_defect(rec: RecurrenceData, max_degree: int | None = None) -> float:
+def symmetry_defect(rec: RecurrenceData) -> float:
     """Largest |A - A^T| entry over all stored degrees and coordinates."""
-    n_max = rec.max_degree if max_degree is None else max_degree
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, rec.max_degree + 1):
         for mat in rec.A[n]:
             worst = max(worst, float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0)
     return worst
 
 
-def rank_margins(rec: RecurrenceData, max_degree: int | None = None):
+def rank_margins(rec: RecurrenceData):
     """Smallest relative singular values certifying the rank conditions.
 
     Returns (per-coordinate margin, stacked margin): the minimum over
     degrees of sigma_min/sigma_max for each raising matrix and for the
     vertically stacked raising matrix.
     """
-    n_max = rec.max_degree if max_degree is None else max_degree
     per_coord = np.inf
     stacked = np.inf
-    for n in range(1, n_max + 1):
+    for n in range(1, rec.max_degree + 1):
         for mat in rec.B[n]:
             svals = np.linalg.svd(mat, compute_uv=False)
             per_coord = min(per_coord, float(svals[-1] / svals[0]))
@@ -151,30 +122,19 @@ def gram_condition_numbers(gram: np.ndarray, cumulative_dims) -> np.ndarray:
     return condition_numbers([gram[:hi, :hi] for hi in cumulative_dims])
 
 
-def christoffel(basis_values: BasisEvaluation):
+def christoffel_streaming(evaluate_chunk, points, size: int):
     """Normalized reproducing-kernel diagonal and Christoffel function.
 
-    K(x) = (1/R_N) sum of squared basis values at x; the Christoffel
-    function is its reciprocal.  K is a sum of squares, so a
-    non-positive value is a numerical breakdown.
+    K(x) = (1/size) sum of squared basis values at x, over point chunks;
+    the Christoffel function is its reciprocal.  K is a sum of squares,
+    so a non-positive value is a numerical breakdown.
     """
-    stacked = basis_values.stacked
-    kernel = np.sum(stacked ** 2, axis=0) / stacked.shape[0]
-    if np.any(kernel <= 0):
-        raise NumericalFailure("reproducing-kernel diagonal not positive; "
-                               "basis evaluation broke down")
-    return kernel, 1.0 / kernel
-
-
-def christoffel_streaming(evaluate_chunk, points, size: int,
-                          chunk_size: int = DEFAULT_CHUNK):
-    """Kernel diagonal over a large point set, chunked."""
     pts = np.asarray(points, dtype=float)
     kernel = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk_size):
-        sl = slice(lo, min(lo + chunk_size, pts.shape[0]))
+    for sl in node_chunks(pts.shape[0]):
         vals = evaluate_chunk(pts[sl])
         kernel[sl] = np.sum(vals ** 2, axis=0) / size
     if np.any(kernel <= 0):
-        raise NumericalFailure("reproducing-kernel diagonal not positive")
+        raise NumericalFailure("reproducing-kernel diagonal not positive; "
+                               "basis evaluation broke down")
     return kernel, 1.0 / kernel

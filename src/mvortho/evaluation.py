@@ -63,35 +63,42 @@ class BasisEvaluation:
         return np.vstack(self.blocks)
 
 
-def to_canonical(rec: RecurrenceData, cond_tol: float = COND_TOL) -> RecurrenceData:
+def descending_eigh(mat: np.ndarray):
+    """Eigenpairs of sym(``mat``), eigenvalues non-increasing (stable
+    sort), eigenvector signs fixed deterministically."""
+    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    order = np.argsort(-evals, kind="stable")
+    return evals[order], fix_column_signs(vecs[:, order])
+
+
+def canonical_rotation(gram: np.ndarray, degree: int):
+    """Canonical diagonal and rotation (``descending_eigh``) of a
+    degree's stacked raising Gram; RankDeficiencyError when the Gram is
+    not positive definite within ``COND_TOL``."""
+    evals, vecs = descending_eigh(gram)
+    if evals[-1] <= COND_TOL * evals[0]:
+        ratio = evals[-1] / evals[0] if evals[0] > 0 else 0.0
+        raise RankDeficiencyError(
+            f"stacked raising Gram rank-deficient at degree {degree} "
+            f"(eigenvalue ratio {ratio:.3e})", degree=degree)
+    return evals, vecs
+
+
+def to_canonical(rec: RecurrenceData) -> RecurrenceData:
     """Orthogonally transform valid recurrence matrices into canonical form.
 
     Per degree this is one symmetric eigen-decomposition of the stacked
-    raising Gram; the resulting orthogonal factors conjugate the A
-    matrices and sandwich the B matrices.  Eigenvector signs are fixed
-    deterministically; for repeated eigenvalues the basis is unique only
-    up to rotations inside the tied block.
-
-    Raises
-    ------
-    RankDeficiencyError
-        If some stacked raising Gram is not positive definite within
-        ``cond_tol`` (the rank condition fails at that degree).
+    raising Gram (``canonical_rotation``); the resulting orthogonal
+    factors conjugate the A matrices and sandwich the B matrices.  For
+    repeated eigenvalues the basis is unique only up to rotations inside
+    the tied block.  Raises RankDeficiencyError as ``canonical_rotation``.
     """
     out = rec.copy()
     lam: list = [None]
     u_prev = None  # degree-0 transform is the 1x1 identity
     for n in range(1, rec.max_degree + 1):
-        gram = rec.raising_gram(n)  # invariant to the degree-(n-1) transform
-        evals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
-        order = np.argsort(-evals, kind="stable")
-        evals = evals[order]
-        vecs = fix_column_signs(vecs[:, order])
-        if evals[-1] <= cond_tol * evals[0]:
-            ratio = evals[-1] / evals[0] if evals[0] > 0 else 0.0
-            raise RankDeficiencyError(
-                f"stacked raising Gram rank-deficient at degree {n} "
-                f"(eigenvalue ratio {ratio:.3e})", degree=n)
+        # The raising Gram is invariant to the degree-(n-1) transform.
+        evals, vecs = canonical_rotation(rec.raising_gram(n), n)
         for i in range(rec.d):
             mat_a = rec.A[n][i]
             mat_b = rec.B[n][i]
@@ -107,8 +114,8 @@ def to_canonical(rec: RecurrenceData, cond_tol: float = COND_TOL) -> RecurrenceD
     return out
 
 
-def evaluate(rec: RecurrenceData, points, max_degree: int | None = None,
-             cond_tol: float = COND_TOL) -> BasisEvaluation:
+def evaluate(rec: RecurrenceData, points,
+             max_degree: int | None = None) -> BasisEvaluation:
     """Evaluate the orthonormal basis at ``points`` via the canonical
     three-term identity.
 
@@ -131,17 +138,15 @@ def evaluate(rec: RecurrenceData, points, max_degree: int | None = None,
     blocks = [np.ones((1, pts.shape[0]))]
     for n in range(max_degree):
         blocks.append(_next_block(rec, n, pts, blocks[n],
-                                  blocks[n - 1] if n >= 1 else None,
-                                  cond_tol=cond_tol))
+                                  blocks[n - 1] if n >= 1 else None))
     return BasisEvaluation(blocks=blocks, points=pts)
 
 
 def _next_block(rec: RecurrenceData, n: int, pts: np.ndarray,
-                p_cur: np.ndarray, p_prev: np.ndarray | None,
-                cond_tol: float = COND_TOL) -> np.ndarray:
+                p_cur: np.ndarray, p_prev: np.ndarray | None) -> np.ndarray:
     """Degree-(n+1) values from the degree-n and degree-(n-1) blocks."""
     lam = rec.lam[n + 1]
-    if np.min(lam) <= cond_tol * np.max(lam):
+    if np.min(lam) <= COND_TOL * np.max(lam):
         raise RankDeficiencyError(
             f"canonical diagonal nearly singular at degree {n + 1}", degree=n + 1)
     acc = np.zeros((rec.r(n + 1), pts.shape[0]))

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, serialization
+from . import __version__, measures, serialization
 from .diagnostics import (ErrorReport, christoffel_streaming,
                           commuting_residuals, gram_condition_numbers,
                           gram_error_streaming)
@@ -40,12 +40,12 @@ from .measures import (annulus_measure, point_cloud_measure, spiral_measure,
 from .moment_method import (build_gram, extract_recurrence,
                             legendre_box_basis, monomial_basis,
                             orthonormal_evaluator)
+from .recurrence import RecurrenceData
 from .stieltjes import stieltjes_recurrence
 from .tensor_product import canonical_reorder, tensor_recurrence
 from .univariate import jacobi_recurrence
 
 EXPERIMENTS = ("jac2", "jac3", "ann", "cur", "tor", "hol", "cloud")
-METHODS = ("exact", "ms", "mm", "ml")
 
 JACOBI_PARAMS = {
     "jac2": ((3.80, 0.78), (7.34, 8.26)),
@@ -61,7 +61,9 @@ class ExperimentConfig:
     large enough that every moment the algorithms need is exact where
     exactness is claimed (Gauss counts N+2 per axis, angular counts
     4N+5), except the spiral's outer angle which is intrinsically
-    approximate and defaults to 25000 points."""
+    approximate and defaults to 25000 points.  Node sweeps use the
+    package-wide ``measures.CHUNK``, which the manifest records as
+    ``config.chunk_size``."""
 
     experiment: str
     method: str
@@ -74,8 +76,6 @@ class ExperimentConfig:
     seed: int = 0
     cloud_path: str | None = None
     output_dir: str = "."
-    experimental_wopp: bool = False
-    chunk_size: int = 65536
 
 
 @dataclass
@@ -134,8 +134,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     if config.experiment == "cloud" and config.cloud_path is None:
         raise ValueError("cloud experiment requires --cloud PATH")
     out = dataclasses.replace(config)
-    d = experiment_dimension(out.experiment, out.cloud_path)
     if out.degree is None:
+        d = experiment_dimension(out.experiment, out.cloud_path)
         out.degree = DEFAULT_DEGREE[d]
     if out.degree < 1:
         raise ValueError("degree must be >= 1")
@@ -169,7 +169,22 @@ def build_measure(config: ExperimentConfig):
     raise ValueError(f"unknown experiment {tag!r}")
 
 
-def _run_exact(config, measure, index_set):
+@dataclass
+class Construction:
+    """What a construction method returns: its basis evaluator through
+    ``usable_degree`` (None when no degree is usable) and recurrence
+    (None below degree 1), plus diagnostics."""
+
+    recurrence: RecurrenceData | None
+    evaluate_chunk: object | None
+    cond: np.ndarray | None
+    usable_degree: int
+    gram_drift: list | None = None
+    counters: dict = field(default_factory=dict)
+    breakdown_degree: int | None = None
+
+
+def _run_exact(config, measure, index_set) -> Construction:
     alphas, betas = JACOBI_PARAMS[config.experiment]
     unis = [jacobi_recurrence(config.degree, alphas[i], betas[i])
             for i in range(measure.d)]
@@ -177,38 +192,39 @@ def _run_exact(config, measure, index_set):
                             index_set)
     cond = np.array([1.0] + [float(rec.lam[n][0] / rec.lam[n][-1])
                              for n in range(1, config.degree + 1)])
-    return rec, recurrence_evaluator(rec), cond, None, {}
+    return Construction(rec, recurrence_evaluator(rec), cond, config.degree)
 
 
-def _run_ms(config, measure, index_set):
-    rec, diags = stieltjes_recurrence(
-        measure, index_set, config.degree,
-        allow_high_dim=config.experimental_wopp,
-        chunk_size=config.chunk_size)
+def _run_ms(config, measure, index_set) -> Construction:
+    rec, diags = stieltjes_recurrence(measure, index_set, config.degree)
     counters = {
         "moment_fallbacks": diags.moment_fallbacks,
         "closures_3d": diags.closures_3d,
         "wopp_sweeps": diags.wopp_sweeps,
     }
-    return (rec, recurrence_evaluator(rec), np.array(diags.t_condition),
-            diags.gram_drift, counters)
+    return Construction(rec, recurrence_evaluator(rec),
+                        np.array(diags.t_condition), config.degree,
+                        gram_drift=diags.gram_drift, counters=counters)
 
 
-def _run_moment(config, measure, index_set, kind):
-    basis = (monomial_basis(index_set) if kind == "mm"
+def _run_moment(config, measure, index_set) -> Construction:
+    basis = (monomial_basis(index_set) if config.method == "mm"
              else legendre_box_basis(index_set, measure))
-    gram = build_gram(basis, measure, chunk_size=config.chunk_size)
+    gram = build_gram(basis, measure)
     cond = gram_condition_numbers(
         gram.gram, [index_set.cumulative(n) for n in range(config.degree + 1)])
     usable = gram.chol_degree
-    rec = None
-    evaluate_chunk = None
-    if usable >= 1:
-        rec = extract_recurrence(gram, usable)
-        evaluate_chunk = orthonormal_evaluator(gram, usable)
-    elif usable == 0:
-        evaluate_chunk = orthonormal_evaluator(gram, 0)
-    return rec, evaluate_chunk, cond, None, {}, gram.failure_degree, usable
+    return Construction(
+        recurrence=extract_recurrence(gram, usable) if usable >= 1 else None,
+        evaluate_chunk=(orthonormal_evaluator(gram, usable) if usable >= 0
+                        else None),
+        cond=cond, usable_degree=usable,
+        breakdown_degree=gram.failure_degree)
+
+
+CONSTRUCTIONS = {"exact": _run_exact, "ms": _run_ms,
+                 "mm": _run_moment, "ml": _run_moment}
+METHODS = tuple(CONSTRUCTIONS)
 
 
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
@@ -218,56 +234,46 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     failures mid-run) are captured in the result rather than raised;
     usage errors raise ValueError before any computation starts.
     """
+    cloud = None
+    if config.experiment == "cloud" and config.cloud_path is not None:
+        # Read once: the file also supplies the default degree.
+        cloud = point_cloud_measure(config.cloud_path)
+        if config.degree is None:
+            config = dataclasses.replace(config, degree=DEFAULT_DEGREE[cloud.d])
     config = resolve_config(config)
-    measure = build_measure(config)
+    measure = build_measure(config) if cloud is None else cloud
     d = measure.d
     degree = config.degree
     index_set = MultiIndexSet.build(d, degree)
     size = index_set.cumulative(degree)
 
-    rec = None
-    evaluate_chunk = None
-    cond = None
-    drift = None
-    counters = {}
-    breakdown = None
     failure_message = None
-    usable_degree = degree
     try:
-        if config.method == "exact":
-            rec, evaluate_chunk, cond, drift, counters = _run_exact(
-                config, measure, index_set)
-        elif config.method == "ms":
-            rec, evaluate_chunk, cond, drift, counters = _run_ms(
-                config, measure, index_set)
-        else:
-            (rec, evaluate_chunk, cond, drift, counters,
-             breakdown, usable_degree) = _run_moment(
-                config, measure, index_set, config.method)
+        built = CONSTRUCTIONS[config.method](config, measure, index_set)
     except NumericalFailure as exc:
         failure_message = str(exc)
-        breakdown = exc.degree
+        built = Construction(recurrence=None, evaluate_chunk=None, cond=None,
+                             usable_degree=-1, breakdown_degree=exc.degree)
 
     error = None
     cc_rows = None
     christoffel_mass = None
-    if evaluate_chunk is not None:
-        usable_size = index_set.cumulative(usable_degree)
-        error = gram_error_streaming(evaluate_chunk, measure, usable_size,
-                                     chunk_size=config.chunk_size)
+    if built.evaluate_chunk is not None:
+        usable_size = index_set.cumulative(built.usable_degree)
+        error = gram_error_streaming(built.evaluate_chunk, measure, usable_size)
         christoffel_mass = float(
             (np.trace(error.error_matrix) + usable_size) / usable_size)
-        if rec is not None:
-            cc_rows = commuting_residuals(rec)
-            error.cc_residuals = cc_rows
-        error.per_degree_cond = cond
+        if built.recurrence is not None:
+            cc_rows = commuting_residuals(built.recurrence)
 
     result = ExperimentResult(
         config=config, d=d, degree=degree, n_nodes=measure.n_nodes, size=size,
-        error=error, cond=cond, cc_rows=cc_rows, recurrence=rec,
-        breakdown_degree=breakdown, failure_message=failure_message,
-        gram_drift=drift, diagnostics_counters=counters,
-        christoffel_mass=christoffel_mass, evaluate_chunk=evaluate_chunk)
+        error=error, cond=built.cond, cc_rows=cc_rows,
+        recurrence=built.recurrence, breakdown_degree=built.breakdown_degree,
+        failure_message=failure_message, gram_drift=built.gram_drift,
+        diagnostics_counters=built.counters,
+        christoffel_mass=christoffel_mass,
+        evaluate_chunk=built.evaluate_chunk)
     if write:
         write_outputs(result, measure)
     return result
@@ -283,7 +289,8 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
 
     manifest = {
         "package_version": __version__,
-        "config": dataclasses.asdict(result.config),
+        "config": dict(dataclasses.asdict(result.config),
+                       chunk_size=measures.CHUNK),
         "dimension": result.d,
         "degree": result.degree,
         "basis_size": result.size,
@@ -315,11 +322,8 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
     if result.d == 2 and result.evaluate_chunk is not None:
         stride = max(1, -(-measure.n_nodes // CHRISTOFFEL_MAX_ROWS))
         pts = measure.nodes[::stride]
-        usable_size = (result.size if result.breakdown_degree is None
-                       else result.error.error_matrix.shape[0])
-        kernel, chris = christoffel_streaming(result.evaluate_chunk, pts,
-                                              usable_size,
-                                              chunk_size=result.config.chunk_size)
+        kernel, chris = christoffel_streaming(
+            result.evaluate_chunk, pts, result.error.error_matrix.shape[0])
         paths["christoffel"] = out / "christoffel.csv"
         serialization.write_christoffel_csv(paths["christoffel"], pts,
                                             kernel, chris)

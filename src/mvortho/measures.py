@@ -20,6 +20,14 @@ from .errors import PointCloudError
 from .indexing import MultiIndexSet
 from .univariate import jacobi_recurrence
 
+CHUNK = 65536  # points per chunk in every streamed sweep over a node set
+
+
+def node_chunks(n_points: int):
+    """Slices of at most ``CHUNK`` (read at each call) covering ``n_points``."""
+    for lo in range(0, n_points, CHUNK):
+        yield slice(lo, min(lo + CHUNK, n_points))
+
 
 @dataclass(frozen=True)
 class DiscreteMeasure:

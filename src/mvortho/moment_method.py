@@ -20,13 +20,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConditioningError
-from .evaluation import BasisEvaluation
 from .indexing import MultiIndexSet
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, node_chunks
 from .recurrence import RecurrenceData
 from .univariate import evaluate_univariate, jacobi_recurrence
-
-DEFAULT_CHUNK = 131072
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,7 @@ class GramData:
         return self.basis.max_degree
 
 
-def build_gram(basis: SpanningBasis, measure: DiscreteMeasure,
-               chunk_size: int = DEFAULT_CHUNK) -> GramData:
+def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     """Assemble the Gram and coordinate-weighted Gram matrices and factor
     the Gram degree block by degree block.
 
@@ -135,8 +131,7 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure,
     gram = np.zeros((size, size))
     coord = [np.zeros((size, size)) for _ in range(d)]
     nodes, w = measure.nodes, measure.weights
-    for lo in range(0, measure.n_nodes, chunk_size):
-        sl = slice(lo, min(lo + chunk_size, measure.n_nodes))
+    for sl in node_chunks(measure.n_nodes):
         vals = basis.values(nodes[sl])
         weighted = vals * w[sl][None, :]
         gram += weighted @ vals.T
@@ -180,44 +175,22 @@ def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
     return chol, index_set.max_degree, None
 
 
-def orthonormalize(gram: GramData, measure: DiscreteMeasure,
-                   max_degree: int | None = None) -> BasisEvaluation:
-    """Evaluate the Cholesky-orthonormalized basis over the measure's nodes.
-
-    Raises
-    ------
-    ConditioningError
-        If the factorization broke down before ``max_degree``.  This is
-        the expected high-degree outcome for ill-conditioned Grams and is
-        reported, not treated as a bug.
-    """
+def _factored_degree(gram: GramData, max_degree: int | None) -> int:
+    """``max_degree`` (default: the basis degree) after checking it is
+    factored; otherwise ConditioningError carrying the failure degree,
+    the expected high-degree outcome for ill-conditioned Grams."""
     n_max = gram.max_degree if max_degree is None else max_degree
     if n_max > gram.chol_degree:
         raise ConditioningError(
             f"Gram matrix not positive definite at degree {gram.failure_degree}",
             degree=gram.failure_degree)
-    size = gram.basis.index_set.cumulative(n_max)
-    vals = gram.basis.values(measure.nodes)[:size]
-    ortho = solve_triangular(gram.chol[:size, :size], vals,
-                             lower=True, check_finite=False)
-    blocks = []
-    lo = 0
-    for n in range(n_max + 1):
-        hi = gram.basis.index_set.cumulative(n)
-        blocks.append(ortho[lo:hi])
-        lo = hi
-    return BasisEvaluation(blocks=blocks, points=measure.nodes)
+    return n_max
 
 
 def orthonormal_evaluator(gram: GramData, max_degree: int | None = None):
-    """Point-chunk closure evaluating the orthonormalized basis (for
-    streaming Gram-error accumulation over large node sets)."""
-    n_max = gram.max_degree if max_degree is None else max_degree
-    if n_max > gram.chol_degree:
-        raise ConditioningError(
-            f"Gram matrix not positive definite at degree {gram.failure_degree}",
-            degree=gram.failure_degree)
-    size = gram.basis.index_set.cumulative(n_max)
+    """Point-chunk closure evaluating the Cholesky-orthonormalized basis
+    (for the streaming accumulators); see ``_factored_degree``."""
+    size = gram.basis.index_set.cumulative(_factored_degree(gram, max_degree))
     chol = gram.chol[:size, :size]
 
     def run(points_chunk):
@@ -240,11 +213,7 @@ def extract_recurrence(gram: GramData, max_degree: int | None = None) -> Recurre
     ``max_degree``.
     """
     iset = gram.basis.index_set
-    n_max = gram.max_degree if max_degree is None else max_degree
-    if n_max > gram.chol_degree:
-        raise ConditioningError(
-            f"Gram matrix not positive definite at degree {gram.failure_degree}",
-            degree=gram.failure_degree)
+    n_max = _factored_degree(gram, max_degree)
     size = iset.cumulative(n_max)
     linv = solve_triangular(gram.chol[:size, :size], np.eye(size),
                             lower=True, check_finite=False)

@@ -14,7 +14,8 @@ recovers the degree-(n+1) matrices from factorizations of those moments:
 * mixed residual Grams determine the upper blocks of the right singular
   factors, and the remaining rows come from orthonormality (d = 2), a
   kernel argument plus an explicit orthogonal completion (d = 3), or a
-  coupled orthogonal Procrustes solve (d > 3, experimental).
+  kernel argument plus a coupled orthogonal Procrustes solve (d > 3,
+  ``wopp`` module).
 
 For d > 2 the degree-1 raising matrices fall back to the moment method,
 whose tiny degree-1 Gram is well-conditioned.  After every degree the new
@@ -28,10 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClosureError, RankDeficiencyError
-from .evaluation import _next_block, fix_column_signs, fix_vector_sign
+from .diagnostics import condition_numbers
+from .errors import ClosureError, NumericalFailure, RankDeficiencyError
+from .evaluation import (_next_block, canonical_rotation, descending_eigh,
+                         fix_column_signs, fix_vector_sign)
 from .indexing import MultiIndexSet
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, node_chunks
 from .recurrence import RecurrenceData
 from . import moment_method
 from .wopp import solve_orthogonal_factors
@@ -39,7 +42,6 @@ from .wopp import solve_orthogonal_factors
 RANK_TOL = 1e-10          # singular values below RANK_TOL * max treated as zero
 PSD_CLIP = -1e-10         # most negative admissible eigenvalue of a PSD residual
 W_ORTHO_TOL = 1e-8        # orthogonality defect allowed in assembled completions
-DEFAULT_CHUNK = 131072
 
 
 @dataclass
@@ -48,9 +50,7 @@ class StieltjesState:
 
     ``recurrence`` holds canonical matrices through ``degree``;
     ``values_cur``/``values_prev`` are the degree blocks of basis values
-    over the measure's nodes, consistent with those matrices.  During a
-    degree step ``pending_centers`` carries the not-yet-committed A
-    matrices needed by the residual basis.
+    over the measure's nodes, consistent with those matrices.
     """
 
     measure: DiscreteMeasure
@@ -59,7 +59,6 @@ class StieltjesState:
     values_cur: np.ndarray
     values_prev: np.ndarray | None
     degree: int
-    pending_centers: list | None = None
 
 
 @dataclass
@@ -88,43 +87,17 @@ def coordinate_moment(state: StieltjesState, i: int) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def residual_values(state: StieltjesState, i: int) -> np.ndarray:
-    """Coordinate-i residual polynomials at the nodes.
-
-    x_i p_n minus its projections onto degrees n and n-1; requires
-    ``pending_centers``.  Equals B_{n+1,i} p_{n+1} in exact arithmetic.
-    """
-    if state.pending_centers is None:
-        raise ValueError("pending centers not set for this degree step")
-    out = state.measure.nodes[:, i][None, :] * state.values_cur
-    out = out - state.pending_centers[i] @ state.values_cur
-    if state.degree >= 1:
-        out = out - state.recurrence.B[state.degree][i].T @ state.values_prev
-    return out
-
-
-def residual_gram(state: StieltjesState, i: int, j: int) -> np.ndarray:
-    """Mixed residual moment matrix; symmetrized when i == j."""
-    t = (residual_values(state, i) * state.measure.weights[None, :]) \
-        @ residual_values(state, j).T
-    return 0.5 * (t + t.T) if i == j else t
-
-
-def symmetric_factor(t_sym: np.ndarray, rank_tol: float = RANK_TOL,
-                     where: str = ""):
+def symmetric_factor(t_sym: np.ndarray, where: str = ""):
     """Left factor and singular values of a raising matrix from its
     symmetric residual Gram T = B B^T.
 
     Returns (U, s) with eigenvalues sorted non-increasing, s their square
     roots, and U sign-fixed.  Raises RankDeficiencyError when the
-    smallest singular value falls below ``rank_tol`` times the largest.
+    smallest singular value falls below ``RANK_TOL`` times the largest.
     """
-    evals, vecs = np.linalg.eigh(0.5 * (t_sym + t_sym.T))
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    vecs = fix_column_signs(vecs[:, order])
+    evals, vecs = descending_eigh(t_sym)
     s = np.sqrt(np.clip(evals, 0.0, None))
-    if s[-1] <= rank_tol * s[0]:
+    if s[-1] <= RANK_TOL * s[0]:
         raise RankDeficiencyError(
             f"residual Gram rank-deficient{where} "
             f"(singular value ratio {s[-1] / s[0] if s[0] else 0.0:.3e})")
@@ -136,38 +109,37 @@ def scaled_cross(u_i, s_i, t_ij, u_j, s_j) -> np.ndarray:
     return (u_i / s_i[None, :]).T @ t_ij @ (u_j / s_j[None, :])
 
 
-def rank_one_completion(vhat: np.ndarray, clip_tol: float = PSD_CLIP) -> np.ndarray:
+def rank_one_completion(vhat: np.ndarray) -> np.ndarray:
     """Last right-factor row y for d = 2 from y y^T = I - vhat^T vhat.
 
     Takes the dominant eigenpair of the rank-1 residual; sign fixed
     deterministically (the recurrence is independent of it).  Raises
-    ClosureError if the residual has an eigenvalue below ``clip_tol``,
+    ClosureError if the residual has an eigenvalue below ``PSD_CLIP``,
     which signals corrupted upstream moments.
     """
     resid = np.eye(vhat.shape[1]) - vhat.T @ vhat
     evals, vecs = np.linalg.eigh(0.5 * (resid + resid.T))
-    if evals[0] < clip_tol:
+    if evals[0] < PSD_CLIP:
         raise ClosureError(
             f"orthonormality residual indefinite (min eigenvalue {evals[0]:.3e})")
     top = max(evals[-1], 0.0)
     return fix_vector_sign(vecs[:, -1]) * np.sqrt(top)
 
 
-def psd_sqrt(mat: np.ndarray, clip_tol: float = PSD_CLIP) -> np.ndarray:
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root, clipping roundoff-negative eigenvalues.
 
-    Raises ClosureError for eigenvalues below ``clip_tol``.
+    Raises ClosureError for eigenvalues below ``PSD_CLIP``.
     """
     evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if evals[0] < clip_tol:
+    if evals[0] < PSD_CLIP:
         raise ClosureError(
             f"matrix not positive semi-definite (min eigenvalue {evals[0]:.3e})")
     return (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.T
 
 
 def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
-                            s_j: np.ndarray, expected_dim: int,
-                            rank_tol: float = RANK_TOL) -> np.ndarray:
+                            s_j: np.ndarray, expected_dim: int) -> np.ndarray:
     """Orthonormal kernel basis constraining the unknown right-factor rows.
 
     The commuting conditions force those rows into the kernel of
@@ -176,7 +148,7 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
     """
     k_mat = raising_prev_first @ (u_j * s_j[None, :])
     _, svals, vt = np.linalg.svd(k_mat, full_matrices=True)
-    rank = int(np.sum(svals > rank_tol * svals[0])) if svals.size else 0
+    rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0
     if k_mat.shape[1] - rank != expected_dim:
         raise RankDeficiencyError(
             f"kernel dimension {k_mat.shape[1] - rank} != expected {expected_dim}")
@@ -207,8 +179,7 @@ def orthogonal_completion(block: np.ndarray) -> np.ndarray:
     return np.hstack([tall, last_col[:, None]])
 
 
-def three_dim_completion(vhat_pair, psi_pair, cross_scaled, rank_tol=RANK_TOL,
-                         clip_tol=PSD_CLIP, ortho_tol=W_ORTHO_TOL):
+def three_dim_completion(vhat_pair, psi_pair, cross_scaled):
     """Remaining right-factor rows for both non-reference coordinates, d = 3.
 
     The second coordinate's orthogonal degree of freedom is gauged to the
@@ -224,18 +195,18 @@ def three_dim_completion(vhat_pair, psi_pair, cross_scaled, rank_tol=RANK_TOL,
     d2 = np.eye(dr) - psi2.T @ vhat2.T @ vhat2 @ psi2
     d3 = np.eye(dr) - psi3.T @ vhat3.T @ vhat3 @ psi3
     pad = np.zeros((dr, 1))
-    e2 = np.hstack([psd_sqrt(d2, clip_tol), pad])
-    e3 = np.hstack([psd_sqrt(d3, clip_tol), pad])
+    e2 = np.hstack([psd_sqrt(d2), pad])
+    e3 = np.hstack([psd_sqrt(d3), pad])
     h23 = psi2.T @ (cross_scaled - vhat2.T @ vhat3) @ psi3
 
     x2, y2, z2t = np.linalg.svd(e2)
     x3, y3, z3t = np.linalg.svd(e3)
-    if y2[-1] <= rank_tol * y2[0] or y3[-1] <= rank_tol * y3[0]:
+    if y2[-1] <= RANK_TOL * y2[0] or y3[-1] <= RANK_TOL * y3[0]:
         raise ClosureError("kernel-restricted weight block nearly singular")
     principal = (x2 / y2[None, :]).T @ h23 @ (x3 / y3[None, :])
     w_full = orthogonal_completion(principal)
     defect = float(np.max(np.abs(w_full.T @ w_full - np.eye(dr + 1))))
-    if defect > ortho_tol:
+    if defect > W_ORTHO_TOL:
         raise ClosureError(
             f"assembled completion not orthogonal (defect {defect:.3e})")
     # w_full plays the role of Z2^T W3^T Z3, so undo the conjugation and
@@ -262,11 +233,7 @@ def degree_one_from_moments(measure: DiscreteMeasure) -> list:
 
 
 def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
-                         max_degree: int, *, allow_high_dim: bool = False,
-                         rank_tol: float = RANK_TOL,
-                         chunk_size: int = DEFAULT_CHUNK,
-                         final_condition: bool = True,
-                         wopp_max_iter: int = 500, wopp_tol: float = 1e-10):
+                         max_degree: int):
     """Compute canonical recurrence matrices through ``max_degree``.
 
     Parameters
@@ -276,15 +243,17 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
         d >= 2 (the univariate problem has its own classical method).
     index_set : MultiIndexSet
         Degree bookkeeping, at least as deep as ``max_degree``.
-    allow_high_dim : bool
-        Enable the experimental d > 3 path (coupled Procrustes solves).
-    final_condition : bool
-        Also compute the residual-Gram condition numbers at
-        ``max_degree`` so conditioning diagnostics cover every degree.
 
     Returns
     -------
     (RecurrenceData, StieltjesDiagnostics)
+        The diagnostics' residual-Gram condition numbers cover degrees
+        0..max_degree.
+
+    Raises
+    ------
+    NumericalFailure
+        Carrying the degree being computed when it failed.
     """
     d = measure.d
     if d < 2:
@@ -294,9 +263,6 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
         raise ValueError("index set dimension does not match the measure")
     if index_set.max_degree < max_degree:
         raise ValueError("index set shallower than requested degree")
-    if d > 3 and max_degree > 1 and not allow_high_dim:
-        raise ValueError("d > 3 needs the experimental orthogonal-factor "
-                         "solver; pass allow_high_dim=True to enable it")
 
     rec = RecurrenceData(d=d, max_degree=0, A=[None], B=[None], lam=[None])
     p0 = 1.0 / np.sqrt(measure.total_mass)
@@ -307,31 +273,29 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
     diags = StieltjesDiagnostics()
     for n in range(max_degree):
         try:
-            _advance(state, diags, rank_tol=rank_tol, chunk_size=chunk_size,
-                     wopp_max_iter=wopp_max_iter, wopp_tol=wopp_tol)
-        except (RankDeficiencyError, ClosureError) as exc:
+            _advance(state, diags)
+        except NumericalFailure as exc:
             exc.degree = n + 1
             raise
-    if final_condition:
-        centers = [coordinate_moment(state, i) for i in range(d)]
-        t_diag, _ = _moment_pass(state, centers, chunk_size, need_pairs=False)
-        diags.t_condition.append(_mean_condition(t_diag, d))
+    centers = [coordinate_moment(state, i) for i in range(d)]
+    t_diag, _ = _moment_pass(state, centers, need_pairs=False)
+    diags.t_condition.append(_mean_condition(t_diag))
     return state.recurrence, diags
 
 
-def _mean_condition(t_blocks, d) -> float:
-    conds = []
-    for i in range(d):
-        evals = np.linalg.eigvalsh(t_blocks[(i, i)])
-        conds.append(float(evals[-1] / evals[0]) if evals[0] > 0 else np.inf)
-    return float(np.mean(conds))
+def _mean_condition(t_diag) -> float:
+    """Condition number averaged over the symmetric residual Grams."""
+    return float(condition_numbers([list(t_diag.values())])[0])
 
 
-def _moment_pass(state: StieltjesState, centers, chunk_size, need_pairs=True):
+def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
     """Accumulate residual Grams in node chunks.
 
-    Returns (diagonal blocks {(i,i): T}, mixed blocks {(i,j): T, i<j});
-    mixed blocks are skipped when ``need_pairs`` is false.
+    The coordinate-i residual x_i p_n - A_{n+1,i} p_n - B_{n,i}^T p_{n-1}
+    (``centers`` holding the A matrices) equals B_{n+1,i} p_{n+1} in
+    exact arithmetic.  Returns (diagonal blocks {(i,i): T} symmetrized,
+    mixed blocks {(i,j): T, i<j}); mixed blocks are skipped when
+    ``need_pairs`` is false.
     """
     d = state.measure.d
     n = state.degree
@@ -341,8 +305,7 @@ def _moment_pass(state: StieltjesState, centers, chunk_size, need_pairs=True):
     acc = {key: np.zeros((r, r)) for key in pairs}
     nodes, w = state.measure.nodes, state.measure.weights
     raising_prev = state.recurrence.B[n] if n >= 1 else None
-    for lo in range(0, state.measure.n_nodes, chunk_size):
-        sl = slice(lo, min(lo + chunk_size, state.measure.n_nodes))
+    for sl in node_chunks(state.measure.n_nodes):
         pc = state.values_cur[:, sl]
         resid = []
         for i in range(d):
@@ -352,18 +315,12 @@ def _moment_pass(state: StieltjesState, centers, chunk_size, need_pairs=True):
             resid.append(t)
         for i, j in pairs:
             acc[(i, j)] += (resid[i] * w[sl][None, :]) @ resid[j].T
-    diag = {}
-    mixed = {}
-    for (i, j), mat in acc.items():
-        if i == j:
-            diag[(i, j)] = 0.5 * (mat + mat.T)
-        else:
-            mixed[(i, j)] = mat
+    diag = {(i, j): 0.5 * (mat + mat.T) for (i, j), mat in acc.items() if i == j}
+    mixed = {(i, j): mat for (i, j), mat in acc.items() if i != j}
     return diag, mixed
 
 
-def _advance(state: StieltjesState, diags: StieltjesDiagnostics, *,
-             rank_tol, chunk_size, wopp_max_iter, wopp_tol):
+def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     """Compute, canonicalize, and commit the matrices of degree n+1."""
     measure, iset = state.measure, state.index_set
     d, n = measure.d, state.degree
@@ -373,9 +330,8 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics, *,
     dr_next = r_next - r_n
 
     centers = [coordinate_moment(state, i) for i in range(d)]
-    state.pending_centers = centers
-    t_diag, t_mixed = _moment_pass(state, centers, chunk_size)
-    diags.t_condition.append(_mean_condition(t_diag, d))
+    t_diag, t_mixed = _moment_pass(state, centers)
+    diags.t_condition.append(_mean_condition(t_diag))
 
     if d > 2 and n == 0:
         raisings = degree_one_from_moments(measure)
@@ -383,7 +339,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics, *,
     else:
         left, sing = [], []
         for i in range(d):
-            u_i, s_i = symmetric_factor(t_diag[(i, i)], rank_tol,
+            u_i, s_i = symmetric_factor(t_diag[(i, i)],
                                         where=f" (coordinate {i})")
             left.append(u_i)
             sing.append(s_i)
@@ -395,21 +351,19 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics, *,
             rows[1] = rank_one_completion(vhat[1])[None, :]
         elif d == 3:
             psi = {j: kernel_completion_basis(state.recurrence.B[n][0],
-                                              left[j], sing[j], dr_n, rank_tol)
+                                              left[j], sing[j], dr_n)
                    for j in (1, 2)}
             cross = scaled_cross(left[1], sing[1], t_mixed[(1, 2)],
                                  left[2], sing[2])
             rows[1], rows[2], defect = three_dim_completion(
-                (vhat[1], vhat[2]), (psi[1], psi[2]), cross,
-                rank_tol=rank_tol)
+                (vhat[1], vhat[2]), (psi[1], psi[2]), cross)
             diags.completion_defect.append(defect)
             diags.closures_3d += 1
         else:
             psi, weight_blocks, targets = {}, {}, {}
             for j in range(1, d):
                 psi[j] = kernel_completion_basis(state.recurrence.B[n][0],
-                                                 left[j], sing[j], dr_n,
-                                                 rank_tol)
+                                                 left[j], sing[j], dr_n)
                 block = np.eye(dr_n) - psi[j].T @ vhat[j].T @ vhat[j] @ psi[j]
                 weight_blocks[j] = np.hstack(
                     [psd_sqrt(block), np.zeros((dr_n, dr_next - dr_n))])
@@ -419,9 +373,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics, *,
                         scaled_cross(left[i], sing[i], t_mixed[(i, j)],
                                      left[j], sing[j])
                         - vhat[i].T @ vhat[j]) @ psi[j]
-            solved = solve_orthogonal_factors(weight_blocks, targets,
-                                              max_iter=wopp_max_iter,
-                                              tol=wopp_tol)
+            solved = solve_orthogonal_factors(weight_blocks, targets)
             diags.wopp_sweeps.append(solved.iterations)
             for j in range(1, d):
                 rows[j] = (psi[j] @ (weight_blocks[j] @ solved.W[j])).T
@@ -435,26 +387,14 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics, *,
             raisings.append((left[j] * sing[j][None, :]) @ right.T)
 
     _commit_degree(state, centers, raisings)
-    _evaluate_committed_degree(state, diags, chunk_size)
-    state.pending_centers = None
+    _evaluate_committed_degree(state, diags)
 
 
-def _commit_degree(state: StieltjesState, centers, raisings,
-                   cond_tol: float = 1e-12):
+def _commit_degree(state: StieltjesState, centers, raisings):
     """Rotate the new degree into canonical form and append it."""
     rec = state.recurrence
     n = state.degree
-    gram = np.zeros((raisings[0].shape[1],) * 2)
-    for mat in raisings:
-        gram += mat.T @ mat
-    evals, vecs = np.linalg.eigh(0.5 * (gram + gram.T))
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    vecs = fix_column_signs(vecs[:, order])
-    if evals[-1] <= cond_tol * evals[0]:
-        raise RankDeficiencyError(
-            f"stacked raising matrix rank-deficient at degree {n + 1}",
-            degree=n + 1)
+    evals, vecs = canonical_rotation(sum(mat.T @ mat for mat in raisings), n + 1)
     rec.A.append([0.5 * (c + c.T) for c in centers])
     rec.B.append([mat @ vecs for mat in raisings])
     rec.lam.append(evals)
@@ -462,7 +402,7 @@ def _commit_degree(state: StieltjesState, centers, raisings,
 
 
 def _evaluate_committed_degree(state: StieltjesState,
-                               diags: StieltjesDiagnostics, chunk_size):
+                               diags: StieltjesDiagnostics):
     """Evaluate the committed block over all nodes, tracking Gram drift."""
     measure = state.measure
     n = state.degree
@@ -470,8 +410,7 @@ def _evaluate_committed_degree(state: StieltjesState,
     out = np.empty((r_next, measure.n_nodes))
     gram_new = np.zeros((r_next, r_next))
     gram_cross = np.zeros((r_next, state.values_cur.shape[0]))
-    for lo in range(0, measure.n_nodes, chunk_size):
-        sl = slice(lo, min(lo + chunk_size, measure.n_nodes))
+    for sl in node_chunks(measure.n_nodes):
         block = _next_block(state.recurrence, n, measure.nodes[sl],
                             state.values_cur[:, sl],
                             None if state.values_prev is None

@@ -1,4 +1,4 @@
-"""Coupled weighted orthogonal Procrustes solver (experimental).
+"""Coupled weighted orthogonal Procrustes solver (the d > 3 closure).
 
 Finds orthogonal W_j minimizing
 
@@ -10,8 +10,9 @@ by SVD, which turns consistent data into an orthonormal-frame
 synchronization problem; the frames are initialized from the top
 eigenvectors of the stacked pairwise coupling matrix and then refined by
 block-coordinate majorize-minimize sweeps with polar retraction.  It
-carries no global-optimality guarantee and is gated behind an
-experimental flag in the degree-advancing algorithm.
+carries no global-optimality guarantee; when the sweeps stall above the
+tolerance it raises NonConvergenceError, which the degree-advancing
+algorithm reports with the failing degree.
 """
 
 from __future__ import annotations

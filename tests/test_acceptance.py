@@ -1,8 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line to the terminal.  Tolerances are pinned here and nowhere
-else.  The orthogonal-factor recovery test (criterion 9) carries the
-``wopp`` marker so a CI gate may deselect the experimental path with
-``-m "not wopp"``; everything else is part of the default gate."""
+else."""
 
 import numpy as np
 import pytest
@@ -170,7 +168,6 @@ def test_criterion_08_christoffel_identities(capsys, run_cache):
             f"min over nodes={kernel.min():.3e} (>0)")
 
 
-@pytest.mark.wopp
 def test_criterion_09_orthogonal_factor_recovery(capsys):
     def instance(seed, m=3, q=6, d=4):
         rng = np.random.default_rng(seed)

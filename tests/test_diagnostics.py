@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mvortho.diagnostics import (christoffel, christoffel_streaming,
-                                 commuting_residuals, condition_numbers,
-                                 gram_condition_numbers, gram_error,
+from mvortho import measures
+from mvortho.diagnostics import (christoffel_streaming, commuting_residuals,
+                                 condition_numbers, gram_condition_numbers,
                                  gram_error_streaming, max_commuting_residual)
 from mvortho.errors import NumericalFailure
-from mvortho.evaluation import BasisEvaluation, evaluate, evaluator
+from mvortho.evaluation import evaluator
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
@@ -23,40 +23,48 @@ def oracle_setup(n_max=10):
     return iset, canon, measure
 
 
+def constant(value):
+    """Point-chunk closure of the single function ``value``."""
+    return lambda pts: np.full((1, len(pts)), value)
+
+
 class TestGramError:
     def test_exactly_orthonormal_inputs(self):
         m = tensor_jacobi(2, 4, (0.0, 0.0), (0.0, 0.0))
-        vals = np.vstack([np.ones(m.n_nodes),
-                          np.sqrt(3) * m.nodes[:, 0],
-                          np.sqrt(3) * m.nodes[:, 1]])
-        ev = BasisEvaluation(blocks=[vals[:1], vals[1:]], points=m.nodes)
-        report = gram_error(ev, m)
+
+        def linear(pts):
+            return np.vstack([np.ones(len(pts)), np.sqrt(3) * pts[:, 0],
+                              np.sqrt(3) * pts[:, 1]])
+
+        report = gram_error_streaming(linear, m, 3)
         assert report.max_abs < 1e-14
         assert report.error_matrix.shape == (3, 3)
 
     def test_oracle_through_degree_ten(self):
-        _, canon, measure = oracle_setup(10)
-        report = gram_error(evaluate(canon, measure.nodes, 10), measure)
+        iset, canon, measure = oracle_setup(10)
+        report = gram_error_streaming(evaluator(canon, 10), measure,
+                                      iset.cumulative(10))
         assert report.max_abs <= 1e-12
 
     def test_unnormalized_constant(self):
         m = tensor_jacobi(2, 3, (0.0, 0.0), (0.0, 0.0))
-        ev = BasisEvaluation(blocks=[2.0 * np.ones((1, m.n_nodes))],
-                             points=m.nodes)
-        report = gram_error(ev, m)
+        report = gram_error_streaming(constant(2.0), m, 1)
         assert report.error_matrix[0, 0] == pytest.approx(3.0, abs=1e-13)
 
     def test_error_matrix_symmetric(self):
-        _, canon, measure = oracle_setup(8)
-        report = gram_error(evaluate(canon, measure.nodes, 8), measure)
+        iset, canon, measure = oracle_setup(8)
+        report = gram_error_streaming(evaluator(canon, 8), measure,
+                                      iset.cumulative(8))
         assert np.max(np.abs(report.error_matrix - report.error_matrix.T)) < 1e-13
 
-    def test_streaming_matches_direct(self):
+    def test_streaming_matches_direct(self, monkeypatch):
         iset, canon, measure = oracle_setup(6)
-        direct = gram_error(evaluate(canon, measure.nodes, 6), measure)
-        streamed = gram_error_streaming(evaluator(canon, 6), measure,
-                                        iset.cumulative(6), chunk_size=13)
-        assert np.max(np.abs(direct.error_matrix - streamed.error_matrix)) < 1e-13
+        one = gram_error_streaming(evaluator(canon, 6), measure,
+                                   iset.cumulative(6))
+        monkeypatch.setattr(measures, "CHUNK", 13)
+        many = gram_error_streaming(evaluator(canon, 6), measure,
+                                    iset.cumulative(6))
+        assert np.max(np.abs(one.error_matrix - many.error_matrix)) < 1e-13
 
 
 class TestCommutingResiduals:
@@ -108,28 +116,30 @@ class TestConditionNumbers:
 class TestChristoffel:
     def test_degree_zero_kernel_is_one(self):
         m = tensor_jacobi(2, 3, (0.0, 0.0), (0.0, 0.0))
-        ev = BasisEvaluation(blocks=[np.ones((1, m.n_nodes))], points=m.nodes)
-        kernel, lam = christoffel(ev)
+        kernel, lam = christoffel_streaming(constant(1.0), m.nodes, 1)
         assert np.allclose(kernel, 1.0) and np.allclose(lam, 1.0)
 
     def test_kernel_integrates_to_one(self):
-        _, canon, measure = oracle_setup(10)
-        kernel, _ = christoffel(evaluate(canon, measure.nodes, 10))
+        iset, canon, measure = oracle_setup(10)
+        kernel, _ = christoffel_streaming(evaluator(canon, 10), measure.nodes,
+                                          iset.cumulative(10))
         assert np.sum(measure.weights * kernel) == pytest.approx(1.0, abs=1e-10)
 
     def test_reciprocal_relation(self):
-        _, canon, measure = oracle_setup(5)
-        kernel, lam = christoffel(evaluate(canon, measure.nodes, 5))
+        iset, canon, measure = oracle_setup(5)
+        kernel, lam = christoffel_streaming(evaluator(canon, 5), measure.nodes,
+                                            iset.cumulative(5))
         assert np.allclose(kernel * lam, 1.0, atol=1e-13)
 
     def test_breakdown_on_nonpositive(self):
-        ev = BasisEvaluation(blocks=[np.zeros((1, 3))], points=np.zeros((3, 2)))
         with pytest.raises(NumericalFailure):
-            christoffel(ev)
+            christoffel_streaming(constant(0.0), np.zeros((3, 2)), 1)
 
-    def test_streaming_matches_direct(self):
+    def test_streaming_matches_direct(self, monkeypatch):
         iset, canon, measure = oracle_setup(6)
-        kernel, _ = christoffel(evaluate(canon, measure.nodes, 6))
-        streamed, _ = christoffel_streaming(evaluator(canon, 6), measure.nodes,
-                                            iset.cumulative(6), chunk_size=9)
-        assert np.max(np.abs(kernel - streamed)) < 1e-12
+        one, _ = christoffel_streaming(evaluator(canon, 6), measure.nodes,
+                                       iset.cumulative(6))
+        monkeypatch.setattr(measures, "CHUNK", 9)
+        many, _ = christoffel_streaming(evaluator(canon, 6), measure.nodes,
+                                        iset.cumulative(6))
+        assert np.max(np.abs(one - many)) < 1e-12

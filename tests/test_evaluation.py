@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mvortho.diagnostics import gram_error
+from mvortho.diagnostics import gram_error_streaming
 from mvortho.errors import RankDeficiencyError
-from mvortho.evaluation import evaluate, fix_column_signs, to_canonical, ttr_residual
+from mvortho.evaluation import (evaluate, evaluator, fix_column_signs,
+                                to_canonical, ttr_residual)
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
@@ -49,10 +50,11 @@ class TestToCanonical:
             assert np.all(np.diff(np.diag(gram)) <= 1e-12)
 
     def test_gram_preserved(self):
-        _, raw, canon = jacobi_setup(7)
+        iset, raw, canon = jacobi_setup(7)
         measure = tensor_jacobi(2, 9, *JAC2)
-        before = gram_error(evaluate(canon, measure.nodes, 7), measure)
-        after = gram_error(evaluate(to_canonical(raw), measure.nodes, 7), measure)
+        size = iset.cumulative(7)
+        before = gram_error_streaming(evaluator(canon), measure, size)
+        after = gram_error_streaming(evaluator(to_canonical(raw)), measure, size)
         assert abs(before.max_abs - after.max_abs) < 1e-12
 
     def test_rank_deficiency_detected(self):
@@ -77,9 +79,10 @@ class TestEvaluate:
             evaluate(raw, np.zeros((1, 2)), 3)
 
     def test_gram_identity_low_degree(self):
-        _, _, canon = jacobi_setup(10)
+        iset, _, canon = jacobi_setup(10)
         measure = tensor_jacobi(2, 12, *JAC2)
-        report = gram_error(evaluate(canon, measure.nodes, 10), measure)
+        report = gram_error_streaming(evaluator(canon), measure,
+                                      iset.cumulative(10))
         assert report.max_abs < 1e-12
 
     def test_legendre_products_up_to_sign(self):

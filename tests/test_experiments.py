@@ -130,6 +130,32 @@ class TestRunExperiment:
                      "cc_residuals.csv", "christoffel.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_cloud_read_once(self, tmp_path, monkeypatch):
+        from mvortho import experiments
+        cloud = tmp_path / "cloud.csv"
+        pts = np.random.default_rng(2).uniform(-1, 1, size=(500, 2))
+        cloud.write_text("\n".join(f"{x},{y}" for x, y in pts) + "\n")
+        calls = []
+        read = experiments.point_cloud_measure
+
+        def counting(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(experiments, "point_cloud_measure", counting)
+        res = run_experiment(ExperimentConfig(
+            "cloud", "ms", cloud_path=str(cloud), output_dir=str(tmp_path / "out")),
+            write=False)
+        assert len(calls) == 1
+        assert res.degree == 39 and res.d == 2  # default degree from the file's d
+
+    def test_manifest_records_chunk(self, tmp_path, monkeypatch):
+        from mvortho import measures
+        monkeypatch.setattr(measures, "CHUNK", 64)
+        run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["config"]["chunk_size"] == 64
+
     def test_christoffel_mass_recorded(self, tmp_path):
         res = run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
         assert res.christoffel_mass == pytest.approx(1.0, abs=1e-10)

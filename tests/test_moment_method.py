@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mvortho.diagnostics import (gram_error, max_commuting_residual,
+from mvortho import measures
+from mvortho.diagnostics import (gram_error_streaming, max_commuting_residual,
                                  rank_margins, symmetry_defect)
 from mvortho.errors import ConditioningError
 from mvortho.evaluation import evaluate, to_canonical
@@ -9,7 +10,7 @@ from mvortho.indexing import MultiIndexSet
 from mvortho.measures import square_minus_ball, tensor_jacobi
 from mvortho.moment_method import (SpanningBasis, build_gram,
                                    extract_recurrence, legendre_box_basis,
-                                   monomial_basis, orthonormalize)
+                                   monomial_basis, orthonormal_evaluator)
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
@@ -48,11 +49,12 @@ class TestBuildGram:
         assert np.allclose(basis.bounding_box[:, 0], m.nodes.min(axis=0))
         assert np.allclose(basis.bounding_box[:, 1], m.nodes.max(axis=0))
 
-    def test_chunked_assembly_matches_direct(self):
+    def test_chunked_assembly_matches_direct(self, monkeypatch):
         iset = MultiIndexSet.build(2, 4)
         m = uniform_square()
-        one = build_gram(monomial_basis(iset), m, chunk_size=7)
-        full = build_gram(monomial_basis(iset), m, chunk_size=10**6)
+        full = build_gram(monomial_basis(iset), m)
+        monkeypatch.setattr(measures, "CHUNK", 7)
+        one = build_gram(monomial_basis(iset), m)
         assert np.allclose(one.gram, full.gram, atol=1e-15)
 
 
@@ -60,19 +62,20 @@ class TestOrthonormalize:
     def test_degree_zero_constant(self):
         iset = MultiIndexSet.build(2, 3)
         m = uniform_square()
-        ev = orthonormalize(build_gram(monomial_basis(iset), m), m)
-        assert np.allclose(ev.blocks[0], 1.0, atol=1e-13)
+        vals = orthonormal_evaluator(build_gram(monomial_basis(iset), m))(m.nodes)
+        assert np.allclose(vals[0], 1.0, atol=1e-13)
 
     def test_matches_tensor_legendre_products(self):
         iset = MultiIndexSet.build(2, 2)
         m = uniform_square()
-        ev = orthonormalize(build_gram(monomial_basis(iset), m), m)
+        vals = orthonormal_evaluator(build_gram(monomial_basis(iset), m))(m.nodes)
         unis = [jacobi_recurrence(2, 0.0, 0.0)] * 2
         oracle = evaluate(canonical_reorder(tensor_recurrence(unis, iset, 2), iset),
                           m.nodes, 2)
         for n in range(3):
             remaining = list(range(oracle.blocks[n].shape[0]))
-            for row in ev.blocks[n]:
+            lo = iset.cumulative(n - 1) if n else 0
+            for row in vals[lo:iset.cumulative(n)]:
                 hit = [k for k in remaining
                        if min(np.max(np.abs(row - oracle.blocks[n][k])),
                               np.max(np.abs(row + oracle.blocks[n][k]))) < 1e-10]
@@ -82,8 +85,10 @@ class TestOrthonormalize:
     def test_gram_identity_low_degree(self):
         iset = MultiIndexSet.build(2, 8)
         m = uniform_square()
-        ev = orthonormalize(build_gram(monomial_basis(iset), m), m)
-        assert gram_error(ev, m).max_abs < 1e-10
+        gram = build_gram(monomial_basis(iset), m)
+        report = gram_error_streaming(orthonormal_evaluator(gram), m,
+                                      iset.cumulative(8))
+        assert report.max_abs < 1e-10
 
     def test_breakdown_reported_with_degree(self):
         # Monomials at high degree on the square: the Gram must fail
@@ -93,11 +98,11 @@ class TestOrthonormalize:
         gram = build_gram(monomial_basis(iset), m)
         assert gram.failure_degree is not None
         with pytest.raises(ConditioningError) as err:
-            orthonormalize(gram, m)
+            orthonormal_evaluator(gram)
         assert err.value.degree == gram.failure_degree
         # partial orthonormalization up to the last good degree still works
-        ev = orthonormalize(gram, m, max_degree=gram.chol_degree)
-        assert ev.max_degree == gram.chol_degree
+        vals = orthonormal_evaluator(gram, max_degree=gram.chol_degree)(m.nodes)
+        assert vals.shape[0] == iset.cumulative(gram.chol_degree)
 
 
 class TestExtractRecurrence:

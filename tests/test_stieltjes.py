@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from mvortho.diagnostics import gram_error, max_commuting_residual
-from mvortho.errors import ClosureError, RankDeficiencyError
-from mvortho.evaluation import evaluate
+from mvortho import measures
+from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
+from mvortho.errors import (ClosureError, NonConvergenceError,
+                            RankDeficiencyError)
+from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import annulus_measure, tensor_jacobi
 from mvortho.recurrence import RecurrenceData
-from mvortho.stieltjes import (StieltjesState, coordinate_moment,
+from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                degree_one_from_moments,
                                kernel_completion_basis, orthogonal_completion,
-                               psd_sqrt, rank_one_completion, residual_gram,
-                               residual_values, scaled_cross,
+                               psd_sqrt, rank_one_completion, scaled_cross,
                                stieltjes_recurrence, symmetric_factor)
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
@@ -34,6 +35,17 @@ def fresh_state(measure, n_max):
         values_cur=np.full((1, measure.n_nodes),
                            1.0 / np.sqrt(measure.total_mass)),
         values_prev=None, degree=0)
+
+
+def residual_grams(state):
+    """All residual Grams of ``state``'s degree, keyed by ordered pair,
+    from the pass the algorithm runs (diagonal blocks symmetrized)."""
+    centers = [coordinate_moment(state, i) for i in range(state.measure.d)]
+    diag, mixed = _moment_pass(state, centers, need_pairs=True)
+    out = dict(diag)
+    for (i, j), mat in mixed.items():
+        out[(i, j)], out[(j, i)] = mat, mat.T
+    return out
 
 
 class TestMomentBlocks:
@@ -60,8 +72,7 @@ class TestMomentBlocks:
     def test_residual_gram_uniform_square_degree_zero(self):
         m = tensor_jacobi(2, 6, (0.0, 0.0), (0.0, 0.0))
         state = fresh_state(m, 2)
-        state.pending_centers = [coordinate_moment(state, i) for i in range(2)]
-        t = residual_gram(state, 0, 0)
+        t = residual_grams(state)[(0, 0)]
         assert t[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_residual_gram_asymmetry_is_roundoff_only(self):
@@ -73,9 +84,12 @@ class TestMomentBlocks:
         ev = evaluate(rec, m.nodes, 4)
         state.values_cur, state.values_prev, state.degree = \
             ev.blocks[4], ev.blocks[3], 4
-        state.pending_centers = [coordinate_moment(state, i) for i in range(2)]
-        raw = (residual_values(state, 0) * m.weights[None, :]) \
-            @ residual_values(state, 0).T
+        # The pass returns the symmetrized Gram, so form the raw one here.
+        center = coordinate_moment(state, 0)
+        resid = (m.nodes[:, 0][None, :] * state.values_cur
+                 - center @ state.values_cur
+                 - rec.B[4][0].T @ state.values_prev)
+        raw = (resid * m.weights[None, :]) @ resid.T
         assert np.max(np.abs(raw - raw.T)) < 1e-13
 
     def test_residual_gram_matches_raising_products(self):
@@ -89,12 +103,11 @@ class TestMomentBlocks:
             state.values_cur = ev.blocks[n]
             state.values_prev = ev.blocks[n - 1]
             state.degree = n
-            state.pending_centers = [coordinate_moment(state, i) for i in range(2)]
+            grams = residual_grams(state)
             for i in range(2):
                 for j in range(2):
                     want = oracle.B[n + 1][i] @ oracle.B[n + 1][j].T
-                    got = residual_gram(state, i, j)
-                    assert np.max(np.abs(got - want)) < 1e-12
+                    assert np.max(np.abs(grams[(i, j)] - want)) < 1e-12
 
 
 class TestFactorizations:
@@ -224,13 +237,16 @@ class TestFullRuns:
         m = annulus_measure(n_max + 2, 4 * n_max + 5)
         iset = MultiIndexSet.build(2, n_max)
         rec, _ = stieltjes_recurrence(m, iset, n_max)
-        ms_err = gram_error(evaluate(rec, m.nodes, n_max), m).max_abs
+        size = iset.cumulative(n_max)
+        ms_err = gram_error_streaming(evaluator(rec, n_max), m, size).max_abs
 
-        from mvortho.moment_method import build_gram, monomial_basis, orthonormalize
+        from mvortho.moment_method import (build_gram, monomial_basis,
+                                           orthonormal_evaluator)
         gram = build_gram(monomial_basis(iset), m)
         mm_err = np.inf
         if gram.failure_degree is None:
-            mm_err = gram_error(orthonormalize(gram, m), m).max_abs
+            mm_err = gram_error_streaming(orthonormal_evaluator(gram), m,
+                                          size).max_abs
         assert ms_err < 1e-10
         assert mm_err > 1e4 * ms_err
 
@@ -240,30 +256,38 @@ class TestFullRuns:
         rec, _ = stieltjes_recurrence(m, iset, 7)
         assert max_commuting_residual(rec) < 1e-8
 
-    def test_chunked_matches_unchunked(self):
+    def test_chunked_matches_unchunked(self, monkeypatch):
         m = tensor_jacobi(2, 10, *JAC2)
         iset = MultiIndexSet.build(2, 6)
-        a, _ = stieltjes_recurrence(m, iset, 6, chunk_size=17)
-        b, _ = stieltjes_recurrence(m, iset, 6, chunk_size=10**6)
+        b, _ = stieltjes_recurrence(m, iset, 6)
+        monkeypatch.setattr(measures, "CHUNK", 17)
+        a, _ = stieltjes_recurrence(m, iset, 6)
         for n in range(1, 7):
             for i in range(2):
                 assert np.allclose(a.B[n][i], b.B[n][i], atol=1e-12)
 
-    def test_high_dim_needs_flag(self):
-        m = tensor_jacobi(4, 4, (0, 0, 0, 0), (0, 0, 0, 0))
-        iset = MultiIndexSet.build(4, 3)
-        with pytest.raises(ValueError):
-            stieltjes_recurrence(m, iset, 3)
-
     def test_high_dim_with_flag_matches_oracle(self):
-        params = ((0.0, 1.5, 0.5, 2.0), (0.0, 0.5, 3.0, 1.0))
-        m = tensor_jacobi(4, 6, *params)
-        iset, oracle = jacobi_oracle(4, params, 4)
-        rec, diags = stieltjes_recurrence(m, iset, 4, allow_high_dim=True)
-        for n in range(1, 5):
-            assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
-                               rtol=1e-9)
-        assert max_commuting_residual(rec) < 1e-10
+        for d in (4, 5):
+            params = ((0.0, 1.5, 0.5, 2.0, 1.0)[:d],
+                      (0.0, 0.5, 3.0, 1.0, 2.5)[:d])
+            m = tensor_jacobi(d, 6, *params)
+            iset, oracle = jacobi_oracle(d, params, 4)
+            rec, diags = stieltjes_recurrence(m, iset, 4)
+            for n in range(1, 5):
+                assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
+                                   rtol=1e-9), (d, n)
+            assert max_commuting_residual(rec) < 1e-10, d
+            assert len(diags.wopp_sweeps) == 3, d  # every degree n = 2..4
+
+    def test_high_dim_failure_carries_degree(self, monkeypatch):
+        def stall(*args, **kwargs):
+            raise NonConvergenceError("stalled")
+
+        monkeypatch.setattr("mvortho.stieltjes.solve_orthogonal_factors", stall)
+        m = tensor_jacobi(4, 6, (0, 0, 0, 0), (0, 0, 0, 0))
+        with pytest.raises(NonConvergenceError) as err:
+            stieltjes_recurrence(m, MultiIndexSet.build(4, 4), 4)
+        assert err.value.degree == 2
 
     def test_degenerate_measure_fails_with_degree(self):
         # 5 nodes cannot support the 6-dimensional quadratic space.

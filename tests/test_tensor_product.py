@@ -119,11 +119,13 @@ class TestOracleValidity:
                                rtol=1e-12, atol=1e-14)
 
     def test_orthonormal_under_exact_measure(self):
-        from mvortho.diagnostics import gram_error
+        from mvortho.diagnostics import gram_error_streaming
+        from mvortho.evaluation import evaluator
         n_max = 10
         iset = MultiIndexSet.build(2, n_max)
         unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*JAC2)]
         canon = canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
         measure = tensor_jacobi(2, n_max + 2, *JAC2)
-        report = gram_error(evaluate(canon, measure.nodes, n_max), measure)
+        report = gram_error_streaming(evaluator(canon), measure,
+                                      iset.cumulative(n_max))
         assert report.max_abs < 1e-12
