@@ -28,7 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     run.add_argument("--method", required=True, choices=METHODS)
     run.add_argument("--degree", type=int, default=None,
-                     help="max total degree N (default 39 for d=2, 15 for d=3)")
+                     help="max total degree N (default 39 for d=2, 15 for d=3; "
+                          "required for d>=4)")
     run.add_argument("--mc-samples", type=int, default=1_000_000,
                      help="Monte Carlo sample count for hol")
     run.add_argument("--seed", type=int, default=0)

@@ -79,22 +79,33 @@ class ExperimentConfig:
 
 
 @dataclass
-class ExperimentResult:
+class Construction:
+    """What a construction method returns: its basis evaluator through
+    ``usable_degree`` (None when no degree is usable) and recurrence
+    (None below degree 1), plus diagnostics."""
+
+    recurrence: RecurrenceData | None
+    evaluate_chunk: object | None
+    cond: np.ndarray | None
+    usable_degree: int
+    gram_drift: list | None = None
+    diagnostics_counters: dict = field(default_factory=dict)
+    breakdown_degree: int | None = None
+
+
+@dataclass(kw_only=True)
+class ExperimentResult(Construction):
+    """A construction plus the run's configuration and error reports."""
+
     config: ExperimentConfig
     d: int
     degree: int
     n_nodes: int
     size: int
     error: ErrorReport | None
-    cond: np.ndarray | None
     cc_rows: list | None
-    recurrence: object | None
-    breakdown_degree: int | None
     failure_message: str | None
-    gram_drift: list | None
-    diagnostics_counters: dict
     christoffel_mass: float | None
-    evaluate_chunk: object | None
 
     @property
     def failed(self) -> bool:
@@ -106,6 +117,12 @@ class ExperimentResult:
         if self.failed or self.error is None:
             return float("inf")
         return self.error.max_abs
+
+
+def default_degree(d: int) -> int:
+    if d not in DEFAULT_DEGREE:
+        raise ValueError(f"no default degree for d = {d}; pass --degree")
+    return DEFAULT_DEGREE[d]
 
 
 def experiment_dimension(experiment: str, cloud_path=None) -> int:
@@ -136,7 +153,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     out = dataclasses.replace(config)
     if out.degree is None:
         d = experiment_dimension(out.experiment, out.cloud_path)
-        out.degree = DEFAULT_DEGREE[d]
+        out.degree = default_degree(d)
     if out.degree < 1:
         raise ValueError("degree must be >= 1")
     n = out.degree
@@ -169,21 +186,6 @@ def build_measure(config: ExperimentConfig):
     raise ValueError(f"unknown experiment {tag!r}")
 
 
-@dataclass
-class Construction:
-    """What a construction method returns: its basis evaluator through
-    ``usable_degree`` (None when no degree is usable) and recurrence
-    (None below degree 1), plus diagnostics."""
-
-    recurrence: RecurrenceData | None
-    evaluate_chunk: object | None
-    cond: np.ndarray | None
-    usable_degree: int
-    gram_drift: list | None = None
-    counters: dict = field(default_factory=dict)
-    breakdown_degree: int | None = None
-
-
 def _run_exact(config, measure, index_set) -> Construction:
     alphas, betas = JACOBI_PARAMS[config.experiment]
     unis = [jacobi_recurrence(config.degree, alphas[i], betas[i])
@@ -199,12 +201,13 @@ def _run_ms(config, measure, index_set) -> Construction:
     rec, diags = stieltjes_recurrence(measure, index_set, config.degree)
     counters = {
         "moment_fallbacks": diags.moment_fallbacks,
-        "closures_3d": diags.closures_3d,
-        "wopp_sweeps": diags.wopp_sweeps,
+        "closure_sweeps": diags.closure_sweeps,
+        "completion_defect": diags.completion_defect,
     }
     return Construction(rec, recurrence_evaluator(rec),
                         np.array(diags.t_condition), config.degree,
-                        gram_drift=diags.gram_drift, counters=counters)
+                        gram_drift=diags.gram_drift,
+                        diagnostics_counters=counters)
 
 
 def _run_moment(config, measure, index_set) -> Construction:
@@ -239,7 +242,7 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
         # Read once: the file also supplies the default degree.
         cloud = point_cloud_measure(config.cloud_path)
         if config.degree is None:
-            config = dataclasses.replace(config, degree=DEFAULT_DEGREE[cloud.d])
+            config = dataclasses.replace(config, degree=default_degree(cloud.d))
     config = resolve_config(config)
     measure = build_measure(config) if cloud is None else cloud
     d = measure.d
@@ -267,13 +270,9 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
             cc_rows = commuting_residuals(built.recurrence)
 
     result = ExperimentResult(
-        config=config, d=d, degree=degree, n_nodes=measure.n_nodes, size=size,
-        error=error, cond=built.cond, cc_rows=cc_rows,
-        recurrence=built.recurrence, breakdown_degree=built.breakdown_degree,
-        failure_message=failure_message, gram_drift=built.gram_drift,
-        diagnostics_counters=built.counters,
-        christoffel_mass=christoffel_mass,
-        evaluate_chunk=built.evaluate_chunk)
+        **vars(built), config=config, d=d, degree=degree,
+        n_nodes=measure.n_nodes, size=size, error=error, cc_rows=cc_rows,
+        failure_message=failure_message, christoffel_mass=christoffel_mass)
     if write:
         write_outputs(result, measure)
     return result

@@ -223,8 +223,8 @@ def square_minus_ball(n_samples: int, seed: int) -> DiscreteMeasure:
 def point_cloud_measure(path) -> DiscreteMeasure:
     """Uniform measure over points listed in a CSV file.
 
-    Format: UTF-8, one point per line as ``x1,x2[,x3]``, optional single
-    header line, blank lines ignored.  Weights are 1/M.
+    Format: UTF-8, one point per line as ``x1,...,xd`` with d >= 2,
+    optional single header line, blank lines ignored.  Weights are 1/M.
     """
     rows = []
     d = None
@@ -246,9 +246,9 @@ def point_cloud_measure(path) -> DiscreteMeasure:
                     line=lineno)
             header_allowed = False
             if d is None:
-                if len(vals) not in (2, 3):
+                if len(vals) < 2:
                     raise PointCloudError(
-                        f"line {lineno}: expected 2 or 3 coordinates, got {len(vals)}",
+                        f"line {lineno}: expected 2+ coordinates, got {len(vals)}",
                         line=lineno)
                 d = len(vals)
             elif len(vals) != d:

@@ -12,10 +12,10 @@ recovers the degree-(n+1) matrices from factorizations of those moments:
   eigen-decomposition yields the left factor and singular values of each
   raising matrix;
 * mixed residual Grams determine the upper blocks of the right singular
-  factors, and the remaining rows come from orthonormality (d = 2), a
-  kernel argument plus an explicit orthogonal completion (d = 3), or a
-  kernel argument plus a coupled orthogonal Procrustes solve (d > 3,
-  ``wopp`` module).
+  factors, and the remaining rows come from orthonormality (d = 2) or,
+  for every d >= 3, from a kernel argument plus one coupled
+  orthogonal-factor solve (``wopp`` module), which is closed-form when
+  only two coordinates are coupled (d = 3).
 
 For d > 2 the degree-1 raising matrices fall back to the moment method,
 whose tiny degree-1 Gram is well-conditioned.  After every degree the new
@@ -37,11 +37,9 @@ from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure, node_chunks
 from .recurrence import RecurrenceData
 from . import moment_method
-from .wopp import solve_orthogonal_factors
+from .wopp import RANK_TOL, solve_orthogonal_factors
 
-RANK_TOL = 1e-10          # singular values below RANK_TOL * max treated as zero
 PSD_CLIP = -1e-10         # most negative admissible eigenvalue of a PSD residual
-W_ORTHO_TOL = 1e-8        # orthogonality defect allowed in assembled completions
 
 
 @dataclass
@@ -68,16 +66,17 @@ class StieltjesDiagnostics:
     ``t_condition[n]`` averages the condition numbers of the symmetric
     residual Grams formed at degree n; ``gram_drift[k]`` bounds the
     orthonormality defect of the block committed at degree k+1;
-    ``completion_defect`` records orthonormality defects of assembled
-    right-factor columns.
+    ``completion_defect`` holds, per degree built from the residual
+    factorizations, max |R^T R - I| over the assembled right factors R;
+    ``closure_sweeps`` holds the sweeps of each orthogonal-factor solve
+    (d >= 3; 0 for the closed form).
     """
 
     t_condition: list = field(default_factory=list)
     gram_drift: list = field(default_factory=list)
     completion_defect: list = field(default_factory=list)
     moment_fallbacks: int = 0
-    closures_3d: int = 0
-    wopp_sweeps: list = field(default_factory=list)
+    closure_sweeps: list = field(default_factory=list)
 
 
 def coordinate_moment(state: StieltjesState, i: int) -> np.ndarray:
@@ -153,68 +152,6 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
         raise RankDeficiencyError(
             f"kernel dimension {k_mat.shape[1] - rank} != expected {expected_dim}")
     return fix_column_signs(vt[rank:].T)
-
-
-def orthogonal_completion(block: np.ndarray) -> np.ndarray:
-    """Extend an m x m principal block to an (m+1) x (m+1) orthogonal matrix.
-
-    The missing last-row entries are determined up to one overall sign by
-    unit-column and pairwise-orthogonality conditions; the last column is
-    the unit vector completing the column space.  Signs are fixed
-    deterministically.
-    """
-    m = block.shape[0]
-    col_sq = np.sum(block ** 2, axis=0)
-    magnitudes = np.sqrt(np.clip(1.0 - col_sq, 0.0, None))
-    lead = int(np.argmax(magnitudes))
-    last_row = np.zeros(m)
-    if magnitudes[lead] > 1e-13:
-        last_row[lead] = magnitudes[lead]
-        for k in range(m):
-            if k != lead:
-                last_row[k] = -(block[:, k] @ block[:, lead]) / last_row[lead]
-    tall = np.vstack([block, last_row[None, :]])
-    u, _, _ = np.linalg.svd(tall)
-    last_col = fix_vector_sign(u[:, -1])
-    return np.hstack([tall, last_col[:, None]])
-
-
-def three_dim_completion(vhat_pair, psi_pair, cross_scaled):
-    """Remaining right-factor rows for both non-reference coordinates, d = 3.
-
-    The second coordinate's orthogonal degree of freedom is gauged to the
-    identity; the third's is recovered from the reduced SVDs of the two
-    kernel-restricted weight blocks and an explicit orthogonal completion
-    of the resulting principal block.
-
-    Returns (rows_2, rows_3, orthogonality_defect).
-    """
-    vhat2, vhat3 = vhat_pair
-    psi2, psi3 = psi_pair
-    dr = psi2.shape[1]
-    d2 = np.eye(dr) - psi2.T @ vhat2.T @ vhat2 @ psi2
-    d3 = np.eye(dr) - psi3.T @ vhat3.T @ vhat3 @ psi3
-    pad = np.zeros((dr, 1))
-    e2 = np.hstack([psd_sqrt(d2), pad])
-    e3 = np.hstack([psd_sqrt(d3), pad])
-    h23 = psi2.T @ (cross_scaled - vhat2.T @ vhat3) @ psi3
-
-    x2, y2, z2t = np.linalg.svd(e2)
-    x3, y3, z3t = np.linalg.svd(e3)
-    if y2[-1] <= RANK_TOL * y2[0] or y3[-1] <= RANK_TOL * y3[0]:
-        raise ClosureError("kernel-restricted weight block nearly singular")
-    principal = (x2 / y2[None, :]).T @ h23 @ (x3 / y3[None, :])
-    w_full = orthogonal_completion(principal)
-    defect = float(np.max(np.abs(w_full.T @ w_full - np.eye(dr + 1))))
-    if defect > W_ORTHO_TOL:
-        raise ClosureError(
-            f"assembled completion not orthogonal (defect {defect:.3e})")
-    # w_full plays the role of Z2^T W3^T Z3, so undo the conjugation and
-    # transpose to recover the third coordinate's orthogonal factor.
-    w3 = (z2t.T @ w_full @ z3t).T
-    rows_2 = (psi2 @ e2).T
-    rows_3 = (psi3 @ (e3 @ w3)).T
-    return rows_2, rows_3, defect
 
 
 def degree_one_from_moments(measure: DiscreteMeasure) -> list:
@@ -349,16 +286,6 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
         rows = {}
         if d == 2:
             rows[1] = rank_one_completion(vhat[1])[None, :]
-        elif d == 3:
-            psi = {j: kernel_completion_basis(state.recurrence.B[n][0],
-                                              left[j], sing[j], dr_n)
-                   for j in (1, 2)}
-            cross = scaled_cross(left[1], sing[1], t_mixed[(1, 2)],
-                                 left[2], sing[2])
-            rows[1], rows[2], defect = three_dim_completion(
-                (vhat[1], vhat[2]), (psi[1], psi[2]), cross)
-            diags.completion_defect.append(defect)
-            diags.closures_3d += 1
         else:
             psi, weight_blocks, targets = {}, {}, {}
             for j in range(1, d):
@@ -374,17 +301,19 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
                                      left[j], sing[j])
                         - vhat[i].T @ vhat[j]) @ psi[j]
             solved = solve_orthogonal_factors(weight_blocks, targets)
-            diags.wopp_sweeps.append(solved.iterations)
+            diags.closure_sweeps.append(solved.iterations)
             for j in range(1, d):
                 rows[j] = (psi[j] @ (weight_blocks[j] @ solved.W[j])).T
 
         raisings = [np.hstack([left[0] * sing[0][None, :],
                                np.zeros((r_n, dr_next))])]
+        defect = 0.0
         for j in range(1, d):
             right = np.vstack([vhat[j], rows[j]])
-            diags.completion_defect.append(
-                float(np.max(np.abs(right.T @ right - np.eye(r_n)))))
+            defect = max(defect,
+                         float(np.max(np.abs(right.T @ right - np.eye(r_n)))))
             raisings.append((left[j] * sing[j][None, :]) @ right.T)
+        diags.completion_defect.append(defect)
 
     _commit_degree(state, centers, raisings)
     _evaluate_committed_degree(state, diags)

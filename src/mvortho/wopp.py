@@ -1,11 +1,13 @@
-"""Coupled weighted orthogonal Procrustes solver (the d > 3 closure).
+"""Coupled weighted orthogonal Procrustes solver (the d >= 3 closure).
 
 Finds orthogonal W_j minimizing
 
     sum over pairs i < j of || E_i W_i W_j^T E_j^T - H_{ij} ||_F^2
 
 with the gauge W fixed to the identity for the first coupled coordinate.
-The problem is non-convex.  This solver first reduces each weight block
+Two coordinates whose (m, q) blocks carry one padded column (q = m + 1,
+every degree of a d = 3 measure) have a closed form.  Every other shape
+is non-convex.  This solver first reduces each weight block
 by SVD, which turns consistent data into an orthonormal-frame
 synchronization problem; the frames are initialized from the top
 eigenvectors of the stacked pairwise coupling matrix and then refined by
@@ -21,8 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import ClosureError, NonConvergenceError
+from .evaluation import fix_vector_sign
 
+RANK_TOL = 1e-10          # singular values below RANK_TOL * max treated as zero
+W_ORTHO_TOL = 1e-8        # orthogonality defect allowed in a closed-form factor
 _REDUCTION_TOL = 1e-12
 
 
@@ -54,6 +59,30 @@ def coupling_residual(E: dict, H: dict, W: dict) -> float:
             defect = E[i] @ W[i] @ W[j].T @ E[j].T - _get_target(H, i, j)
             total += float(np.sum(defect ** 2))
     return float(np.sqrt(total))
+
+
+def orthogonal_completion(block: np.ndarray) -> np.ndarray:
+    """Extend an m x m principal block to an (m+1) x (m+1) orthogonal matrix.
+
+    The missing last-row entries are determined up to one overall sign by
+    unit-column and pairwise-orthogonality conditions; the last column is
+    the unit vector completing the column space.  Signs are fixed
+    deterministically.
+    """
+    m = block.shape[0]
+    col_sq = np.sum(block ** 2, axis=0)
+    magnitudes = np.sqrt(np.clip(1.0 - col_sq, 0.0, None))
+    lead = int(np.argmax(magnitudes))
+    last_row = np.zeros(m)
+    if magnitudes[lead] > 1e-13:
+        last_row[lead] = magnitudes[lead]
+        for k in range(m):
+            if k != lead:
+                last_row[k] = -(block[:, k] @ block[:, lead]) / last_row[lead]
+    tall = np.vstack([block, last_row[None, :]])
+    u, _, _ = np.linalg.svd(tall)
+    last_col = fix_vector_sign(u[:, -1])
+    return np.hstack([tall, last_col[:, None]])
 
 
 def _spectral_init(E: dict, H: dict, keys) -> dict:
@@ -118,6 +147,9 @@ def solve_orthogonal_factors(E: dict, H: dict, max_iter: int = 500,
 
     Raises
     ------
+    ClosureError
+        Closed form (two coordinates, q = m + 1, no sweeps) only: nearly
+        singular weight block or non-orthogonal completion.
     NonConvergenceError
         After ``max_iter`` sweeps above ``tol``; carries the best iterate.
     """
@@ -129,6 +161,24 @@ def solve_orthogonal_factors(E: dict, H: dict, max_iter: int = 500,
     for k in keys:
         if E[k].shape[1] != q:
             raise ValueError("coupled blocks must share their column count")
+    if len(keys) == 2 and q == E[gauge].shape[0] + 1:
+        # Closed form: with E_j = X_j (Y_j 0) Z_j^T, Z_g^T W_o^T Z_o has the
+        # principal block Y_g^-1 X_g^T H X_o Y_o^-1; complete it orthogonally.
+        other = keys[1]
+        x_g, y_g, z_gt = np.linalg.svd(E[gauge])
+        x_o, y_o, z_ot = np.linalg.svd(E[other])
+        if y_g[-1] <= RANK_TOL * y_g[0] or y_o[-1] <= RANK_TOL * y_o[0]:
+            raise ClosureError("kernel-restricted weight block nearly singular")
+        principal = (x_g / y_g[None, :]).T @ _get_target(H, gauge, other) \
+            @ (x_o / y_o[None, :])
+        w_full = orthogonal_completion(principal)
+        defect = float(np.max(np.abs(w_full.T @ w_full - np.eye(q))))
+        if defect > W_ORTHO_TOL:
+            raise ClosureError(
+                f"assembled completion not orthogonal (defect {defect:.3e})")
+        W = {gauge: np.eye(q), other: (z_gt.T @ w_full @ z_ot).T}
+        return OrthogonalFactors(W=W, residual=coupling_residual(E, H, W),
+                                 iterations=0)
 
     W = _spectral_init(E, H, keys)
     spectral_sq = {k: np.linalg.norm(E[k], 2) ** 2 for k in keys}

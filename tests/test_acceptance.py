@@ -133,11 +133,11 @@ def test_criterion_06_torus_pipeline(capsys, run_cache):
     ok = (not res.failed
           and res.error.max_abs <= 1e-5
           and cc <= 1e-7
-          and counters["closures_3d"] == res.degree - 1
+          and len(counters["closure_sweeps"]) == res.degree - 1
           and counters["moment_fallbacks"] == 1)
     _report(capsys, 6, ok,
             f"tor N=15: E={res.error.max_abs:.2e} (<=1e-5), cc={cc:.2e} "
-            f"(<=1e-7), closures={counters['closures_3d']}/{res.degree - 1}, "
+            f"(<=1e-7), closures={len(counters['closure_sweeps'])}/{res.degree - 1}, "
             f"fallbacks={counters['moment_fallbacks']}/1")
 
 

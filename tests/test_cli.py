@@ -38,6 +38,13 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    def test_usage_error_four_dim_cloud_without_degree(self, tmp_path):
+        cloud = tmp_path / "pts.csv"
+        cloud.write_text("0,0,0,1\n1,0,0,0\n0,1,0,0\n")
+        code = main(["run", "--experiment", "cloud", "--method", "ms",
+                     "--cloud", str(cloud), "--out", str(tmp_path / "out")])
+        assert code == 1
+
     def test_numerical_failure_is_exit_two(self, tmp_path):
         code = main(["run", "--experiment", "jac2", "--method", "mm",
                      "--degree", "39", "--out", str(tmp_path)])

@@ -118,6 +118,33 @@ class TestRunExperiment:
         assert not res.failed
         assert res.error.max_abs < 1e-8
 
+    def test_four_dim_cloud(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((4000, 4))
+        pts *= (rng.uniform(size=4000) ** 0.25
+                / np.linalg.norm(pts, axis=1))[:, None]  # uniform in the ball
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("\n".join(",".join(map(str, p)) for p in pts) + "\n")
+        res = run_experiment(ExperimentConfig(
+            "cloud", "ms", degree=3, cloud_path=str(cloud)), write=False)
+        assert res.d == 4 and not res.failed
+        assert res.error.max_abs < 1e-10
+        assert len(res.diagnostics_counters["closure_sweeps"]) == 2
+
+    def test_cloud_without_default_degree_names_flag(self, tmp_path):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("0,0,0,1\n1,0,0,0\n")
+        with pytest.raises(ValueError, match="--degree"):
+            run_experiment(ExperimentConfig("cloud", "ms",
+                                            cloud_path=str(cloud)), write=False)
+
+    def test_manifest_records_completion_defect(self, tmp_path):
+        run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        defects = manifest["diagnostics_counters"]["completion_defect"]
+        assert len(defects) == 5  # one per degree n = 1..5 for d = 2
+        assert max(defects) < 1e-8
+
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg_a = ExperimentConfig("hol", "ms", degree=4, mc_samples=3000,

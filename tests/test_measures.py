@@ -157,6 +157,18 @@ class TestPointCloud:
         path.write_text("0,0,1\n1,0,0\n")
         assert point_cloud_measure(path).d == 3
 
+    def test_four_dim_file(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("0,0,1,2\n1,0,0,-1\n")
+        assert point_cloud_measure(path).d == 4
+
+    def test_one_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("0\n1\n")
+        with pytest.raises(PointCloudError) as err:
+            point_cloud_measure(path)
+        assert err.value.line == 1
+
     def test_nan_names_line(self, tmp_path):
         path = tmp_path / "cloud.csv"
         path.write_text("0,0\n1,1\n2,2\n3,3\nnan,4\n")

@@ -11,8 +11,8 @@ from mvortho.measures import annulus_measure, tensor_jacobi
 from mvortho.recurrence import RecurrenceData
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                degree_one_from_moments,
-                               kernel_completion_basis, orthogonal_completion,
-                               psd_sqrt, rank_one_completion, scaled_cross,
+                               kernel_completion_basis, psd_sqrt,
+                               rank_one_completion, scaled_cross,
                                stieltjes_recurrence, symmetric_factor)
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
@@ -163,16 +163,6 @@ class TestCompletions:
         s = psd_sqrt(mat)
         assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-13)
 
-    def test_orthogonal_completion_recovers_rotations(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            q, r = np.linalg.qr(rng.standard_normal((4, 4)))
-            q = q * np.sign(np.diag(r))
-            rebuilt = orthogonal_completion(q[:3, :3])
-            assert np.max(np.abs(rebuilt.T @ rebuilt - np.eye(4))) < 1e-12
-            # principal block is preserved
-            assert np.allclose(rebuilt[:3, :3], q[:3, :3])
-
     def test_kernel_completion_shapes_and_nullity(self):
         iset, oracle = jacobi_oracle(3, JAC3, 4)
         n = 2
@@ -230,7 +220,7 @@ class TestFullRuns:
         iset = MultiIndexSet.build(3, 6)
         _, diags = stieltjes_recurrence(m, iset, 6)
         assert diags.moment_fallbacks == 1
-        assert diags.closures_3d == 5  # every degree n = 1..5
+        assert len(diags.closure_sweeps) == 5  # every degree n = 1..5
 
     def test_annulus_beats_moment_method(self):
         n_max = 16
@@ -277,7 +267,7 @@ class TestFullRuns:
                 assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
                                    rtol=1e-9), (d, n)
             assert max_commuting_residual(rec) < 1e-10, d
-            assert len(diags.wopp_sweeps) == 3, d  # every degree n = 2..4
+            assert len(diags.closure_sweeps) == 3, d  # every degree n = 2..4
 
     def test_high_dim_failure_carries_degree(self, monkeypatch):
         def stall(*args, **kwargs):

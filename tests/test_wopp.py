@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mvortho.errors import NonConvergenceError
-from mvortho.wopp import coupling_residual, solve_orthogonal_factors
+from mvortho.errors import ClosureError, NonConvergenceError
+from mvortho.wopp import (coupling_residual, orthogonal_completion,
+                          solve_orthogonal_factors)
 
 
 def random_orthogonal(rng, n):
@@ -106,3 +107,29 @@ class TestRefinementAndFailure:
         bad = {1: np.zeros((2, 4)), 2: np.zeros((2, 5))}
         with pytest.raises(ValueError):
             solve_orthogonal_factors(bad, {})
+
+
+class TestClosedForm:
+    def test_orthogonal_completion_recovers_rotations(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            q = random_orthogonal(rng, 4)
+            rebuilt = orthogonal_completion(q[:3, :3])
+            assert np.max(np.abs(rebuilt.T @ rebuilt - np.eye(4))) < 1e-12
+            # principal block is preserved
+            assert np.allclose(rebuilt[:3, :3], q[:3, :3])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_coordinates_one_padded_column(self, seed):
+        weights, targets, _ = recoverable_instance(seed, m=4, q=5, d=3)
+        res = solve_orthogonal_factors(weights, targets)
+        assert res.iterations == 0
+        assert res.residual <= 1e-12
+        assert np.array_equal(res.W[1], np.eye(5))
+        assert np.max(np.abs(res.W[2].T @ res.W[2] - np.eye(5))) < 1e-12
+
+    def test_rank_deficient_weight_block_raises(self):
+        weights, targets, _ = recoverable_instance(0, m=3, q=4, d=3)
+        weights[2][2, 2] = 0.0
+        with pytest.raises(ClosureError):
+            solve_orthogonal_factors(weights, targets)
