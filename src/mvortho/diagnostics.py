@@ -24,15 +24,26 @@ class ErrorReport:
     max_abs: float
 
 
+PANEL = 128  # Gram rows accumulated per product in gram_error_streaming
+
+
 def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
                          size: int) -> ErrorReport:
     """Gram error accumulated in node chunks; ``evaluate_chunk`` maps an
-    (m, d) point chunk to the (size, m) stacked basis values."""
+    (m, d) point chunk to the (size, m) stacked basis values.
+
+    Chunks hold at most ``measures.STACK_BYTES`` of stacked values, so
+    each one stays in cache.  Only the lower triangle of the Gram is
+    formed, in ``PANEL``-row panels, and then mirrored.
+    """
     gram = np.zeros((size, size))
-    for sl in node_chunks(measure.n_nodes):
+    for sl in node_chunks(measure.n_nodes, rows=size):
         vals = evaluate_chunk(measure.nodes[sl])
-        gram += (vals * measure.weights[sl][None, :]) @ vals.T
-    err = 0.5 * (gram + gram.T) - np.eye(size)
+        weighted = vals * measure.weights[sl][None, :]
+        for lo in range(0, size, PANEL):
+            hi = min(lo + PANEL, size)
+            gram[lo:hi, :hi] += weighted[lo:hi] @ vals[:hi].T
+    err = np.tril(gram) + np.tril(gram, -1).T - np.eye(size)
     return ErrorReport(error_matrix=err, max_abs=float(np.max(np.abs(err))))
 
 
@@ -125,13 +136,14 @@ def gram_condition_numbers(gram: np.ndarray, cumulative_dims) -> np.ndarray:
 def christoffel_streaming(evaluate_chunk, points, size: int):
     """Normalized reproducing-kernel diagonal and Christoffel function.
 
-    K(x) = (1/size) sum of squared basis values at x, over point chunks;
-    the Christoffel function is its reciprocal.  K is a sum of squares,
-    so a non-positive value is a numerical breakdown.
+    K(x) = (1/size) sum of squared basis values at x, over point chunks
+    of at most ``measures.STACK_BYTES`` of stacked values; the
+    Christoffel function is its reciprocal.  K is a sum of squares, so a
+    non-positive value is a numerical breakdown.
     """
     pts = np.asarray(points, dtype=float)
     kernel = np.empty(pts.shape[0])
-    for sl in node_chunks(pts.shape[0]):
+    for sl in node_chunks(pts.shape[0], rows=size):
         vals = evaluate_chunk(pts[sl])
         kernel[sl] = np.sum(vals ** 2, axis=0) / size
     if np.any(kernel <= 0):

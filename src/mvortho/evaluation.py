@@ -42,11 +42,14 @@ def fix_vector_sign(vec: np.ndarray) -> np.ndarray:
 class BasisEvaluation:
     """Orthonormal basis values over a point set, blocked by degree.
 
-    ``blocks[n]`` has shape (r_n, M): row j holds the j-th degree-n basis
-    polynomial at every point.  ``points`` is the (M, d) array the values
-    were taken at (kept by reference).
+    ``stacked`` has shape (R, M) and holds the degree blocks one below
+    the other; ``blocks[n]`` is its row view of shape (r_n, M), where row
+    j holds the j-th degree-n basis polynomial at every point.
+    ``points`` is the (M, d) array the values were taken at (kept by
+    reference).
     """
 
+    stacked: np.ndarray
     blocks: list
     points: np.ndarray
 
@@ -57,10 +60,6 @@ class BasisEvaluation:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.vstack(self.blocks)
 
 
 def descending_eigh(mat: np.ndarray):
@@ -119,8 +118,8 @@ def evaluate(rec: RecurrenceData, points,
     """Evaluate the orthonormal basis at ``points`` via the canonical
     three-term identity.
 
-    ``rec`` must be in canonical form (``rec.lam`` present).  Returns
-    degree blocks 0..max_degree.
+    ``rec`` must be in canonical form (``rec.lam`` present).  Degrees
+    0..max_degree are written block by block into one stacked array.
     """
     if not rec.is_canonical:
         raise ValueError("recurrence data must be in canonical form; "
@@ -135,28 +134,36 @@ def evaluate(rec: RecurrenceData, points,
         pts = pts[:, None]
     if pts.shape[1] != rec.d:
         raise ValueError(f"points are {pts.shape[1]}-dimensional, expected {rec.d}")
-    blocks = [np.ones((1, pts.shape[0]))]
+    bounds = np.cumsum([0] + [rec.r(n) for n in range(max_degree + 1)])
+    stacked = np.empty((bounds[-1], pts.shape[0]))
+    blocks = [stacked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks[0].fill(1.0)
     for n in range(max_degree):
-        blocks.append(_next_block(rec, n, pts, blocks[n],
-                                  blocks[n - 1] if n >= 1 else None))
-    return BasisEvaluation(blocks=blocks, points=pts)
+        _next_block(rec, n, pts, blocks[n],
+                    blocks[n - 1] if n >= 1 else None, out=blocks[n + 1])
+    return BasisEvaluation(stacked=stacked, blocks=blocks, points=pts)
 
 
 def _next_block(rec: RecurrenceData, n: int, pts: np.ndarray,
-                p_cur: np.ndarray, p_prev: np.ndarray | None) -> np.ndarray:
-    """Degree-(n+1) values from the degree-n and degree-(n-1) blocks."""
+                p_cur: np.ndarray, p_prev: np.ndarray | None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Degree-(n+1) values from the degree-n and degree-(n-1) blocks,
+    written into ``out`` (a new array when None) and returned."""
     lam = rec.lam[n + 1]
     if np.min(lam) <= COND_TOL * np.max(lam):
         raise RankDeficiencyError(
             f"canonical diagonal nearly singular at degree {n + 1}", degree=n + 1)
-    acc = np.zeros((rec.r(n + 1), pts.shape[0]))
+    if out is None:
+        out = np.empty((rec.r(n + 1), pts.shape[0]))
+    out.fill(0.0)
     for i in range(rec.d):
         raising_t = rec.B[n + 1][i].T
-        acc += raising_t @ (pts[:, i][None, :] * p_cur)
-        acc -= (raising_t @ rec.A[n + 1][i]) @ p_cur
+        out += raising_t @ (pts[:, i][None, :] * p_cur)
+        out -= (raising_t @ rec.A[n + 1][i]) @ p_cur
         if p_prev is not None:
-            acc -= (raising_t @ rec.B[n][i].T) @ p_prev
-    return acc / lam[:, None]
+            out -= (raising_t @ rec.B[n][i].T) @ p_prev
+    out /= lam[:, None]
+    return out
 
 
 def evaluator(rec: RecurrenceData, max_degree: int | None = None):
@@ -170,18 +177,3 @@ def evaluator(rec: RecurrenceData, max_degree: int | None = None):
 
     return run
 
-
-def ttr_residual(rec: RecurrenceData, ev: BasisEvaluation, n: int, i: int) -> float:
-    """Max-norm defect of the coordinate-i three-term identity at degree n.
-
-    Checks x_i p_n - (B_{n+1,i} p_{n+1} + A_{n+1,i} p_n + B_{n,i}^T p_{n-1})
-    over the evaluation's points; requires blocks through degree n+1.
-    """
-    if n + 1 > ev.max_degree:
-        raise ValueError("evaluation does not reach degree n+1")
-    x_i = ev.points[:, i][None, :]
-    defect = x_i * ev.blocks[n] - rec.B[n + 1][i] @ ev.blocks[n + 1]
-    defect -= rec.A[n + 1][i] @ ev.blocks[n]
-    if n >= 1:
-        defect -= rec.B[n][i].T @ ev.blocks[n - 1]
-    return float(np.max(np.abs(defect)))

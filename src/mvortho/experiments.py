@@ -61,9 +61,10 @@ class ExperimentConfig:
     large enough that every moment the algorithms need is exact where
     exactness is claimed (Gauss counts N+2 per axis, angular counts
     4N+5), except the spiral's outer angle which is intrinsically
-    approximate and defaults to 25000 points.  Node sweeps use the
-    package-wide ``measures.CHUNK``, which the manifest records as
-    ``config.chunk_size``."""
+    approximate and defaults to 25000 points.  Construction sweeps use
+    the package-wide ``measures.CHUNK`` and the Gram-error and
+    Christoffel sweeps ``measures.STACK_BYTES``; the manifest records
+    them as ``config.chunk_size`` and ``config.stack_bytes``."""
 
     experiment: str
     method: str
@@ -289,7 +290,8 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
     manifest = {
         "package_version": __version__,
         "config": dict(dataclasses.asdict(result.config),
-                       chunk_size=measures.CHUNK),
+                       chunk_size=measures.CHUNK,
+                       stack_bytes=measures.STACK_BYTES),
         "dimension": result.d,
         "degree": result.degree,
         "basis_size": result.size,

@@ -20,13 +20,22 @@ from .errors import PointCloudError
 from .indexing import MultiIndexSet
 from .univariate import jacobi_recurrence
 
-CHUNK = 65536  # points per chunk in every streamed sweep over a node set
+# Points per chunk in every construction sweep.  The chunk fixes the
+# summation order of the moments that define the recurrence, so changing
+# it moves the computed recurrence, not just the run time.
+CHUNK = 65536
+# Bytes of one chunk of stacked basis values in the Gram-error and
+# Christoffel sweeps: small enough to stay in the last-level cache.
+STACK_BYTES = 8 << 20
 
 
-def node_chunks(n_points: int):
-    """Slices of at most ``CHUNK`` (read at each call) covering ``n_points``."""
-    for lo in range(0, n_points, CHUNK):
-        yield slice(lo, min(lo + CHUNK, n_points))
+def node_chunks(n_points: int, rows: int | None = None):
+    """Slices covering ``n_points``: at most ``CHUNK`` points each, or,
+    given ``rows`` stacked values per point, at most ``STACK_BYTES`` of
+    float64 values (both read at each call)."""
+    size = CHUNK if rows is None else max(1, STACK_BYTES // (8 * rows))
+    for lo in range(0, n_points, size):
+        yield slice(lo, min(lo + size, n_points))
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,12 @@ def _spectral_init(E: dict, H: dict, keys) -> dict:
     for j in keys:
         x, y, zt = np.linalg.svd(E[j], full_matrices=True)
         if y[-1] <= _REDUCTION_TOL * y[0]:
-            # Rank-deficient weight block: fall back to identity frames.
-            return {j: np.eye(q) for j in keys}
+            # No frame can be read off; refinement from identity frames
+            # stalls far above tolerance even when a solution exists.
+            ratio = y[-1] / y[0] if y[0] > 0 else 0.0
+            raise ClosureError(
+                f"weight block of coordinate {j} rank-deficient "
+                f"(singular-value ratio {ratio:.3e})")
         xs[j], ys[j], zs[j] = x, y, zt.T
     coupling = np.eye(len(keys) * m)
     for a, i in enumerate(keys):
@@ -148,8 +152,9 @@ def solve_orthogonal_factors(E: dict, H: dict, max_iter: int = 500,
     Raises
     ------
     ClosureError
-        Closed form (two coordinates, q = m + 1, no sweeps) only: nearly
-        singular weight block or non-orthogonal completion.
+        Nearly singular weight block; in the closed form (two
+        coordinates, q = m + 1, no sweeps) also a non-orthogonal
+        completion.
     NonConvergenceError
         After ``max_iter`` sweeps above ``tol``; carries the best iterate.
     """

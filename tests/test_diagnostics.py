@@ -6,7 +6,7 @@ from mvortho.diagnostics import (christoffel_streaming, commuting_residuals,
                                  condition_numbers, gram_condition_numbers,
                                  gram_error_streaming, max_commuting_residual)
 from mvortho.errors import NumericalFailure
-from mvortho.evaluation import evaluator
+from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
@@ -26,6 +26,14 @@ def oracle_setup(n_max=10):
 def constant(value):
     """Point-chunk closure of the single function ``value``."""
     return lambda pts: np.full((1, len(pts)), value)
+
+
+def counted(evaluate_chunk, calls):
+    """``evaluate_chunk`` recording the size of every chunk it is given."""
+    def run(pts):
+        calls.append(len(pts))
+        return evaluate_chunk(pts)
+    return run
 
 
 class TestGramError:
@@ -59,12 +67,30 @@ class TestGramError:
 
     def test_streaming_matches_direct(self, monkeypatch):
         iset, canon, measure = oracle_setup(6)
-        one = gram_error_streaming(evaluator(canon, 6), measure,
-                                   iset.cumulative(6))
-        monkeypatch.setattr(measures, "CHUNK", 13)
-        many = gram_error_streaming(evaluator(canon, 6), measure,
-                                    iset.cumulative(6))
+        size = iset.cumulative(6)
+        one_calls, many_calls = [], []
+        one = gram_error_streaming(counted(evaluator(canon, 6), one_calls),
+                                   measure, size)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * size * 13)
+        many = gram_error_streaming(counted(evaluator(canon, 6), many_calls),
+                                    measure, size)
+        assert one_calls == [measure.n_nodes]
+        assert len(many_calls) > 1 and max(many_calls) == 13
         assert np.max(np.abs(one.error_matrix - many.error_matrix)) < 1e-13
+
+    @pytest.mark.parametrize("stack_bytes", [None, 8 * 171 * 50])
+    def test_ragged_panels_match_dense(self, monkeypatch, stack_bytes):
+        # 171 basis rows: two 128-row panels, the second one ragged.
+        iset, canon, measure = oracle_setup(17)
+        size = iset.cumulative(17)
+        assert size == 171
+        if stack_bytes is not None:
+            monkeypatch.setattr(measures, "STACK_BYTES", stack_bytes)
+        report = gram_error_streaming(evaluator(canon, 17), measure, size)
+        vals = evaluate(canon, measure.nodes, 17).stacked
+        dense = (vals * measure.weights[None, :]) @ vals.T - np.eye(size)
+        assert np.array_equal(report.error_matrix, report.error_matrix.T)
+        assert np.max(np.abs(report.error_matrix - dense)) < 1e-13
 
 
 class TestCommutingResiduals:
@@ -137,9 +163,13 @@ class TestChristoffel:
 
     def test_streaming_matches_direct(self, monkeypatch):
         iset, canon, measure = oracle_setup(6)
-        one, _ = christoffel_streaming(evaluator(canon, 6), measure.nodes,
-                                       iset.cumulative(6))
-        monkeypatch.setattr(measures, "CHUNK", 9)
-        many, _ = christoffel_streaming(evaluator(canon, 6), measure.nodes,
-                                        iset.cumulative(6))
+        size = iset.cumulative(6)
+        one_calls, many_calls = [], []
+        one, _ = christoffel_streaming(counted(evaluator(canon, 6), one_calls),
+                                       measure.nodes, size)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * size * 9)
+        many, _ = christoffel_streaming(
+            counted(evaluator(canon, 6), many_calls), measure.nodes, size)
+        assert one_calls == [measure.n_nodes]
+        assert len(many_calls) > 1 and max(many_calls) == 9
         assert np.max(np.abs(one - many)) < 1e-12

@@ -3,14 +3,28 @@ import pytest
 
 from mvortho.diagnostics import gram_error_streaming
 from mvortho.errors import RankDeficiencyError
-from mvortho.evaluation import (evaluate, evaluator, fix_column_signs,
-                                to_canonical, ttr_residual)
+from mvortho.evaluation import (_next_block, evaluate, evaluator,
+                                fix_column_signs, to_canonical)
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
+
+
+def ttr_residual(rec, ev, n, i):
+    """Max-norm defect of the coordinate-i three-term identity at degree n.
+
+    Checks x_i p_n - (B_{n+1,i} p_{n+1} + A_{n+1,i} p_n + B_{n,i}^T p_{n-1})
+    over the evaluation's points; requires blocks through degree n+1.
+    """
+    x_i = ev.points[:, i][None, :]
+    defect = x_i * ev.blocks[n] - rec.B[n + 1][i] @ ev.blocks[n + 1]
+    defect -= rec.A[n + 1][i] @ ev.blocks[n]
+    if n >= 1:
+        defect -= rec.B[n][i].T @ ev.blocks[n - 1]
+    return float(np.max(np.abs(defect)))
 
 
 def jacobi_setup(n_max, params=JAC2):
@@ -72,6 +86,19 @@ class TestEvaluate:
         _, _, canon = jacobi_setup(4)
         ev = evaluate(canon, np.array([[0.1, -0.2], [0.7, 0.3]]), 4)
         assert np.array_equal(ev.blocks[0], np.ones((1, 2)))
+
+    def test_blocks_are_views_of_stacked(self):
+        _, _, canon = jacobi_setup(6)
+        pts = np.random.default_rng(4).uniform(-1, 1, size=(40, 2))
+        ev = evaluate(canon, pts, 6)
+        assert all(np.shares_memory(block, ev.stacked) for block in ev.blocks)
+        # Reference: blocks built one by one and stacked afterwards.
+        blocks = [np.ones((1, 40))]
+        for n in range(6):
+            blocks.append(_next_block(canon, n, pts, blocks[n],
+                                      blocks[n - 1] if n >= 1 else None))
+        assert [b.shape for b in ev.blocks] == [b.shape for b in blocks]
+        assert np.array_equal(ev.stacked, np.vstack(blocks))
 
     def test_requires_canonical_input(self):
         _, raw, _ = jacobi_setup(3)

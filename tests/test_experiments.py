@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -179,9 +180,24 @@ class TestRunExperiment:
     def test_manifest_records_chunk(self, tmp_path, monkeypatch):
         from mvortho import measures
         monkeypatch.setattr(measures, "CHUNK", 64)
+        monkeypatch.setattr(measures, "STACK_BYTES", 4096)
         run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["chunk_size"] == 64
+        assert manifest["config"]["stack_bytes"] == 4096
+
+    def test_stack_bytes_leaves_recurrence_unchanged(self, tmp_path,
+                                                     monkeypatch):
+        # The stacked-sweep chunk feeds only the diagnostics, never the
+        # moments that define the recurrence.
+        from mvortho import measures
+        config = small_config(experiment="ann", method="ms", degree=8)
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "a")))
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 45 * 7)
+        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "b")))
+        for name in ("recurrence.json", "cond.csv", "cc_residuals.csv"):
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
 
     def test_christoffel_mass_recorded(self, tmp_path):
         res = run_experiment(small_config(method="ms", output_dir=str(tmp_path)))

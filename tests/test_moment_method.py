@@ -142,7 +142,7 @@ class TestExtractRecurrence:
         assert max_commuting_residual(rec) < 1e-6
 
     def test_ttr_consistency(self):
-        from mvortho.evaluation import ttr_residual
+        from test_evaluation import ttr_residual
         n_max = 5
         iset = MultiIndexSet.build(2, n_max)
         m = uniform_square(n_max + 2)

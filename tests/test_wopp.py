@@ -11,6 +11,13 @@ def random_orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
+def consistent_targets(weights, truth):
+    """H blocks that the orthogonal factors ``truth`` solve exactly."""
+    coords = sorted(weights)
+    return {(i, j): weights[i] @ truth[i] @ truth[j].T @ weights[j].T
+            for a, i in enumerate(coords) for j in coords[a + 1:]}
+
+
 def recoverable_instance(seed, m=3, q=6, d=4):
     """E and H generated from known random orthogonal factors."""
     rng = np.random.default_rng(seed)
@@ -18,11 +25,7 @@ def recoverable_instance(seed, m=3, q=6, d=4):
     truth = {j: random_orthogonal(rng, q) for j in coords}
     weights = {j: np.hstack([np.diag(rng.uniform(0.5, 1.5, m)),
                              np.zeros((m, q - m))]) for j in coords}
-    targets = {}
-    for a, i in enumerate(coords):
-        for j in coords[a + 1:]:
-            targets[(i, j)] = weights[i] @ truth[i] @ truth[j].T @ weights[j].T
-    return weights, targets, truth
+    return weights, consistent_targets(weights, truth), truth
 
 
 class TestRecovery:
@@ -57,11 +60,7 @@ class TestRecovery:
         truth = {j: np.eye(6)[rng.permutation(6)] for j in coords}
         weights = {j: np.hstack([np.diag(rng.uniform(0.5, 1.5, 3)),
                                  np.zeros((3, 3))]) for j in coords}
-        targets = {}
-        for a, i in enumerate(coords):
-            for j in coords[a + 1:]:
-                targets[(i, j)] = weights[i] @ truth[i] @ truth[j].T @ weights[j].T
-        res = solve_orthogonal_factors(weights, targets)
+        res = solve_orthogonal_factors(weights, consistent_targets(weights, truth))
         assert res.residual <= 1e-10
         for w in res.W.values():
             assert np.max(np.abs(w.T @ w - np.eye(6))) < 1e-12
@@ -100,6 +99,14 @@ class TestRefinementAndFailure:
         assert err.value.best is not None
         assert err.value.residual == coupling_residual(weights, noisy,
                                                        err.value.best)
+
+    def test_rank_deficient_weight_block_raises(self):
+        # Consistent data with one zeroed singular value: an exact
+        # solution exists, but no frame can be read off the block.
+        weights, _, truth = recoverable_instance(0)
+        weights[2][2, 2] = 0.0
+        with pytest.raises(ClosureError, match="coordinate 2"):
+            solve_orthogonal_factors(weights, consistent_targets(weights, truth))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
