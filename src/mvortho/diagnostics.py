@@ -110,21 +110,15 @@ def rank_margins(rec: RecurrenceData):
     return per_coord, stacked
 
 
-def condition_numbers(per_degree_matrices) -> np.ndarray:
-    """2-norm condition numbers, one per degree.
+def condition_numbers(matrices) -> np.ndarray:
+    """2-norm condition number of each matrix in ``matrices``.
 
-    Each entry of ``per_degree_matrices`` is either a matrix or a
-    sequence of matrices (averaged, as for per-coordinate moment
-    matrices).  Singular-to-precision matrices give +inf, not an error.
+    Singular-to-precision matrices give +inf, not an error.
     """
     out = []
-    for entry in per_degree_matrices:
-        mats = entry if isinstance(entry, (list, tuple)) else [entry]
-        vals = []
-        for mat in mats:
-            svals = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
-            vals.append(float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf)
-        out.append(float(np.mean(vals)))
+    for mat in matrices:
+        svals = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
+        out.append(float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf)
     return np.array(out)
 
 

@@ -29,9 +29,10 @@ class ClosureError(NumericalFailure):
 
 
 class NonConvergenceError(NumericalFailure):
-    """Iterative orthogonal-factor solve did not reach tolerance.
+    """Direct orthogonal-factor solve left a coupling residual above
+    ``wopp.TOL``.
 
-    Carries the best iterate found (``best``) and its residual."""
+    Carries the factors it produced (``best``) and their residual."""
 
     def __init__(self, message, best=None, residual=None):
         super().__init__(message)

@@ -202,7 +202,7 @@ def _run_ms(config, measure, index_set) -> Construction:
     rec, diags = stieltjes_recurrence(measure, index_set, config.degree)
     counters = {
         "moment_fallbacks": diags.moment_fallbacks,
-        "closure_sweeps": diags.closure_sweeps,
+        "closure_residual": diags.closure_residual,
         "completion_defect": diags.completion_defect,
     }
     return Construction(rec, recurrence_evaluator(rec),

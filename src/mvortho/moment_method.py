@@ -14,7 +14,7 @@ the comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -189,13 +189,15 @@ def _factored_degree(gram: GramData, max_degree: int | None) -> int:
 
 def orthonormal_evaluator(gram: GramData, max_degree: int | None = None):
     """Point-chunk closure evaluating the Cholesky-orthonormalized basis
-    (for the streaming accumulators); see ``_factored_degree``."""
-    size = gram.basis.index_set.cumulative(_factored_degree(gram, max_degree))
-    chol = gram.chol[:size, :size]
+    (for the streaming accumulators); see ``_factored_degree``.  Only the
+    spanning functions up to that degree are evaluated."""
+    basis = replace(gram.basis, index_set=MultiIndexSet.build(
+        gram.basis.d, _factored_degree(gram, max_degree)))
+    chol = gram.chol[:basis.size, :basis.size]
 
     def run(points_chunk):
-        vals = gram.basis.values(points_chunk)[:size]
-        return solve_triangular(chol, vals, lower=True, check_finite=False)
+        return solve_triangular(chol, basis.values(points_chunk), lower=True,
+                                check_finite=False)
 
     return run
 

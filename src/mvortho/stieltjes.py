@@ -37,7 +37,7 @@ from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure, node_chunks
 from .recurrence import RecurrenceData
 from . import moment_method
-from .wopp import RANK_TOL, solve_orthogonal_factors
+from .wopp import RANK_TOL, scaled_cross, solve_orthogonal_factors
 
 PSD_CLIP = -1e-10         # most negative admissible eigenvalue of a PSD residual
 
@@ -68,15 +68,15 @@ class StieltjesDiagnostics:
     orthonormality defect of the block committed at degree k+1;
     ``completion_defect`` holds, per degree built from the residual
     factorizations, max |R^T R - I| over the assembled right factors R;
-    ``closure_sweeps`` holds the sweeps of each orthogonal-factor solve
-    (d >= 3; 0 for the closed form).
+    ``closure_residual`` holds, per degree the orthogonal-factor solve
+    closes (d >= 3), the coupling residual of its factors.
     """
 
     t_condition: list = field(default_factory=list)
     gram_drift: list = field(default_factory=list)
     completion_defect: list = field(default_factory=list)
     moment_fallbacks: int = 0
-    closure_sweeps: list = field(default_factory=list)
+    closure_residual: list = field(default_factory=list)
 
 
 def coordinate_moment(state: StieltjesState, i: int) -> np.ndarray:
@@ -103,9 +103,14 @@ def symmetric_factor(t_sym: np.ndarray, where: str = ""):
     return vecs, s
 
 
-def scaled_cross(u_i, s_i, t_ij, u_j, s_j) -> np.ndarray:
-    """Sigma_i^-1 U_i^T T_{ij} U_j Sigma_j^-1 for mixed residual moments."""
-    return (u_i / s_i[None, :]).T @ t_ij @ (u_j / s_j[None, :])
+def _psd_eigh(mat: np.ndarray, what: str):
+    """Ascending eigenpairs of the symmetrized ``mat``; ClosureError when
+    an eigenvalue falls below ``PSD_CLIP``."""
+    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    if evals[0] < PSD_CLIP:
+        raise ClosureError(f"{what} not positive semi-definite "
+                           f"(min eigenvalue {evals[0]:.3e})")
+    return evals, vecs
 
 
 def rank_one_completion(vhat: np.ndarray) -> np.ndarray:
@@ -116,11 +121,8 @@ def rank_one_completion(vhat: np.ndarray) -> np.ndarray:
     ClosureError if the residual has an eigenvalue below ``PSD_CLIP``,
     which signals corrupted upstream moments.
     """
-    resid = np.eye(vhat.shape[1]) - vhat.T @ vhat
-    evals, vecs = np.linalg.eigh(0.5 * (resid + resid.T))
-    if evals[0] < PSD_CLIP:
-        raise ClosureError(
-            f"orthonormality residual indefinite (min eigenvalue {evals[0]:.3e})")
+    evals, vecs = _psd_eigh(np.eye(vhat.shape[1]) - vhat.T @ vhat,
+                            "orthonormality residual")
     top = max(evals[-1], 0.0)
     return fix_vector_sign(vecs[:, -1]) * np.sqrt(top)
 
@@ -130,10 +132,7 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 
     Raises ClosureError for eigenvalues below ``PSD_CLIP``.
     """
-    evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if evals[0] < PSD_CLIP:
-        raise ClosureError(
-            f"matrix not positive semi-definite (min eigenvalue {evals[0]:.3e})")
+    evals, vecs = _psd_eigh(mat, "matrix")
     return (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.T
 
 
@@ -222,7 +221,7 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
 
 def _mean_condition(t_diag) -> float:
     """Condition number averaged over the symmetric residual Grams."""
-    return float(condition_numbers([list(t_diag.values())])[0])
+    return float(np.mean(condition_numbers(list(t_diag.values()))))
 
 
 def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
@@ -301,7 +300,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
                                      left[j], sing[j])
                         - vhat[i].T @ vhat[j]) @ psi[j]
             solved = solve_orthogonal_factors(weight_blocks, targets)
-            diags.closure_sweeps.append(solved.iterations)
+            diags.closure_residual.append(solved.residual)
             for j in range(1, d):
                 rows[j] = (psi[j] @ (weight_blocks[j] @ solved.W[j])).T
 

@@ -9,6 +9,7 @@ from mvortho.errors import NumericalFailure
 from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
+from mvortho.stieltjes import _mean_condition
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
@@ -121,8 +122,10 @@ class TestConditionNumbers:
         assert condition_numbers([np.eye(4)])[0] == pytest.approx(1.0)
 
     def test_average_over_coordinates(self):
-        got = condition_numbers([[np.diag([4.0, 1.0]), np.diag([2.0, 1.0])]])
-        assert got[0] == pytest.approx(3.0)
+        got = condition_numbers([np.diag([4.0, 1.0]), np.diag([2.0, 1.0])])
+        assert np.array_equal(got, [4.0, 2.0])
+        t_diag = {(0, 0): np.diag([4.0, 1.0]), (1, 1): np.diag([2.0, 1.0])}
+        assert _mean_condition(t_diag) == pytest.approx(3.0)
 
     def test_singular_reports_infinity(self):
         got = condition_numbers([np.diag([1.0, 0.0])])

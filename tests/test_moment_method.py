@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mvortho import measures
 from mvortho.diagnostics import (gram_error_streaming, max_commuting_residual,
@@ -100,9 +101,16 @@ class TestOrthonormalize:
         with pytest.raises(ConditioningError) as err:
             orthonormal_evaluator(gram)
         assert err.value.degree == gram.failure_degree
-        # partial orthonormalization up to the last good degree still works
+        # partial orthonormalization up to the last good degree still
+        # works; it evaluates only the spanning functions up to that
+        # degree, bit for bit the leading rows of the full basis
+        size = iset.cumulative(gram.chol_degree)
         vals = orthonormal_evaluator(gram, max_degree=gram.chol_degree)(m.nodes)
-        assert vals.shape[0] == iset.cumulative(gram.chol_degree)
+        full = solve_triangular(gram.chol[:size, :size],
+                                gram.basis.values(m.nodes)[:size],
+                                lower=True, check_finite=False)
+        assert size < gram.basis.size
+        assert np.array_equal(vals, full)
 
 
 class TestExtractRecurrence:

@@ -220,7 +220,7 @@ class TestFullRuns:
         iset = MultiIndexSet.build(3, 6)
         _, diags = stieltjes_recurrence(m, iset, 6)
         assert diags.moment_fallbacks == 1
-        assert len(diags.closure_sweeps) == 5  # every degree n = 1..5
+        assert len(diags.closure_residual) == 5  # every degree n = 1..5
 
     def test_annulus_beats_moment_method(self):
         n_max = 16
@@ -256,7 +256,7 @@ class TestFullRuns:
             for i in range(2):
                 assert np.allclose(a.B[n][i], b.B[n][i], atol=1e-12)
 
-    def test_high_dim_with_flag_matches_oracle(self):
+    def test_high_dim_matches_oracle(self):
         for d in (4, 5):
             params = ((0.0, 1.5, 0.5, 2.0, 1.0)[:d],
                       (0.0, 0.5, 3.0, 1.0, 2.5)[:d])
@@ -267,7 +267,7 @@ class TestFullRuns:
                 assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
                                    rtol=1e-9), (d, n)
             assert max_commuting_residual(rec) < 1e-10, d
-            assert len(diags.closure_sweeps) == 3, d  # every degree n = 2..4
+            assert len(diags.closure_residual) == 3, d  # every degree n = 2..4
 
     def test_high_dim_failure_carries_degree(self, monkeypatch):
         def stall(*args, **kwargs):

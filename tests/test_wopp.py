@@ -32,8 +32,7 @@ class TestRecovery:
     def test_trivial_identity_instance(self):
         weights, targets, _ = recoverable_instance(0)
         identity_targets = {k: weights[k[0]] @ weights[k[1]].T for k in targets}
-        res = solve_orthogonal_factors(weights, identity_targets,
-                                       max_iter=500, tol=1e-10)
+        res = solve_orthogonal_factors(weights, identity_targets)
         assert res.residual <= 1e-10
         ident = {j: np.eye(6) for j in weights}
         assert coupling_residual(weights, identity_targets, ident) <= 1e-12
@@ -41,9 +40,8 @@ class TestRecovery:
     @pytest.mark.parametrize("seed", range(10))
     def test_construct_then_recover(self, seed):
         weights, targets, _ = recoverable_instance(seed)
-        res = solve_orthogonal_factors(weights, targets, max_iter=500, tol=1e-10)
+        res = solve_orthogonal_factors(weights, targets)
         assert res.residual <= 1e-8
-        assert res.iterations <= 500
         for w in res.W.values():
             assert np.max(np.abs(w.T @ w - np.eye(6))) < 1e-10
 
@@ -65,12 +63,6 @@ class TestRecovery:
         for w in res.W.values():
             assert np.max(np.abs(w.T @ w - np.eye(6))) < 1e-12
 
-    def test_transposed_target_blocks_accepted(self):
-        weights, targets, _ = recoverable_instance(5)
-        flipped = {(j, i): mat.T for (i, j), mat in targets.items()}
-        res = solve_orthogonal_factors(weights, flipped, max_iter=500, tol=1e-10)
-        assert res.residual <= 1e-8
-
 
 class TestRefinementAndFailure:
     def test_noisy_instance_improves_or_reports(self):
@@ -78,16 +70,12 @@ class TestRefinementAndFailure:
         rng = np.random.default_rng(99)
         noisy = {k: v + 1e-3 * rng.standard_normal(v.shape)
                  for k, v in targets.items()}
-        try:
-            res = solve_orthogonal_factors(weights, noisy, max_iter=50, tol=1e-12)
-            final = res.residual
-        except NonConvergenceError as err:
-            assert err.best is not None
-            final = err.residual
-        # the returned iterate must not be worse than doing nothing
+        with pytest.raises(NonConvergenceError) as err:
+            solve_orthogonal_factors(weights, noisy)
+        # the reported factors must not be worse than doing nothing
         baseline = coupling_residual(weights, noisy,
                                      {j: np.eye(6) for j in weights})
-        assert final <= baseline + 1e-12
+        assert err.value.residual <= baseline + 1e-12
 
     def test_nonconvergence_carries_best_iterate(self):
         weights, targets, _ = recoverable_instance(2)
@@ -95,7 +83,7 @@ class TestRefinementAndFailure:
         noisy = {k: v + 0.05 * rng.standard_normal(v.shape)
                  for k, v in targets.items()}
         with pytest.raises(NonConvergenceError) as err:
-            solve_orthogonal_factors(weights, noisy, max_iter=5, tol=1e-14)
+            solve_orthogonal_factors(weights, noisy)
         assert err.value.best is not None
         assert err.value.residual == coupling_residual(weights, noisy,
                                                        err.value.best)
@@ -105,6 +93,14 @@ class TestRefinementAndFailure:
         # solution exists, but no frame can be read off the block.
         weights, _, truth = recoverable_instance(0)
         weights[2][2, 2] = 0.0
+        with pytest.raises(ClosureError, match="coordinate 2"):
+            solve_orthogonal_factors(weights, consistent_targets(weights, truth))
+
+    def test_near_singular_weight_block_raises(self):
+        # Singular-value ratio 1e-11 sits below RANK_TOL, so the block is
+        # rejected although its frame could still be read off.
+        weights, _, truth = recoverable_instance(0)
+        weights[2][2, 2] = 1e-11 * np.max(weights[2])
         with pytest.raises(ClosureError, match="coordinate 2"):
             solve_orthogonal_factors(weights, consistent_targets(weights, truth))
 
@@ -130,7 +126,6 @@ class TestClosedForm:
     def test_two_coordinates_one_padded_column(self, seed):
         weights, targets, _ = recoverable_instance(seed, m=4, q=5, d=3)
         res = solve_orthogonal_factors(weights, targets)
-        assert res.iterations == 0
         assert res.residual <= 1e-12
         assert np.array_equal(res.W[1], np.eye(5))
         assert np.max(np.abs(res.W[2].T @ res.W[2] - np.eye(5))) < 1e-12
