@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .measures import DiscreteMeasure, node_chunks
+from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
 
 
@@ -33,16 +33,21 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
     (m, d) point chunk to the (size, m) stacked basis values.
 
     Chunks hold at most ``measures.STACK_BYTES`` of stacked values, so
-    each one stays in cache.  Only the lower triangle of the Gram is
-    formed, in ``PANEL``-row panels, and then mirrored.
+    each one stays in cache, and run through ``measures.chunk_map``.
+    Only the lower triangle of the Gram is formed, in ``PANEL``-row
+    panels, and then mirrored.
     """
-    gram = np.zeros((size, size))
-    for sl in node_chunks(measure.n_nodes, rows=size):
+    panels = [(lo, min(lo + PANEL, size)) for lo in range(0, size, PANEL)]
+
+    def chunk(sl):
         vals = evaluate_chunk(measure.nodes[sl])
         weighted = vals * measure.weights[sl][None, :]
-        for lo in range(0, size, PANEL):
-            hi = min(lo + PANEL, size)
-            gram[lo:hi, :hi] += weighted[lo:hi] @ vals[:hi].T
+        return [weighted[lo:hi] @ vals[:hi].T for lo, hi in panels]
+
+    gram = np.zeros((size, size))
+    for products in chunk_map(chunk, node_chunks(measure.n_nodes, rows=size)):
+        for (lo, hi), prod in zip(panels, products):
+            gram[lo:hi, :hi] += prod
     err = np.tril(gram) + np.tril(gram, -1).T - np.eye(size)
     return ErrorReport(error_matrix=err, max_abs=float(np.max(np.abs(err))))
 
@@ -131,15 +136,20 @@ def christoffel_streaming(evaluate_chunk, points, size: int):
     """Normalized reproducing-kernel diagonal and Christoffel function.
 
     K(x) = (1/size) sum of squared basis values at x, over point chunks
-    of at most ``measures.STACK_BYTES`` of stacked values; the
-    Christoffel function is its reciprocal.  K is a sum of squares, so a
-    non-positive value is a numerical breakdown.
+    of at most ``measures.STACK_BYTES`` of stacked values run through
+    ``measures.chunk_map``; the Christoffel function is its reciprocal.
+    K is a sum of squares, so a non-positive value is a numerical
+    breakdown.
     """
     pts = np.asarray(points, dtype=float)
+
+    def chunk(sl):
+        return np.sum(evaluate_chunk(pts[sl]) ** 2, axis=0) / size
+
+    slices = list(node_chunks(pts.shape[0], rows=size))
     kernel = np.empty(pts.shape[0])
-    for sl in node_chunks(pts.shape[0], rows=size):
-        vals = evaluate_chunk(pts[sl])
-        kernel[sl] = np.sum(vals ** 2, axis=0) / size
+    for sl, part in zip(slices, chunk_map(chunk, slices)):
+        kernel[sl] = part
     if np.any(kernel <= 0):
         raise NumericalFailure("reproducing-kernel diagonal not positive; "
                                "basis evaluation broke down")

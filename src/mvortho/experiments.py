@@ -61,10 +61,12 @@ class ExperimentConfig:
     large enough that every moment the algorithms need is exact where
     exactness is claimed (Gauss counts N+2 per axis, angular counts
     4N+5), except the spiral's outer angle which is intrinsically
-    approximate and defaults to 25000 points.  Construction sweeps use
-    the package-wide ``measures.CHUNK`` and the Gram-error and
-    Christoffel sweeps ``measures.STACK_BYTES``; the manifest records
-    them as ``config.chunk_size`` and ``config.stack_bytes``."""
+    approximate and defaults to 25000 points.  The moment-method Gram
+    uses the package-wide ``measures.CHUNK``; the ``ms`` sweeps and the
+    Gram-error and Christoffel sweeps ``measures.STACK_BYTES``, on
+    ``measures.WORKERS`` threads.  The manifest records them as
+    ``config.chunk_size``, ``config.stack_bytes`` and ``config.workers``
+    (the outputs do not depend on the last)."""
 
     experiment: str
     method: str
@@ -291,7 +293,8 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
         "package_version": __version__,
         "config": dict(dataclasses.asdict(result.config),
                        chunk_size=measures.CHUNK,
-                       stack_bytes=measures.STACK_BYTES),
+                       stack_bytes=measures.STACK_BYTES,
+                       workers=measures.WORKERS),
         "dimension": result.d,
         "degree": result.degree,
         "basis_size": result.size,

@@ -11,6 +11,10 @@ orthogonalize against.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,22 +24,91 @@ from .errors import PointCloudError
 from .indexing import MultiIndexSet
 from .univariate import jacobi_recurrence
 
-# Points per chunk in every construction sweep.  The chunk fixes the
-# summation order of the moments that define the recurrence, so changing
-# it moves the computed recurrence, not just the run time.
+# Points per chunk in the moment-method Gram assembly (``build_gram``).
+# The chunk fixes the summation order of the Gram the baselines factor, so
+# changing it moves their recurrence, not just the run time.
 CHUNK = 65536
-# Bytes of one chunk of stacked basis values in the Gram-error and
-# Christoffel sweeps: small enough to stay in the last-level cache.
+# Bytes of float64 values one chunk of a stacked sweep may hold: small
+# enough that the chunks in flight stay in cache.  Every ``stieltjes``
+# sweep, the Gram-error and the Christoffel sweep are cut this way, so it
+# fixes the summation order of the ``ms`` recurrence and of the Gram error.
 STACK_BYTES = 8 << 20
 
 
+def _default_workers() -> int:
+    """The usable cores, at most 4, when BLAS is held to one thread by
+    its environment variable (the first one set decides); otherwise 1.
+    A multi-threaded BLAS already runs on every core, and chunk threads
+    calling it compete with its own threads: on a 2-core host with BLAS
+    unpinned, ``hol`` ms N=39 M=1e5 took 14.2 s with two chunk threads
+    against 8.7 s with one, and 6.2 s with two and BLAS pinned."""
+    blas_threads = next(filter(None, map(os.environ.get, (
+        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"))), None)
+    if blas_threads != "1":
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(cores, 4)
+
+
+# Threads that run the chunks of ``chunk_map``; 1 runs them inline.
+WORKERS = _default_workers()
+
+_pool: tuple | None = None    # (worker count, executor), made on first use
+_pool_lock = threading.Lock()
+
+
 def node_chunks(n_points: int, rows: int | None = None):
-    """Slices covering ``n_points``: at most ``CHUNK`` points each, or,
-    given ``rows`` stacked values per point, at most ``STACK_BYTES`` of
-    float64 values (both read at each call)."""
+    """Slices covering ``n_points`` in order: at most ``CHUNK`` points
+    each, or, given the ``rows`` float64 values a sweep holds per point,
+    at most ``STACK_BYTES`` of them (both read at each call)."""
     size = CHUNK if rows is None else max(1, STACK_BYTES // (8 * rows))
     for lo in range(0, n_points, size):
         yield slice(lo, min(lo + size, n_points))
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process-wide pool of ``WORKERS`` threads, replaced when
+    ``WORKERS`` has changed since it was made."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != WORKERS:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = (WORKERS, ThreadPoolExecutor(
+                WORKERS, thread_name_prefix="mvortho-chunk"))
+        return _pool[1]
+
+
+def chunk_map(fn, slices):
+    """Yield ``fn(sl)`` for each slice of ``slices``, in slice order.
+
+    With ``WORKERS`` > 1 the calls run on a shared thread pool, at most
+    ``WORKERS`` + 1 of them submitted at a time, so memory stays bounded
+    whatever the number of slices.  Callers add the yielded partial sums
+    in the order they arrive, which makes every result bit-identical at
+    any worker count.  An exception raised by ``fn`` reaches the caller
+    unchanged; the calls not yet started are cancelled and the running
+    ones finish before it propagates.  ``fn`` must not call
+    ``chunk_map`` itself.
+    """
+    if WORKERS <= 1:
+        for sl in slices:
+            yield fn(sl)
+        return
+    pool = _executor()
+    pending = deque()
+    try:
+        for sl in slices:
+            pending.append(pool.submit(fn, sl))
+            if len(pending) > WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for fut in pending:
+            fut.cancel()
+        wait(pending)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ orthonormal basis with them, forms two families of moment matrices, and
 recovers the degree-(n+1) matrices from factorizations of those moments:
 
 * coordinate moments of the current block give the symmetric A matrices
-  directly;
+  directly (Lanczos-ordered: the known lowering term is subtracted before
+  the moment is taken, an extension of the paper; see
+  ``coordinate_moment``);
 * the Gram of the *residual* polynomials (coordinate-shifted blocks with
   their known lower-degree parts removed) equals B B^T, so an
   eigen-decomposition yields the left factor and singular values of each
@@ -21,6 +23,12 @@ For d > 2 the degree-1 raising matrices fall back to the moment method,
 whose tiny degree-1 Gram is well-conditioned.  After every degree the new
 matrices are rotated into canonical form so the next block can be
 evaluated through the diagonal identity.
+
+Each moment family is one node sweep: per-chunk partial sums over slices
+of at most ``measures.STACK_BYTES`` of values, computed on
+``measures.WORKERS`` threads by ``measures.chunk_map`` and added in chunk
+order.  The recurrence therefore depends on ``STACK_BYTES`` (the
+summation order) but is bit-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import ClosureError, NumericalFailure, RankDeficiencyError
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, fix_vector_sign)
 from .indexing import MultiIndexSet
-from .measures import DiscreteMeasure, node_chunks
+from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
 from . import moment_method
 from .wopp import RANK_TOL, scaled_cross, solve_orthogonal_factors
@@ -79,11 +87,56 @@ class StieltjesDiagnostics:
     closure_residual: list = field(default_factory=list)
 
 
-def coordinate_moment(state: StieltjesState, i: int) -> np.ndarray:
-    """Symmetrized moment matrix of x_i against the current degree block."""
-    w = state.measure.weights * state.measure.nodes[:, i]
-    s = (state.values_cur * w[None, :]) @ state.values_cur.T
-    return 0.5 * (s + s.T)
+def coordinate_moment(state: StieltjesState) -> list:
+    """Center matrices A_{n+1,i} of every coordinate, in one node sweep.
+
+    Lanczos-ordered: A_{n+1,i} = sym<x_i p_n - B_{n,i}^T p_{n-1}, p_n>,
+    the lowering term subtracted before the moment is taken.  In exact
+    arithmetic p_{n-1} is orthogonal to p_n and this equals the Stieltjes
+    form sym<x_i p_n, p_n>; in floating point the ordering keeps the
+    rounding-level overlap of p_{n-1} with p_n out of the centers, where
+    it would feed a Gram drift that grows about tenfold every three
+    degrees (Gautschi, *Orthogonal Polynomials: Computation and
+    Approximation*, 2004, 2.2).  This ordering is an extension of the
+    paper's algorithm.
+    """
+    d, n = state.measure.d, state.degree
+    nodes, w = state.measure.nodes, state.measure.weights
+    lowering = state.recurrence.B[n] if n >= 1 else None
+
+    def chunk(sl):
+        pc = state.values_cur[:, sl]
+        weighted = pc * w[sl][None, :]
+        parts = []
+        for i in range(d):
+            u = nodes[sl, i][None, :] * pc
+            if lowering is not None:
+                u -= lowering[i].T @ state.values_prev[:, sl]
+            parts.append(u @ weighted.T)
+        return parts
+
+    r = state.values_cur.shape[0]
+    acc = _sweep(state, 4 * r + _prev_rows(state), chunk,
+                 [np.zeros((r, r)) for _ in range(d)])
+    return [0.5 * (s + s.T) for s in acc]
+
+
+def _prev_rows(state: StieltjesState) -> int:
+    return 0 if state.values_prev is None else state.values_prev.shape[0]
+
+
+def _sweep(state: StieltjesState, rows: int, chunk, acc: list) -> list:
+    """Add the partial sums ``chunk(sl)`` returns for each node slice
+    into the arrays of ``acc``, in slice order, and return ``acc``.
+
+    ``rows`` counts the values per node the chunk holds at once; it sets
+    the chunk size (``measures.node_chunks``) and so the summation order.
+    """
+    for parts in chunk_map(chunk, node_chunks(state.measure.n_nodes,
+                                              rows=rows)):
+        for total, part in zip(acc, parts):
+            total += part
+    return acc
 
 
 def symmetric_factor(t_sym: np.ndarray, where: str = ""):
@@ -213,7 +266,7 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
         except NumericalFailure as exc:
             exc.degree = n + 1
             raise
-    centers = [coordinate_moment(state, i) for i in range(d)]
+    centers = coordinate_moment(state)
     t_diag, _ = _moment_pass(state, centers, need_pairs=False)
     diags.t_condition.append(_mean_condition(t_diag))
     return state.recurrence, diags
@@ -225,7 +278,7 @@ def _mean_condition(t_diag) -> float:
 
 
 def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
-    """Accumulate residual Grams in node chunks.
+    """Accumulate residual Grams in one node sweep.
 
     The coordinate-i residual x_i p_n - A_{n+1,i} p_n - B_{n,i}^T p_{n-1}
     (``centers`` holding the A matrices) equals B_{n+1,i} p_{n+1} in
@@ -238,10 +291,10 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
     r = state.values_cur.shape[0]
     pairs = [(i, j) for i in range(d) for j in range(i, d)
              if need_pairs or i == j]
-    acc = {key: np.zeros((r, r)) for key in pairs}
     nodes, w = state.measure.nodes, state.measure.weights
     raising_prev = state.recurrence.B[n] if n >= 1 else None
-    for sl in node_chunks(state.measure.n_nodes):
+
+    def chunk(sl):
         pc = state.values_cur[:, sl]
         resid = []
         for i in range(d):
@@ -249,10 +302,13 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
             if raising_prev is not None:
                 t -= raising_prev[i].T @ state.values_prev[:, sl]
             resid.append(t)
-        for i, j in pairs:
-            acc[(i, j)] += (resid[i] * w[sl][None, :]) @ resid[j].T
-    diag = {(i, j): 0.5 * (mat + mat.T) for (i, j), mat in acc.items() if i == j}
-    mixed = {(i, j): mat for (i, j), mat in acc.items() if i != j}
+        return [(resid[i] * w[sl][None, :]) @ resid[j].T for i, j in pairs]
+
+    acc = _sweep(state, (d + 2) * r + _prev_rows(state), chunk,
+                 [np.zeros((r, r)) for _ in pairs])
+    diag = {(i, j): 0.5 * (mat + mat.T)
+            for (i, j), mat in zip(pairs, acc) if i == j}
+    mixed = {(i, j): mat for (i, j), mat in zip(pairs, acc) if i != j}
     return diag, mixed
 
 
@@ -265,7 +321,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     dr_n = r_n - iset.r(n - 1)
     dr_next = r_next - r_n
 
-    centers = [coordinate_moment(state, i) for i in range(d)]
+    centers = coordinate_moment(state)
     t_diag, t_mixed = _moment_pass(state, centers)
     diags.t_condition.append(_mean_condition(t_diag))
 
@@ -331,22 +387,26 @@ def _commit_degree(state: StieltjesState, centers, raisings):
 
 def _evaluate_committed_degree(state: StieltjesState,
                                diags: StieltjesDiagnostics):
-    """Evaluate the committed block over all nodes, tracking Gram drift."""
+    """Evaluate the committed block over all nodes in one sweep, tracking
+    Gram drift."""
     measure = state.measure
     n = state.degree
+    r = state.values_cur.shape[0]
     r_next = state.recurrence.r(n + 1)
     out = np.empty((r_next, measure.n_nodes))
-    gram_new = np.zeros((r_next, r_next))
-    gram_cross = np.zeros((r_next, state.values_cur.shape[0]))
-    for sl in node_chunks(measure.n_nodes):
+
+    def chunk(sl):
+        # Each chunk writes its own columns of ``out``.
         block = _next_block(state.recurrence, n, measure.nodes[sl],
                             state.values_cur[:, sl],
                             None if state.values_prev is None
-                            else state.values_prev[:, sl])
-        out[:, sl] = block
+                            else state.values_prev[:, sl], out=out[:, sl])
         weighted = block * measure.weights[sl][None, :]
-        gram_new += weighted @ block.T
-        gram_cross += weighted @ state.values_cur[:, sl].T
+        return weighted @ block.T, weighted @ state.values_cur[:, sl].T
+
+    gram_new, gram_cross = _sweep(
+        state, 2 * r_next + r + _prev_rows(state), chunk,
+        [np.zeros((r_next, r_next)), np.zeros((r_next, r))])
     drift = max(float(np.max(np.abs(gram_new - np.eye(r_next)))),
                 float(np.max(np.abs(gram_cross))))
     diags.gram_drift.append(drift)

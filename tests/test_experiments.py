@@ -182,23 +182,59 @@ class TestRunExperiment:
         from mvortho import measures
         monkeypatch.setattr(measures, "CHUNK", 64)
         monkeypatch.setattr(measures, "STACK_BYTES", 4096)
+        monkeypatch.setattr(measures, "WORKERS", 3)
         run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["chunk_size"] == 64
         assert manifest["config"]["stack_bytes"] == 4096
+        assert manifest["config"]["workers"] == 3
 
-    def test_stack_bytes_leaves_recurrence_unchanged(self, tmp_path,
-                                                     monkeypatch):
-        # The stacked-sweep chunk feeds only the diagnostics, never the
-        # moments that define the recurrence.
+    def test_stack_bytes_moves_ms_only_at_rounding(self, tmp_path,
+                                                   monkeypatch):
+        # STACK_BYTES sets the summation order of the ms sweeps, never
+        # that of the moment-method Gram (CHUNK).
         from mvortho import measures
-        config = small_config(experiment="ann", method="ms", degree=8)
-        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "a")))
-        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 45 * 7)
-        run_experiment(dataclasses.replace(config, output_dir=str(tmp_path / "b")))
+        from mvortho.serialization import load_recurrence
+        runs = {method: small_config(experiment="hol", method=method,
+                                     degree=8, mc_samples=2000)
+                for method in ("ms", "mm")}
+        for tag in ("a", "b"):
+            if tag == "b":
+                monkeypatch.setattr(measures, "STACK_BYTES", 8 * 45 * 30)
+            for method, config in runs.items():
+                run_experiment(dataclasses.replace(
+                    config, output_dir=str(tmp_path / tag / method)))
         for name in ("recurrence.json", "cond.csv", "cc_residuals.csv"):
-            assert ((tmp_path / "a" / name).read_bytes()
-                    == (tmp_path / "b" / name).read_bytes())
+            assert ((tmp_path / "a" / "mm" / name).read_bytes()
+                    == (tmp_path / "b" / "mm" / name).read_bytes())
+        ref, moved = (load_recurrence(tmp_path / tag / "ms" / "recurrence.json")
+                      for tag in ("a", "b"))
+        for n in range(1, 9):
+            for i in range(2):
+                assert np.allclose(moved.A[n][i], ref.A[n][i], rtol=0, atol=1e-12)
+                assert np.allclose(moved.B[n][i], ref.B[n][i], rtol=0, atol=1e-12)
+
+    def test_outputs_independent_of_worker_count(self, tmp_path, monkeypatch):
+        # Small chunks, so every sweep spreads over many pool calls.
+        from mvortho import measures
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 45 * 30)
+        runs = [small_config(experiment="ann", method="ms", degree=8),
+                small_config(experiment="tor", method="ms", degree=5),
+                small_config(experiment="hol", method="mm", degree=8,
+                             mc_samples=2000)]
+        names = ("recurrence.json", "error_matrix.csv", "cond.csv",
+                 "cc_residuals.csv", "christoffel.csv")
+        for k, config in enumerate(runs):
+            outputs = []
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(measures, "WORKERS", workers)
+                out = tmp_path / f"{k}-{workers}"
+                run_experiment(dataclasses.replace(config, output_dir=str(out)))
+                outputs.append({name: (out / name).read_bytes()
+                                for name in names if (out / name).exists()})
+            assert len(outputs[0]) == (5 if config.experiment != "tor" else 4)
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], \
+                config.experiment
 
     def test_christoffel_mass_recorded(self, tmp_path):
         res = run_experiment(small_config(method="ms", output_dir=str(tmp_path)))

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from mvortho import measures
 from mvortho.errors import PointCloudError
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
                               gauss_jacobi_rule, min_monomial_norm,
@@ -238,3 +244,77 @@ class TestValidation:
         # for a desk-scale N, certifying the moment functional is usable.
         m = make()
         assert min_monomial_norm(m, 12) > 0
+
+
+class TestChunkMap:
+    def test_results_in_slice_order_under_contention(self, monkeypatch):
+        # More workers than cores and a short switch interval: each call
+        # writes its own slice of a shared array, and the results still
+        # arrive in slice order.
+        monkeypatch.setattr(measures, "WORKERS", 6)
+        filled = np.zeros(5000)
+        values = np.arange(5000.0)
+
+        def fill(sl):
+            filled[sl] = values[sl]
+            return sl.start, float(values[sl].sum())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(measures.chunk_map(
+                fill, [slice(lo, lo + 7) for lo in range(0, 5000, 7)]))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [start for start, _ in got] == list(range(0, 5000, 7))
+        assert sum(total for _, total in got) == values.sum()
+        assert np.array_equal(filled, values)
+
+    def test_in_flight_calls_bounded(self, monkeypatch):
+        monkeypatch.setattr(measures, "WORKERS", 3)
+        drawn = []
+
+        def slices():
+            for lo in range(0, 100, 4):
+                drawn.append(lo)
+                yield slice(lo, lo + 4)
+
+        consumed = 0
+        for _ in measures.chunk_map(lambda sl: sl.start, slices()):
+            consumed += 1
+            assert len(drawn) - consumed <= measures.WORKERS
+        assert consumed == 25
+
+    def test_one_worker_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        names = list(measures.chunk_map(
+            lambda sl: threading.current_thread().name,
+            [slice(lo, lo + 2) for lo in range(0, 10, 2)]))
+        assert names == [threading.current_thread().name] * 5
+
+    @pytest.mark.parametrize("env,pooled", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({}, False),
+        ({"OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False)])
+    def test_default_workers_follow_blas_threads(self, monkeypatch, env,
+                                                 pooled):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cores = min(len(os.sched_getaffinity(0)), 4)
+        assert measures._default_workers() == (cores if pooled else 1)
+
+    def test_import_starts_no_thread(self):
+        code = ("import threading, mvortho, mvortho.experiments;"
+                "from mvortho import measures;"
+                "print(threading.active_count(), measures._pool)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ,
+                                      PYTHONPATH=os.pathsep.join(sys.path)),
+                             timeout=60)
+        assert out.stdout.split() == ["1", "None"]

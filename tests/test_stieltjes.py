@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,7 @@ def fresh_state(measure, n_max):
 def residual_grams(state):
     """All residual Grams of ``state``'s degree, keyed by ordered pair,
     from the pass the algorithm runs (diagonal blocks symmetrized)."""
-    centers = [coordinate_moment(state, i) for i in range(state.measure.d)]
-    diag, mixed = _moment_pass(state, centers, need_pairs=True)
+    diag, mixed = _moment_pass(state, coordinate_moment(state), need_pairs=True)
     out = dict(diag)
     for (i, j), mat in mixed.items():
         out[(i, j)], out[(j, i)] = mat, mat.T
@@ -52,7 +53,7 @@ class TestMomentBlocks:
     def test_degree_zero_coordinate_moment_vanishes_by_symmetry(self):
         m = tensor_jacobi(2, 6, (0.0, 0.0), (0.0, 0.0))
         state = fresh_state(m, 3)
-        s = coordinate_moment(state, 0)
+        s = coordinate_moment(state)[0]
         assert s.shape == (1, 1) and abs(s[0, 0]) < 1e-15
 
     def test_legendre_all_centers_vanish(self):
@@ -66,7 +67,7 @@ class TestMomentBlocks:
     def test_coordinate_moment_symmetric_exactly(self):
         m = annulus_measure(6, 24)
         state = fresh_state(m, 2)
-        s = coordinate_moment(state, 1)
+        s = coordinate_moment(state)[1]
         assert np.array_equal(s, s.T)
 
     def test_residual_gram_uniform_square_degree_zero(self):
@@ -85,7 +86,7 @@ class TestMomentBlocks:
         state.values_cur, state.values_prev, state.degree = \
             ev.blocks[4], ev.blocks[3], 4
         # The pass returns the symmetrized Gram, so form the raw one here.
-        center = coordinate_moment(state, 0)
+        center = coordinate_moment(state)[0]
         resid = (m.nodes[:, 0][None, :] * state.values_cur
                  - center @ state.values_cur
                  - rec.B[4][0].T @ state.values_prev)
@@ -247,14 +248,55 @@ class TestFullRuns:
         assert max_commuting_residual(rec) < 1e-8
 
     def test_chunked_matches_unchunked(self, monkeypatch):
+        # 100 nodes: one chunk per sweep by default; with the small
+        # STACK_BYTES, 2 to 17 chunks (sweeps hold 4 to 34 rows per node).
         m = tensor_jacobi(2, 10, *JAC2)
         iset = MultiIndexSet.build(2, 6)
         b, _ = stieltjes_recurrence(m, iset, 6)
-        monkeypatch.setattr(measures, "CHUNK", 17)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
         a, _ = stieltjes_recurrence(m, iset, 6)
         for n in range(1, 7):
             for i in range(2):
                 assert np.allclose(a.B[n][i], b.B[n][i], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lanczos_centers_keep_orthogonality(self, seed):
+        # Stieltjes-ordered centers reach max |E| 4.6e-9 to 1.8e-8 and
+        # drift 3.6e-9 to 1.4e-8 on these samples.
+        from mvortho.experiments import ExperimentConfig, run_experiment
+        res = run_experiment(ExperimentConfig("hol", "ms", degree=30,
+                                              mc_samples=20_000, seed=seed),
+                             write=False)
+        assert res.error.max_abs <= 1e-10
+        assert max(res.gram_drift) <= 1e-12
+
+    def test_failure_in_worker_chunk_keeps_degree(self, monkeypatch):
+        # Many chunks per sweep on two threads; every chunk of the degree-3
+        # evaluation but the first raises inside a pool thread.
+        import mvortho.stieltjes as st
+        m = tensor_jacobi(2, 10, *JAC2)
+        iset = MultiIndexSet.build(2, 6)
+        monkeypatch.setattr(measures, "WORKERS", 2)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
+        want, _ = stieltjes_recurrence(m, iset, 6)
+        real, threads = st._next_block, []
+
+        def failing(rec, n, pts, *args, **kwargs):
+            if n == 2 and not np.array_equal(pts[0], m.nodes[0]):
+                threads.append(threading.current_thread().name)
+                raise RankDeficiencyError("injected")
+            return real(rec, n, pts, *args, **kwargs)
+
+        monkeypatch.setattr(st, "_next_block", failing)
+        with pytest.raises(RankDeficiencyError, match="injected") as err:
+            stieltjes_recurrence(m, iset, 6)
+        assert err.value.degree == 3
+        assert threads and threads[0] != threading.current_thread().name
+        monkeypatch.setattr(st, "_next_block", real)
+        got, _ = stieltjes_recurrence(m, iset, 6)
+        for n in range(1, 7):
+            for i in range(2):
+                assert np.array_equal(got.B[n][i], want.B[n][i])
 
     def test_high_dim_matches_oracle(self):
         for d in (4, 5):
