@@ -88,15 +88,6 @@ def max_commuting_residual(rec: RecurrenceData) -> float:
     return max(max(row[3:]) for row in rows)
 
 
-def symmetry_defect(rec: RecurrenceData) -> float:
-    """Largest |A - A^T| entry over all stored degrees and coordinates."""
-    worst = 0.0
-    for n in range(1, rec.max_degree + 1):
-        for mat in rec.A[n]:
-            worst = max(worst, float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0)
-    return worst
-
-
 def rank_margins(rec: RecurrenceData):
     """Smallest relative singular values certifying the rank conditions.
 

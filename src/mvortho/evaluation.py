@@ -121,6 +121,25 @@ def evaluate(rec: RecurrenceData, points,
     ``rec`` must be in canonical form (``rec.lam`` present).  Degrees
     0..max_degree are written block by block into one stacked array.
     """
+    return _evaluate(_step_matrices(rec, max_degree), _as_points(rec, points))
+
+
+def evaluator(rec: RecurrenceData, max_degree: int | None = None):
+    """Closure mapping a point chunk to the stacked (R_N, m) value matrix.
+
+    Used by the streaming Gram accumulators so large node sets never
+    materialize the full evaluation.  The step matrices are formed once
+    here, not once per chunk; the values are those ``evaluate`` returns.
+    """
+    steps = _step_matrices(rec, max_degree)
+
+    def run(points_chunk):
+        return _evaluate(steps, _as_points(rec, points_chunk)).stacked
+
+    return run
+
+
+def _step_matrices(rec: RecurrenceData, max_degree: int | None) -> list:
     if not rec.is_canonical:
         raise ValueError("recurrence data must be in canonical form; "
                          "run to_canonical first")
@@ -129,51 +148,73 @@ def evaluate(rec: RecurrenceData, points,
     if max_degree > rec.max_degree:
         raise ValueError(f"requested degree {max_degree} exceeds stored "
                          f"{rec.max_degree}")
+    return [step_matrix(rec, n) for n in range(max_degree)]
+
+
+def _as_points(rec: RecurrenceData, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != rec.d:
         raise ValueError(f"points are {pts.shape[1]}-dimensional, expected {rec.d}")
-    bounds = np.cumsum([0] + [rec.r(n) for n in range(max_degree + 1)])
+    return pts
+
+
+def _evaluate(steps: list, pts: np.ndarray) -> BasisEvaluation:
+    """Degree blocks 0..len(steps) at ``pts``, written into one stacked
+    array by ``_next_block``."""
+    bounds = np.cumsum([0, 1] + [step.shape[0] for step in steps])
     stacked = np.empty((bounds[-1], pts.shape[0]))
     blocks = [stacked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     blocks[0].fill(1.0)
-    for n in range(max_degree):
-        _next_block(rec, n, pts, blocks[n],
-                    blocks[n - 1] if n >= 1 else None, out=blocks[n + 1])
+    for n, step in enumerate(steps):
+        _next_block(step, pts, blocks[n], blocks[n - 1] if n >= 1 else None,
+                    out=blocks[n + 1])
     return BasisEvaluation(stacked=stacked, blocks=blocks, points=pts)
 
 
-def _next_block(rec: RecurrenceData, n: int, pts: np.ndarray,
-                p_cur: np.ndarray, p_prev: np.ndarray | None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Degree-(n+1) values from the degree-n and degree-(n-1) blocks,
-    written into ``out`` (a new array when None) and returned."""
+def step_matrix(rec: RecurrenceData, n: int) -> np.ndarray:
+    """The matrix that maps ``shifted_stack`` of degree n to the
+    degree-(n+1) block:
+
+        [B_{n+1,1}^T ... B_{n+1,d}^T,  -sum_i B_{n+1,i}^T A_{n+1,i},
+         -sum_i B_{n+1,i}^T B_{n,i}^T] / lam_{n+1}
+
+    (the last column block only for n >= 1), the canonical three-term
+    identity solved for p_{n+1}.  Raises RankDeficiencyError when the
+    canonical diagonal lam_{n+1} is singular within ``COND_TOL``.
+    """
     lam = rec.lam[n + 1]
     if np.min(lam) <= COND_TOL * np.max(lam):
         raise RankDeficiencyError(
             f"canonical diagonal nearly singular at degree {n + 1}", degree=n + 1)
-    if out is None:
-        out = np.empty((rec.r(n + 1), pts.shape[0]))
-    out.fill(0.0)
-    for i in range(rec.d):
-        raising_t = rec.B[n + 1][i].T
-        out += raising_t @ (pts[:, i][None, :] * p_cur)
-        out -= (raising_t @ rec.A[n + 1][i]) @ p_cur
-        if p_prev is not None:
-            out -= (raising_t @ rec.B[n][i].T) @ p_prev
-    out /= lam[:, None]
+    raising_t = [mat.T for mat in rec.B[n + 1]]
+    columns = raising_t + [-sum(bt @ a for bt, a in zip(raising_t, rec.A[n + 1]))]
+    if n >= 1:
+        columns.append(-sum(bt @ b.T for bt, b in zip(raising_t, rec.B[n])))
+    return np.hstack(columns) / lam[:, None]
+
+
+def shifted_stack(pts: np.ndarray, p_cur: np.ndarray,
+                  p_prev: np.ndarray | None) -> np.ndarray:
+    """S = [x_1 p_n; ...; x_d p_n; p_n; p_{n-1}] in a new array (no
+    p_{n-1} rows when ``p_prev`` is None)."""
+    d = pts.shape[1]
+    r = p_cur.shape[0]
+    rows = (d + 1) * r + (0 if p_prev is None else p_prev.shape[0])
+    out = np.empty((rows, pts.shape[0]))
+    for i in range(d):
+        np.multiply(pts[:, i][None, :], p_cur, out=out[i * r:(i + 1) * r])
+    out[d * r:(d + 1) * r] = p_cur
+    if p_prev is not None:
+        out[(d + 1) * r:] = p_prev
     return out
 
 
-def evaluator(rec: RecurrenceData, max_degree: int | None = None):
-    """Closure mapping a point chunk to the stacked (R_N, m) value matrix.
-
-    Used by the streaming Gram accumulators so large node sets never
-    materialize the full evaluation.
-    """
-    def run(points_chunk):
-        return evaluate(rec, points_chunk, max_degree).stacked
-
-    return run
-
+def _next_block(step: np.ndarray, pts: np.ndarray, p_cur: np.ndarray,
+                p_prev: np.ndarray | None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Degree-(n+1) values from the degree-n and degree-(n-1) blocks as
+    one GEMM, ``step`` (``step_matrix(rec, n)``) times the shifted stack,
+    written into ``out`` (a new array when None) and returned."""
+    return np.matmul(step, shifted_stack(pts, p_cur, p_prev), out=out)

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import PointCloudError
-from .indexing import MultiIndexSet
 from .univariate import jacobi_recurrence
 
 # Points per chunk in the moment-method Gram assembly (``build_gram``).
@@ -32,6 +31,9 @@ CHUNK = 65536
 # enough that the chunks in flight stay in cache.  Every ``stieltjes``
 # sweep, the Gram-error and the Christoffel sweep are cut this way, so it
 # fixes the summation order of the ``ms`` recurrence and of the Gram error.
+# A ``stieltjes`` sweep counts every buffer its chunk holds (the shifted
+# stack, residuals or new block, their weighted copies); the Gram-error
+# and Christoffel sweeps count the stacked basis values only.
 STACK_BYTES = 8 << 20
 
 
@@ -154,14 +156,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def moment(self, f_values, g_values) -> float:
-        """sum_m w_m f(x_m) g(x_m) for sampled integrand values."""
-        f = np.asarray(f_values, dtype=float).reshape(-1)
-        g = np.asarray(g_values, dtype=float).reshape(-1)
-        if f.shape[0] != self.n_nodes or g.shape[0] != self.n_nodes:
-            raise ValueError("value arrays must match the node count")
-        return float(np.sum(self.weights * f * g))
 
 
 def _normalized(nodes, weights, label) -> DiscreteMeasure:
@@ -346,23 +340,3 @@ def point_cloud_measure(path) -> DiscreteMeasure:
     nodes = np.asarray(rows, dtype=float)
     weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
     return DiscreteMeasure(nodes=nodes, weights=weights, label="cloud")
-
-
-def min_monomial_norm(measure: DiscreteMeasure, degree: int) -> float:
-    """min over |alpha| <= degree of <x^alpha, x^alpha>.
-
-    A positive value certifies non-degeneracy of the discrete measure on
-    the total-degree space (used by the test suite at desk scale).
-    """
-    iset = MultiIndexSet.build(measure.d, degree)
-    powers = [np.power(measure.nodes[:, j][None, :],
-                       np.arange(2 * degree + 1)[:, None])
-              for j in range(measure.d)]
-    worst = np.inf
-    for n in range(degree + 1):
-        for alpha in iset.level(n):
-            vals = np.ones(measure.n_nodes)
-            for j in range(measure.d):
-                vals = vals * powers[j][2 * int(alpha[j])]
-            worst = min(worst, float(np.sum(measure.weights * vals)))
-    return worst

@@ -6,9 +6,9 @@ orthonormal basis with them, forms two families of moment matrices, and
 recovers the degree-(n+1) matrices from factorizations of those moments:
 
 * coordinate moments of the current block give the symmetric A matrices
-  directly (Lanczos-ordered: the known lowering term is subtracted before
-  the moment is taken, an extension of the paper; see
-  ``coordinate_moment``);
+  directly (Lanczos-ordered: the known lowering term is subtracted with
+  the measured overlap of the two previous blocks, an extension of the
+  paper; see ``_centers``);
 * the Gram of the *residual* polynomials (coordinate-shifted blocks with
   their known lower-degree parts removed) equals B B^T, so an
   eigen-decomposition yields the left factor and singular values of each
@@ -24,8 +24,16 @@ whose tiny degree-1 Gram is well-conditioned.  After every degree the new
 matrices are rotated into canonical form so the next block can be
 evaluated through the diagonal identity.
 
-Each moment family is one node sweep: per-chunk partial sums over slices
-of at most ``measures.STACK_BYTES`` of values, computed on
+A degree takes two node sweeps.  The residual pass forms the residual
+Grams; the block-evaluation sweep evaluates the committed block, its Gram
+drift, and the coordinate moments of that block, which give the next
+degree's centers (only degree 0's centers take a sweep of their own,
+``coordinate_moment``).  Both sweeps start each chunk from the shifted
+stack S = [x_1 p_n; ...; x_d p_n; p_n; p_{n-1}] (``shifted_stack``), so
+each stage is one GEMM: the step matrix times S for the new block, the
+stacked centers and lowering matrices times the tail of S for the
+residuals.  A sweep is a sum of per-chunk partial sums over
+slices of at most ``measures.STACK_BYTES`` of values, computed on
 ``measures.WORKERS`` threads by ``measures.chunk_map`` and added in chunk
 order.  The recurrence therefore depends on ``STACK_BYTES`` (the
 summation order) but is bit-identical at any worker count.
@@ -40,7 +48,8 @@ import numpy as np
 from .diagnostics import condition_numbers
 from .errors import ClosureError, NumericalFailure, RankDeficiencyError
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
-                         fix_column_signs, fix_vector_sign)
+                         fix_column_signs, fix_vector_sign, shifted_stack,
+                         step_matrix)
 from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
@@ -56,7 +65,9 @@ class StieltjesState:
 
     ``recurrence`` holds canonical matrices through ``degree``;
     ``values_cur``/``values_prev`` are the degree blocks of basis values
-    over the measure's nodes, consistent with those matrices.
+    over the measure's nodes, consistent with those matrices;
+    ``centers`` holds the A matrices of degree ``degree`` + 1, formed in
+    the sweep that evaluated ``values_cur`` (None until then).
     """
 
     measure: DiscreteMeasure
@@ -65,6 +76,7 @@ class StieltjesState:
     values_cur: np.ndarray
     values_prev: np.ndarray | None
     degree: int
+    centers: list | None = None
 
 
 @dataclass
@@ -90,8 +102,53 @@ class StieltjesDiagnostics:
 def coordinate_moment(state: StieltjesState) -> list:
     """Center matrices A_{n+1,i} of every coordinate, in one node sweep.
 
-    Lanczos-ordered: A_{n+1,i} = sym<x_i p_n - B_{n,i}^T p_{n-1}, p_n>,
-    the lowering term subtracted before the moment is taken.  In exact
+    The block-evaluation sweep of each degree forms the next centers from
+    the same moments (``_center_moments``, ``_centers``); this standalone
+    sweep serves degree 0, before any block has been evaluated.
+    """
+    nodes, w = state.measure.nodes, state.measure.weights
+
+    def chunk(sl):
+        return _center_moments(nodes[sl], w[sl], state.values_cur[:, sl],
+                               _prev_slice(state, sl))
+
+    r = state.values_cur.shape[0]
+    d = state.measure.d
+    moments = _sweep(state, (d + 2) * r, chunk,
+                     _center_accumulators(d, r, _prev_rows(state)))
+    return _centers(moments, state.recurrence.B[state.degree]
+                    if state.degree >= 1 else None)
+
+
+def _center_moments(pts: np.ndarray, w: np.ndarray, p: np.ndarray,
+                    p_prev: np.ndarray | None) -> list:
+    """One chunk's share of the moments the centers come from: the
+    stacked [<p, p>; <x_1 p, p>; ...; <x_d p, p>] (one GEMM) and, when
+    ``p_prev`` is given, the overlap <p, p_prev>."""
+    r = p.shape[0]
+    weighted = np.empty(((pts.shape[1] + 1) * r, pts.shape[0]))
+    np.multiply(p, w[None, :], out=weighted[:r])
+    for i in range(pts.shape[1]):
+        np.multiply(pts[:, i][None, :], weighted[:r],
+                    out=weighted[(i + 1) * r:(i + 2) * r])
+    parts = [weighted @ p.T]
+    if p_prev is not None:
+        parts.append(weighted[:r] @ p_prev.T)
+    return parts
+
+
+def _center_accumulators(d: int, r: int, r_prev: int) -> list:
+    """Zeroed totals for the parts ``_center_moments`` returns."""
+    return [np.zeros(((d + 1) * r, r))] + (
+        [np.zeros((r, r_prev))] if r_prev else [])
+
+
+def _centers(moments: list, lowering: list | None) -> list:
+    """Lanczos-ordered centers from the summed ``_center_moments``.
+
+    A_{n+1,i} = sym<x_i p_n - B_{n,i}^T p_{n-1}, p_n>
+              = sym(<x_i p_n, p_n> - B_{n,i}^T <p_n, p_{n-1}>^T),
+    the lowering term subtracted with the measured overlap.  In exact
     arithmetic p_{n-1} is orthogonal to p_n and this equals the Stieltjes
     form sym<x_i p_n, p_n>; in floating point the ordering keeps the
     rounding-level overlap of p_{n-1} with p_n out of the centers, where
@@ -100,25 +157,19 @@ def coordinate_moment(state: StieltjesState) -> list:
     Approximation*, 2004, 2.2).  This ordering is an extension of the
     paper's algorithm.
     """
-    d, n = state.measure.d, state.degree
-    nodes, w = state.measure.nodes, state.measure.weights
-    lowering = state.recurrence.B[n] if n >= 1 else None
+    stacked = moments[0]
+    r = stacked.shape[1]
+    out = []
+    for i in range(stacked.shape[0] // r - 1):
+        x = stacked[(i + 1) * r:(i + 2) * r]
+        if lowering is not None:
+            x = x - lowering[i].T @ moments[1].T
+        out.append(0.5 * (x + x.T))
+    return out
 
-    def chunk(sl):
-        pc = state.values_cur[:, sl]
-        weighted = pc * w[sl][None, :]
-        parts = []
-        for i in range(d):
-            u = nodes[sl, i][None, :] * pc
-            if lowering is not None:
-                u -= lowering[i].T @ state.values_prev[:, sl]
-            parts.append(u @ weighted.T)
-        return parts
 
-    r = state.values_cur.shape[0]
-    acc = _sweep(state, 4 * r + _prev_rows(state), chunk,
-                 [np.zeros((r, r)) for _ in range(d)])
-    return [0.5 * (s + s.T) for s in acc]
+def _prev_slice(state: StieltjesState, sl: slice):
+    return None if state.values_prev is None else state.values_prev[:, sl]
 
 
 def _prev_rows(state: StieltjesState) -> int:
@@ -259,6 +310,7 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
         measure=measure, index_set=index_set, recurrence=rec,
         values_cur=np.full((1, measure.n_nodes), p0),
         values_prev=None, degree=0)
+    state.centers = coordinate_moment(state)
     diags = StieltjesDiagnostics()
     for n in range(max_degree):
         try:
@@ -266,8 +318,7 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
         except NumericalFailure as exc:
             exc.degree = n + 1
             raise
-    centers = coordinate_moment(state)
-    t_diag, _ = _moment_pass(state, centers, need_pairs=False)
+    t_diag, _ = _moment_pass(state, state.centers, need_pairs=False)
     diags.t_condition.append(_mean_condition(t_diag))
     return state.recurrence, diags
 
@@ -282,33 +333,44 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
 
     The coordinate-i residual x_i p_n - A_{n+1,i} p_n - B_{n,i}^T p_{n-1}
     (``centers`` holding the A matrices) equals B_{n+1,i} p_{n+1} in
-    exact arithmetic.  Returns (diagonal blocks {(i,i): T} symmetrized,
-    mixed blocks {(i,j): T, i<j}); mixed blocks are skipped when
-    ``need_pairs`` is false.
+    exact arithmetic.  Per chunk, one GEMM forms all d residuals from the
+    shifted stack, and block-row panels give the lower block triangle of
+    their Gram.  Returns (diagonal blocks {(i,i): T} symmetrized, mixed
+    blocks {(i,j): T, i<j}); mixed blocks are skipped when ``need_pairs``
+    is false.
     """
     d = state.measure.d
     n = state.degree
     r = state.values_cur.shape[0]
-    pairs = [(i, j) for i in range(d) for j in range(i, d)
-             if need_pairs or i == j]
     nodes, w = state.measure.nodes, state.measure.weights
-    raising_prev = state.recurrence.B[n] if n >= 1 else None
+    shift = np.vstack(centers)
+    if n >= 1:
+        shift = np.hstack([shift, np.vstack([b.T for b in
+                                             state.recurrence.B[n]])])
+
+    # Residual i's panel covers residuals first[i]..i.
+    first = [0 if need_pairs else i * r for i in range(d)]
 
     def chunk(sl):
-        pc = state.values_cur[:, sl]
-        resid = []
-        for i in range(d):
-            t = nodes[sl, i][None, :] * pc - centers[i] @ pc
-            if raising_prev is not None:
-                t -= raising_prev[i].T @ state.values_prev[:, sl]
-            resid.append(t)
-        return [(resid[i] * w[sl][None, :]) @ resid[j].T for i, j in pairs]
+        stack = shifted_stack(nodes[sl], state.values_cur[:, sl],
+                              _prev_slice(state, sl))
+        resid = shift @ stack[d * r:]
+        np.subtract(stack[:d * r], resid, out=resid)
+        weighted = resid * w[sl][None, :]
+        return [weighted[i * r:(i + 1) * r] @ resid[first[i]:(i + 1) * r].T
+                for i in range(d)]
 
-    acc = _sweep(state, (d + 2) * r + _prev_rows(state), chunk,
-                 [np.zeros((r, r)) for _ in pairs])
-    diag = {(i, j): 0.5 * (mat + mat.T)
-            for (i, j), mat in zip(pairs, acc) if i == j}
-    mixed = {(i, j): mat for (i, j), mat in zip(pairs, acc) if i != j}
+    # The shifted stack, the residuals and their weighted copy.
+    rows = (3 * d + 1) * r + _prev_rows(state)
+    acc = _sweep(state, rows, chunk,
+                 [np.zeros((r, (i + 1) * r - first[i])) for i in range(d)])
+    diag, mixed = {}, {}
+    for i, panel in enumerate(acc):
+        t = panel[:, -r:]
+        diag[(i, i)] = 0.5 * (t + t.T)
+        if need_pairs:
+            for j in range(i):
+                mixed[(j, i)] = panel[:, j * r:(j + 1) * r].T
     return diag, mixed
 
 
@@ -321,7 +383,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     dr_n = r_n - iset.r(n - 1)
     dr_next = r_next - r_n
 
-    centers = coordinate_moment(state)
+    centers = state.centers
     t_diag, t_mixed = _moment_pass(state, centers)
     diags.t_condition.append(_mean_condition(t_diag))
 
@@ -379,7 +441,7 @@ def _commit_degree(state: StieltjesState, centers, raisings):
     rec = state.recurrence
     n = state.degree
     evals, vecs = canonical_rotation(sum(mat.T @ mat for mat in raisings), n + 1)
-    rec.A.append([0.5 * (c + c.T) for c in centers])
+    rec.A.append(list(centers))
     rec.B.append([mat @ vecs for mat in raisings])
     rec.lam.append(evals)
     rec.max_degree = n + 1
@@ -388,28 +450,30 @@ def _commit_degree(state: StieltjesState, centers, raisings):
 def _evaluate_committed_degree(state: StieltjesState,
                                diags: StieltjesDiagnostics):
     """Evaluate the committed block over all nodes in one sweep, tracking
-    Gram drift."""
+    Gram drift and forming the centers of the next degree from the same
+    moments."""
     measure = state.measure
-    n = state.degree
+    d, n = measure.d, state.degree
     r = state.values_cur.shape[0]
     r_next = state.recurrence.r(n + 1)
+    step = step_matrix(state.recurrence, n)
     out = np.empty((r_next, measure.n_nodes))
 
     def chunk(sl):
         # Each chunk writes its own columns of ``out``.
-        block = _next_block(state.recurrence, n, measure.nodes[sl],
-                            state.values_cur[:, sl],
-                            None if state.values_prev is None
-                            else state.values_prev[:, sl], out=out[:, sl])
-        weighted = block * measure.weights[sl][None, :]
-        return weighted @ block.T, weighted @ state.values_cur[:, sl].T
+        pts, p_cur = measure.nodes[sl], state.values_cur[:, sl]
+        block = _next_block(step, pts, p_cur, _prev_slice(state, sl),
+                            out=out[:, sl])
+        return _center_moments(pts, measure.weights[sl], block, p_cur)
 
-    gram_new, gram_cross = _sweep(
-        state, 2 * r_next + r + _prev_rows(state), chunk,
-        [np.zeros((r_next, r_next)), np.zeros((r_next, r))])
+    # The shifted stack, the new block and its weighted coordinate stack.
+    rows = step.shape[1] + (d + 2) * r_next
+    moments = _sweep(state, rows, chunk, _center_accumulators(d, r_next, r))
+    gram_new = moments[0][:r_next]
     drift = max(float(np.max(np.abs(gram_new - np.eye(r_next)))),
-                float(np.max(np.abs(gram_cross))))
+                float(np.max(np.abs(moments[1]))))
     diags.gram_drift.append(drift)
+    state.centers = _centers(moments, state.recurrence.B[n + 1])
     state.values_prev = state.values_cur
     state.values_cur = out
     state.degree = n + 1

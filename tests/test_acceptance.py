@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from mvortho.diagnostics import (christoffel_streaming,
-                                 max_commuting_residual, rank_margins,
-                                 symmetry_defect)
+                                 max_commuting_residual, rank_margins)
 from mvortho.experiments import (ExperimentConfig, build_measure,
                                  run_experiment)
 from mvortho.indexing import MultiIndexSet, space_dimensions
@@ -17,6 +16,8 @@ from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 from mvortho.wopp import solve_orthogonal_factors
 from mvortho.errors import NonConvergenceError
+
+from reference import symmetry_defect
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
 JAC3 = ((1.61, 0.32, 3.01), (-0.89, 9.83, 7.67))

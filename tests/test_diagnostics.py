@@ -175,4 +175,6 @@ class TestChristoffel:
             counted(evaluator(canon, 6), many_calls), measure.nodes, size)
         assert one_calls == [measure.n_nodes]
         assert len(many_calls) > 1 and max(many_calls) == 9
-        assert np.max(np.abs(one - many)) < 1e-12
+        # The one-GEMM evaluation rounds the last bits differently per
+        # chunk width, so the kernel matches to a few ulp, not exactly.
+        assert np.max(np.abs(one - many) / one) < 1e-14

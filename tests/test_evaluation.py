@@ -4,13 +4,14 @@ import pytest
 from mvortho.diagnostics import gram_error_streaming
 from mvortho.errors import RankDeficiencyError
 from mvortho.evaluation import (_next_block, evaluate, evaluator,
-                                fix_column_signs, to_canonical)
+                                fix_column_signs, step_matrix, to_canonical)
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
+JAC3 = ((1.61, 0.32, 3.01), (-0.89, 9.83, 7.67))
 
 
 def ttr_residual(rec, ev, n, i):
@@ -27,8 +28,21 @@ def ttr_residual(rec, ev, n, i):
     return float(np.max(np.abs(defect)))
 
 
+def three_term_block(rec, n, pts, p_cur, p_prev):
+    """Reference degree-(n+1) block: the canonical three-term identity
+    solved for p_{n+1}, coordinate by coordinate."""
+    out = np.zeros((rec.r(n + 1), pts.shape[0]))
+    for i in range(rec.d):
+        raising_t = rec.B[n + 1][i].T
+        out += raising_t @ (pts[:, i][None, :] * p_cur)
+        out -= (raising_t @ rec.A[n + 1][i]) @ p_cur
+        if p_prev is not None:
+            out -= (raising_t @ rec.B[n][i].T) @ p_prev
+    return out / rec.lam[n + 1][:, None]
+
+
 def jacobi_setup(n_max, params=JAC2):
-    iset = MultiIndexSet.build(2, n_max)
+    iset = MultiIndexSet.build(len(params[0]), n_max)
     unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*params)]
     raw = tensor_recurrence(unis, iset, n_max)
     return iset, raw, canonical_reorder(raw, iset)
@@ -95,10 +109,31 @@ class TestEvaluate:
         # Reference: blocks built one by one and stacked afterwards.
         blocks = [np.ones((1, 40))]
         for n in range(6):
-            blocks.append(_next_block(canon, n, pts, blocks[n],
+            blocks.append(_next_block(step_matrix(canon, n), pts, blocks[n],
                                       blocks[n - 1] if n >= 1 else None))
         assert [b.shape for b in ev.blocks] == [b.shape for b in blocks]
         assert np.array_equal(ev.stacked, np.vstack(blocks))
+
+    @pytest.mark.parametrize("params", [JAC2, JAC3])
+    def test_one_gemm_step_matches_three_term_identity(self, params):
+        n_max = 8
+        _, _, canon = jacobi_setup(n_max, params)
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(300, len(params[0])))
+        blocks = [np.ones((1, 300))]
+        for n in range(n_max):
+            p_prev = blocks[n - 1] if n >= 1 else None
+            want = three_term_block(canon, n, pts, blocks[n], p_prev)
+            got = _next_block(step_matrix(canon, n), pts, blocks[n], p_prev)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            blocks.append(want)
+
+    def test_evaluator_matches_evaluate_bitwise(self):
+        _, _, canon = jacobi_setup(8, JAC3)
+        pts = np.random.default_rng(6).uniform(-1, 1, size=(77, 3))
+        assert np.array_equal(evaluator(canon)(pts),
+                              evaluate(canon, pts).stacked)
+        assert np.array_equal(evaluator(canon, 5)(pts),
+                              evaluate(canon, pts, 5).stacked)
 
     def test_requires_canonical_input(self):
         _, raw, _ = jacobi_setup(3)

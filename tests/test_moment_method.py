@@ -4,7 +4,7 @@ from scipy.linalg import solve_triangular
 
 from mvortho import measures
 from mvortho.diagnostics import (gram_error_streaming, max_commuting_residual,
-                                 rank_margins, symmetry_defect)
+                                 rank_margins)
 from mvortho.errors import ConditioningError
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
@@ -14,6 +14,8 @@ from mvortho.moment_method import (SpanningBasis, build_gram,
                                    monomial_basis, orthonormal_evaluator)
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
+
+from reference import symmetry_defect
 
 
 def uniform_square(n_points=12):

@@ -9,7 +9,7 @@ from mvortho.errors import (ClosureError, NonConvergenceError,
                             RankDeficiencyError)
 from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
-from mvortho.measures import annulus_measure, tensor_jacobi
+from mvortho.measures import annulus_measure, tensor_jacobi, torus_measure
 from mvortho.recurrence import RecurrenceData
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                degree_one_from_moments,
@@ -109,6 +109,43 @@ class TestMomentBlocks:
                 for j in range(2):
                     want = oracle.B[n + 1][i] @ oracle.B[n + 1][j].T
                     assert np.max(np.abs(grams[(i, j)] - want)) < 1e-12
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("measure", [tensor_jacobi(2, 8, *JAC2),
+                                         tensor_jacobi(3, 6, *JAC3)])
+    def test_two_sweeps_per_degree(self, monkeypatch, measure):
+        # Degree 0's centers, then per degree the residual pass and the
+        # block evaluation (which forms the next centers), then the last
+        # residual pass.
+        import mvortho.stieltjes as st
+        real, calls = st._sweep, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(st, "_sweep", counting)
+        n_max = 5
+        stieltjes_recurrence(measure, MultiIndexSet.build(measure.d, n_max),
+                             n_max)
+        assert len(calls) == 2 * n_max + 2
+
+    @pytest.mark.parametrize("measure,n_max", [
+        (tensor_jacobi(2, 10, *JAC2), 8), (torus_measure(7, 25, 25), 5)])
+    def test_fused_centers_match_standalone_sweep(self, monkeypatch, measure,
+                                                  n_max):
+        # Small chunks, cut differently for the two sweeps.
+        import mvortho.stieltjes as st
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
+        state = fresh_state(measure, n_max)
+        state.centers = coordinate_moment(state)
+        diags = st.StieltjesDiagnostics()
+        for _ in range(n_max):
+            st._advance(state, diags)
+            standalone = coordinate_moment(state)
+            for fused, alone in zip(state.centers, standalone):
+                assert np.max(np.abs(fused - alone)) <= 1e-13
 
 
 class TestFactorizations:
@@ -281,11 +318,13 @@ class TestFullRuns:
         want, _ = stieltjes_recurrence(m, iset, 6)
         real, threads = st._next_block, []
 
-        def failing(rec, n, pts, *args, **kwargs):
-            if n == 2 and not np.array_equal(pts[0], m.nodes[0]):
+        def failing(step, pts, *args, **kwargs):
+            # Only the degree-3 step has r_3 rows.
+            if (step.shape[0] == iset.r(3)
+                    and not np.array_equal(pts[0], m.nodes[0])):
                 threads.append(threading.current_thread().name)
                 raise RankDeficiencyError("injected")
-            return real(rec, n, pts, *args, **kwargs)
+            return real(step, pts, *args, **kwargs)
 
         monkeypatch.setattr(st, "_next_block", failing)
         with pytest.raises(RankDeficiencyError, match="injected") as err:
