@@ -10,7 +10,17 @@ import argparse
 import sys
 
 from .errors import NumericalFailure, PointCloudError
-from .experiments import EXPERIMENTS, METHODS, ExperimentConfig, run_experiment
+from .experiments import (DEFAULT_DEGREE, EXPERIMENTS, METHODS,
+                          ExperimentConfig, run_experiment)
+from .measures import BLAS_THREAD_VARS, MAX_WORKERS
+
+RUN_EPILOG = (
+    "Node sweeps (the ms construction, the Gram error and the Christoffel "
+    f"kernel) run on up to {MAX_WORKERS} threads only when "
+    f"{', '.join(BLAS_THREAD_VARS[:-1])} or {BLAS_THREAD_VARS[-1]} is 1 "
+    "(the first one set decides); otherwise they run on one thread and "
+    "leave the cores to BLAS.  The outputs do not depend on the thread "
+    "count.")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,14 +34,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mvortho",
                      description="Orthogonal-polynomial recurrence experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run one experiment/method pair")
+    run = sub.add_parser("run", help="run one experiment/method pair",
+                         epilog=RUN_EPILOG)
     run.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     run.add_argument("--method", required=True, choices=METHODS)
+    defaults = ", ".join(f"{n} for d={d}" for d, n in DEFAULT_DEGREE.items())
     run.add_argument("--degree", type=int, default=None,
-                     help="max total degree N (default 39 for d=2, 15 for d=3; "
-                          "required for d>=4)")
-    run.add_argument("--mc-samples", type=int, default=1_000_000,
-                     help="Monte Carlo sample count for hol")
+                     help=f"max total degree N (default {defaults}; "
+                          f"required for other d)")
+    run.add_argument("--mc-samples", type=int,
+                     default=ExperimentConfig.mc_samples,
+                     help="Monte Carlo sample count for hol (default %(default)s)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--cloud", default=None, help="point-cloud CSV path")
     run.add_argument("--out", default=".", help="output directory")

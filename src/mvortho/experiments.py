@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, measures, serialization
 from .diagnostics import (ErrorReport, christoffel_streaming,
@@ -66,7 +69,9 @@ class ExperimentConfig:
     Gram-error and Christoffel sweeps ``measures.STACK_BYTES``, on
     ``measures.WORKERS`` threads.  The manifest records them as
     ``config.chunk_size``, ``config.stack_bytes`` and ``config.workers``
-    (the outputs do not depend on the last)."""
+    (the outputs do not depend on the last), and
+    ``environment.blas_threads`` the BLAS thread variable that set
+    ``WORKERS``."""
 
     experiment: str
     method: str
@@ -281,10 +286,20 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     return result
 
 
+def environment() -> dict:
+    """Python, numpy and scipy versions, the CPU count, and the BLAS
+    thread variable that sets ``measures.WORKERS``
+    (``measures.blas_thread_setting``), for the manifest."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "blas_threads": measures.blas_thread_setting()}
+
+
 def write_outputs(result: ExperimentResult, measure) -> dict:
     """Write manifest, recurrence JSON, and plot-ready CSVs to the
     configured output directory.  Identical configurations produce
-    byte-identical recurrence/CSV files."""
+    byte-identical recurrence/CSV files; the manifest also records the
+    run's ``environment``."""
     out = Path(result.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -305,6 +320,7 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
         "christoffel_mass": result.christoffel_mass,
         "gram_drift": result.gram_drift,
         "diagnostics_counters": result.diagnostics_counters,
+        "environment": environment(),
     }
     paths["manifest"] = out / "manifest.json"
     with open(paths["manifest"], "w", encoding="utf-8") as fh:

@@ -37,20 +37,35 @@ CHUNK = 65536
 STACK_BYTES = 8 << 20
 
 
+# Environment variables that set the BLAS thread count, in the order
+# ``blas_thread_setting`` reads them, and the most threads ``chunk_map``
+# runs when BLAS is held to one thread.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "OMP_NUM_THREADS")
+MAX_WORKERS = 4
+
+
+def blas_thread_setting() -> tuple | None:
+    """The first of ``BLAS_THREAD_VARS`` set to a non-empty value, as
+    (name, value), or None when none is set."""
+    return next(((name, os.environ[name]) for name in BLAS_THREAD_VARS
+                 if os.environ.get(name)), None)
+
+
 def _default_workers() -> int:
-    """The usable cores, at most 4, when BLAS is held to one thread by
-    its environment variable (the first one set decides); otherwise 1.
-    A multi-threaded BLAS already runs on every core, and chunk threads
-    calling it compete with its own threads: on a 2-core host with BLAS
-    unpinned, ``hol`` ms N=39 M=1e5 took 14.2 s with two chunk threads
-    against 8.7 s with one, and 6.2 s with two and BLAS pinned."""
-    blas_threads = next(filter(None, map(os.environ.get, (
-        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"))), None)
-    if blas_threads != "1":
+    """The usable cores, at most ``MAX_WORKERS``, when BLAS is held to
+    one thread by its environment variable (``blas_thread_setting``);
+    otherwise 1.  A multi-threaded BLAS already runs on every core, and
+    chunk threads calling it compete with its own threads: on a 2-core
+    host with BLAS unpinned, ``hol`` ms N=39 M=1e5 took 14.2 s with two
+    chunk threads against 8.7 s with one, and 6.2 s with two and BLAS
+    pinned."""
+    setting = blas_thread_setting()
+    if setting is None or setting[1] != "1":
         return 1
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return min(cores, 4)
+    return min(cores, MAX_WORKERS)
 
 
 # Threads that run the chunks of ``chunk_map``; 1 runs them inline.

@@ -37,6 +37,13 @@ slices of at most ``measures.STACK_BYTES`` of values, computed on
 ``measures.WORKERS`` threads by ``measures.chunk_map`` and added in chunk
 order.  The recurrence therefore depends on ``STACK_BYTES`` (the
 summation order) but is bit-identical at any worker count.
+
+The recurrence needs only the two newest blocks, so a run holds two
+(r_N x M) buffers, N the requested degree: block k is the row view
+``[:r_k]`` of buffer k mod 2, and the block evaluation writes p_{n+1}
+over p_{n-1}, chunk by chunk, after each chunk has copied its own p_{n-1}
+columns into its shifted stack.  Rows a block never reaches are never
+written, so resident memory grows with the degree.
 """
 
 from __future__ import annotations
@@ -68,6 +75,13 @@ class StieltjesState:
     over the measure's nodes, consistent with those matrices;
     ``centers`` holds the A matrices of degree ``degree`` + 1, formed in
     the sweep that evaluated ``values_cur`` (None until then).
+
+    ``buffers`` are the two (r_N x M) arrays the blocks live in: block k
+    is the row view ``buffers[k % 2][:r_k]``, so ``values_cur`` and
+    ``values_prev`` are views into different buffers, and the next block
+    is written over ``values_prev`` (``_evaluate_committed_degree``).
+    A sweep that fails leaves ``values_prev`` partly overwritten, so a
+    state is not resumed after an exception.
     """
 
     measure: DiscreteMeasure
@@ -76,7 +90,23 @@ class StieltjesState:
     values_cur: np.ndarray
     values_prev: np.ndarray | None
     degree: int
+    buffers: tuple
     centers: list | None = None
+
+    @classmethod
+    def start(cls, measure: DiscreteMeasure, index_set: MultiIndexSet,
+              max_degree: int) -> StieltjesState:
+        """Degree-0 state with buffers deep enough for ``max_degree``:
+        p_0 = 1 / sqrt(total mass) in ``buffers[0][:1]``."""
+        rows = index_set.r(max_degree)
+        buffers = tuple(np.empty((rows, measure.n_nodes)) for _ in range(2))
+        p0 = buffers[0][:1]
+        p0.fill(1.0 / np.sqrt(measure.total_mass))
+        return cls(measure=measure, index_set=index_set,
+                   recurrence=RecurrenceData(d=measure.d, max_degree=0,
+                                             A=[None], B=[None], lam=[None]),
+                   values_cur=p0, values_prev=None, degree=0,
+                   buffers=buffers)
 
 
 @dataclass
@@ -304,12 +334,7 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
     if index_set.max_degree < max_degree:
         raise ValueError("index set shallower than requested degree")
 
-    rec = RecurrenceData(d=d, max_degree=0, A=[None], B=[None], lam=[None])
-    p0 = 1.0 / np.sqrt(measure.total_mass)
-    state = StieltjesState(
-        measure=measure, index_set=index_set, recurrence=rec,
-        values_cur=np.full((1, measure.n_nodes), p0),
-        values_prev=None, degree=0)
+    state = StieltjesState.start(measure, index_set, max_degree)
     state.centers = coordinate_moment(state)
     diags = StieltjesDiagnostics()
     for n in range(max_degree):
@@ -449,18 +474,22 @@ def _commit_degree(state: StieltjesState, centers, raisings):
 
 def _evaluate_committed_degree(state: StieltjesState,
                                diags: StieltjesDiagnostics):
-    """Evaluate the committed block over all nodes in one sweep, tracking
-    Gram drift and forming the centers of the next degree from the same
-    moments."""
+    """Evaluate the committed block over all nodes in one sweep, over
+    the buffer rows of p_{n-1}, tracking Gram drift and forming the
+    centers of the next degree from the same moments."""
     measure = state.measure
     d, n = measure.d, state.degree
     r = state.values_cur.shape[0]
     r_next = state.recurrence.r(n + 1)
     step = step_matrix(state.recurrence, n)
-    out = np.empty((r_next, measure.n_nodes))
+    out = state.buffers[(n + 1) % 2][:r_next]
 
     def chunk(sl):
-        # Each chunk writes its own columns of ``out``.
+        # ``out`` holds p_{n-1}.  Each chunk copies its own p_{n-1}
+        # columns into the shifted stack before the GEMM writes p_{n+1}
+        # over them, chunks own disjoint columns, and ``chunk_map`` lets
+        # no chunk outlive an exception.  Nothing may read
+        # ``values_prev[:, sl]`` after the GEMM: it is p_{n+1} by then.
         pts, p_cur = measure.nodes[sl], state.values_cur[:, sl]
         block = _next_block(step, pts, p_cur, _prev_slice(state, sl),
                             out=out[:, sl])

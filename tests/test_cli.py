@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from mvortho.cli import main
+from mvortho.experiments import DEFAULT_DEGREE, ExperimentConfig
+from mvortho.measures import BLAS_THREAD_VARS, MAX_WORKERS
 
 
 def run_cli(args):
@@ -81,3 +83,15 @@ class TestFlags:
                      "--degree", "1", "--cloud", str(cloud),
                      "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+class TestHelp:
+    def test_run_help_states_when_sweeps_run_in_parallel(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"up to {MAX_WORKERS} threads only when" in text
+        assert all(var in text for var in BLAS_THREAD_VARS)
+        assert f"default {ExperimentConfig.mc_samples}" in text
+        assert all(f"{n} for d={d}" in text for d, n in DEFAULT_DEGREE.items())

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -188,6 +189,32 @@ class TestRunExperiment:
         assert manifest["config"]["chunk_size"] == 64
         assert manifest["config"]["stack_bytes"] == 4096
         assert manifest["config"]["workers"] == 3
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        # The environment goes to the manifest only: the recurrence and
+        # the CSVs keep their bytes whatever it holds.
+        from mvortho import measures
+        names = ("recurrence.json", "error_matrix.csv", "cond.csv",
+                 "cc_residuals.csv", "christoffel.csv")
+        outputs, envs = [], []
+        for value in ("1", None):
+            for var in measures.BLAS_THREAD_VARS:
+                monkeypatch.delenv(var, raising=False)
+            if value is not None:
+                monkeypatch.setenv("MKL_NUM_THREADS", value)
+            out = tmp_path / str(value)
+            run_experiment(small_config(method="ms", output_dir=str(out)))
+            envs.append(json.loads(
+                (out / "manifest.json").read_text())["environment"])
+            outputs.append({name: (out / name).read_bytes() for name in names})
+        assert set(envs[0]) == {"python", "numpy", "scipy", "cpu_count",
+                                "blas_threads"}
+        assert envs[0]["numpy"] == np.__version__
+        assert envs[0]["cpu_count"] == os.cpu_count()
+        assert envs[0]["blas_threads"] == ["MKL_NUM_THREADS", "1"]
+        assert envs[1]["blas_threads"] is None
+        assert outputs[0] == outputs[1]
+        assert all(b"environment" not in data for data in outputs[0].values())
 
     def test_stack_bytes_moves_ms_only_at_rounding(self, tmp_path,
                                                    monkeypatch):

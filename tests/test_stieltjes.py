@@ -1,4 +1,6 @@
+import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from mvortho.errors import (ClosureError, NonConvergenceError,
                             RankDeficiencyError)
 from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
-from mvortho.measures import annulus_measure, tensor_jacobi, torus_measure
-from mvortho.recurrence import RecurrenceData
+from mvortho.measures import (annulus_measure, square_minus_ball,
+                              tensor_jacobi, torus_measure)
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                degree_one_from_moments,
                                kernel_completion_basis, psd_sqrt,
@@ -30,13 +32,8 @@ def jacobi_oracle(d, params, n_max):
 
 
 def fresh_state(measure, n_max):
-    iset = MultiIndexSet.build(measure.d, n_max)
-    rec = RecurrenceData(d=measure.d, max_degree=0, A=[None], B=[None], lam=[None])
-    return StieltjesState(
-        measure=measure, index_set=iset, recurrence=rec,
-        values_cur=np.full((1, measure.n_nodes),
-                           1.0 / np.sqrt(measure.total_mass)),
-        values_prev=None, degree=0)
+    return StieltjesState.start(measure, MultiIndexSet.build(measure.d, n_max),
+                                n_max)
 
 
 def residual_grams(state):
@@ -146,6 +143,55 @@ class TestSweeps:
             standalone = coordinate_moment(state)
             for fused, alone in zip(state.centers, standalone):
                 assert np.max(np.abs(fused - alone)) <= 1e-13
+
+
+class TestBlockBuffers:
+    def test_two_blocks_resident(self, monkeypatch):
+        # p_{n+1} overwrites p_{n-1}: two (r_N x M) buffers and
+        # cache-sized chunks, where three live blocks measured 2.93.
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        monkeypatch.setattr(measures, "STACK_BYTES", 64 << 10)
+        m = square_minus_ball(20000, 0)
+        n_max = 20
+        iset = MultiIndexSet.build(2, n_max)
+        tracemalloc.start()
+        try:
+            stieltjes_recurrence(m, iset, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * iset.r(n_max) * m.n_nodes
+        assert peak < 2.5 * block, peak / block
+
+    def test_overwrite_under_more_threads_than_cores(self, monkeypatch):
+        # Many small chunks race to write p_{n+1} over p_{n-1}; a chunk
+        # reading columns another one has written would move the bits.
+        m = tensor_jacobi(2, 12, *JAC2)
+        iset = MultiIndexSet.build(2, 8)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 3)
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        want, _ = stieltjes_recurrence(m, iset, 8)
+        monkeypatch.setattr(measures, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, _ = stieltjes_recurrence(m, iset, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        for n in range(1, 9):
+            for i in range(2):
+                assert np.array_equal(got.B[n][i], want.B[n][i])
+
+    def test_deeper_index_set_bit_identical(self):
+        m = tensor_jacobi(2, 12, *JAC2)
+        want, _ = stieltjes_recurrence(m, MultiIndexSet.build(2, 8), 8)
+        got, _ = stieltjes_recurrence(m, MultiIndexSet.build(2, 12), 8)
+        assert got.max_degree == want.max_degree == 8
+        for n in range(1, 9):
+            assert np.array_equal(got.lam[n], want.lam[n])
+            for i in range(2):
+                assert np.array_equal(got.A[n][i], want.A[n][i])
+                assert np.array_equal(got.B[n][i], want.B[n][i])
 
 
 class TestFactorizations:
