@@ -24,9 +24,6 @@ class ErrorReport:
     max_abs: float
 
 
-PANEL = 128  # Gram rows accumulated per product in gram_error_streaming
-
-
 def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
                          size: int) -> ErrorReport:
     """Gram error accumulated in node chunks; ``evaluate_chunk`` maps an
@@ -34,21 +31,24 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
 
     Chunks hold at most ``measures.STACK_BYTES`` of stacked values, so
     each one stays in cache, and run through ``measures.chunk_map``.
-    Only the lower triangle of the Gram is formed, in ``PANEL``-row
-    panels, and then mirrored.
+    Each chunk scales its values by sqrt(w) in place, so the weighted
+    Gram is the symmetric product of the scaled values with themselves
+    (one BLAS ``syrk``, exactly symmetric).  The sweep therefore relies
+    on ``evaluate_chunk`` returning a new array on every call, as both
+    evaluators do (``evaluation.evaluator``,
+    ``moment_method.orthonormal_evaluator``).
     """
-    panels = [(lo, min(lo + PANEL, size)) for lo in range(0, size, PANEL)]
+    root_w = np.sqrt(measure.weights)
 
     def chunk(sl):
         vals = evaluate_chunk(measure.nodes[sl])
-        weighted = vals * measure.weights[sl][None, :]
-        return [weighted[lo:hi] @ vals[:hi].T for lo, hi in panels]
+        vals *= root_w[sl]
+        return vals @ vals.T
 
     gram = np.zeros((size, size))
-    for products in chunk_map(chunk, node_chunks(measure.n_nodes, rows=size)):
-        for (lo, hi), prod in zip(panels, products):
-            gram[lo:hi, :hi] += prod
-    err = np.tril(gram) + np.tril(gram, -1).T - np.eye(size)
+    for part in chunk_map(chunk, node_chunks(measure.n_nodes, rows=size)):
+        gram += part
+    err = gram - np.eye(size)
     return ErrorReport(error_matrix=err, max_abs=float(np.max(np.abs(err))))
 
 

@@ -32,8 +32,9 @@ CHUNK = 65536
 # sweep, the Gram-error and the Christoffel sweep are cut this way, so it
 # fixes the summation order of the ``ms`` recurrence and of the Gram error.
 # A ``stieltjes`` sweep counts every buffer its chunk holds (the shifted
-# stack, residuals or new block, their weighted copies); the Gram-error
-# and Christoffel sweeps count the stacked basis values only.
+# stack, the residuals or the new block and its coordinate stack; the
+# blocks are half-weighted, so no chunk writes a weighted copy); the
+# Gram-error and Christoffel sweeps count the stacked basis values only.
 STACK_BYTES = 8 << 20
 
 

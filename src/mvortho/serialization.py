@@ -21,20 +21,55 @@ LAMBDA_ORDER = "non-increasing"
 
 
 def recurrence_to_json(rec: RecurrenceData) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "d": rec.d,
-        "N": rec.max_degree,
-        "ordering": ORDERING,
-        "lambda_order": LAMBDA_ORDER,
-        "A": [[rec.A[n][i].tolist() for i in range(rec.d)]
-              for n in range(1, rec.max_degree + 1)],
-        "B": [[rec.B[n][i].tolist() for i in range(rec.d)]
-              for n in range(1, rec.max_degree + 1)],
-        "lambda": None if rec.lam is None
-        else [rec.lam[n].tolist() for n in range(1, rec.max_degree + 1)],
+    """The text ``json.dumps(doc, indent=1, sort_keys=True) + "\\n"``
+    gives for the document of nested lists, built around float spellings
+    that the C encoder writes in one call per matrix (the indented
+    encoder formats every float in Python)."""
+    degrees = range(1, rec.max_degree + 1)
+
+    def per_degree(mats):
+        return _bracket([_bracket([_json_array(mat, 3) for mat in mats[n]], 2)
+                         for n in degrees], 1)
+
+    fields = {
+        "format_version": json.dumps(FORMAT_VERSION),
+        "d": json.dumps(rec.d),
+        "N": json.dumps(rec.max_degree),
+        "ordering": json.dumps(ORDERING),
+        "lambda_order": json.dumps(LAMBDA_ORDER),
+        "A": per_degree(rec.A),
+        "B": per_degree(rec.B),
+        "lambda": "null" if rec.lam is None
+        else _bracket([_json_array(rec.lam[n], 2) for n in degrees], 1),
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    body = ",\n".join(f" {json.dumps(key)}: {fields[key]}"
+                      for key in sorted(fields))
+    return "{\n" + body + "\n}\n"
+
+
+def _bracket(items: list, level: int) -> str:
+    """A JSON list of already spelled ``items`` whose opening bracket sits
+    at nesting ``level``, laid out as ``json.dumps(..., indent=1)``."""
+    if not items:
+        return "[]"
+    inner = "\n" + " " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + " " * level + "]"
+
+
+def _json_array(arr: np.ndarray, level: int) -> str:
+    """``arr.tolist()`` as ``_bracket`` lays it out at ``level``; the
+    float spellings (repr, NaN, Infinity, -Infinity) come from one
+    ``json.dumps`` call."""
+    words = json.dumps(arr.ravel().tolist())[1:-1].split(", ") if arr.size else []
+
+    def nest(words, shape, level):
+        if len(shape) == 1:
+            return _bracket(words, level)
+        step = len(words) // shape[0] if shape[0] else 0
+        return _bracket([nest(words[k * step:(k + 1) * step], shape[1:],
+                              level + 1) for k in range(shape[0])], level)
+
+    return nest(words, arr.shape, level)
 
 
 def save_recurrence(rec: RecurrenceData, path) -> None:

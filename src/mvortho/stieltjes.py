@@ -38,6 +38,14 @@ slices of at most ``measures.STACK_BYTES`` of values, computed on
 order.  The recurrence therefore depends on ``STACK_BYTES`` (the
 summation order) but is bit-identical at any worker count.
 
+Every moment the algorithm takes is a weighted Gram <f, g> =
+sum_k w_k f(x_k) g(x_k), so the blocks are kept half-weighted: the
+buffers hold q_n = sqrt(w) * p_n, node by node.  The shifted stack and
+the step GEMM are linear per node, so they carry q_n to q_{n+1}
+unchanged, and every moment is an unweighted product: <p_n, p_n> is the
+symmetric q_n q_n^T (one BLAS ``syrk``, half the flops of a general
+product, exactly symmetric), and no chunk writes a weighted copy.
+
 The recurrence needs only the two newest blocks, so a run holds two
 (r_N x M) buffers, N the requested degree: block k is the row view
 ``[:r_k]`` of buffer k mod 2, and the block evaluation writes p_{n+1}
@@ -71,8 +79,9 @@ class StieltjesState:
     """Algorithm state after committing degree ``degree``.
 
     ``recurrence`` holds canonical matrices through ``degree``;
-    ``values_cur``/``values_prev`` are the degree blocks of basis values
-    over the measure's nodes, consistent with those matrices;
+    ``values_cur``/``values_prev`` are the half-weighted degree blocks
+    sqrt(w_k) p(x_k) of basis values over the measure's nodes, consistent
+    with those matrices;
     ``centers`` holds the A matrices of degree ``degree`` + 1, formed in
     the sweep that evaluated ``values_cur`` (None until then).
 
@@ -97,15 +106,17 @@ class StieltjesState:
     def start(cls, measure: DiscreteMeasure, index_set: MultiIndexSet,
               max_degree: int) -> StieltjesState:
         """Degree-0 state with buffers deep enough for ``max_degree``:
-        p_0 = 1 / sqrt(total mass) in ``buffers[0][:1]``."""
+        q_0 = sqrt(w) / sqrt(total mass), the half-weighted constant
+        p_0, in ``buffers[0][:1]``."""
         rows = index_set.r(max_degree)
         buffers = tuple(np.empty((rows, measure.n_nodes)) for _ in range(2))
-        p0 = buffers[0][:1]
-        p0.fill(1.0 / np.sqrt(measure.total_mass))
+        q0 = buffers[0][:1]
+        np.divide(np.sqrt(measure.weights), np.sqrt(measure.total_mass),
+                  out=q0[0])
         return cls(measure=measure, index_set=index_set,
                    recurrence=RecurrenceData(d=measure.d, max_degree=0,
                                              A=[None], B=[None], lam=[None]),
-                   values_cur=p0, values_prev=None, degree=0,
+                   values_cur=q0, values_prev=None, degree=0,
                    buffers=buffers)
 
 
@@ -136,40 +147,40 @@ def coordinate_moment(state: StieltjesState) -> list:
     the same moments (``_center_moments``, ``_centers``); this standalone
     sweep serves degree 0, before any block has been evaluated.
     """
-    nodes, w = state.measure.nodes, state.measure.weights
+    nodes = state.measure.nodes
 
     def chunk(sl):
-        return _center_moments(nodes[sl], w[sl], state.values_cur[:, sl],
+        return _center_moments(nodes[sl], state.values_cur[:, sl],
                                _prev_slice(state, sl))
 
     r = state.values_cur.shape[0]
     d = state.measure.d
-    moments = _sweep(state, (d + 2) * r, chunk,
+    moments = _sweep(state, (d + 1) * r, chunk,
                      _center_accumulators(d, r, _prev_rows(state)))
     return _centers(moments, state.recurrence.B[state.degree]
                     if state.degree >= 1 else None)
 
 
-def _center_moments(pts: np.ndarray, w: np.ndarray, p: np.ndarray,
-                    p_prev: np.ndarray | None) -> list:
-    """One chunk's share of the moments the centers come from: the
-    stacked [<p, p>; <x_1 p, p>; ...; <x_d p, p>] (one GEMM) and, when
-    ``p_prev`` is given, the overlap <p, p_prev>."""
-    r = p.shape[0]
-    weighted = np.empty(((pts.shape[1] + 1) * r, pts.shape[0]))
-    np.multiply(p, w[None, :], out=weighted[:r])
+def _center_moments(pts: np.ndarray, q: np.ndarray,
+                    q_prev: np.ndarray | None) -> list:
+    """One chunk's share of the moments the centers come from, from the
+    half-weighted blocks ``q`` and ``q_prev``: the Gram <p, p> = q q^T
+    (symmetric product), the stacked [<x_1 p, p>; ...; <x_d p, p>]
+    = [x_1 q; ...; x_d q] q^T (one GEMM) and, when ``q_prev`` is given,
+    the overlap <p, p_prev> = q q_prev^T."""
+    r = q.shape[0]
+    shifted = np.empty((pts.shape[1] * r, pts.shape[0]))
     for i in range(pts.shape[1]):
-        np.multiply(pts[:, i][None, :], weighted[:r],
-                    out=weighted[(i + 1) * r:(i + 2) * r])
-    parts = [weighted @ p.T]
-    if p_prev is not None:
-        parts.append(weighted[:r] @ p_prev.T)
+        np.multiply(pts[:, i][None, :], q, out=shifted[i * r:(i + 1) * r])
+    parts = [q @ q.T, shifted @ q.T]
+    if q_prev is not None:
+        parts.append(q @ q_prev.T)
     return parts
 
 
 def _center_accumulators(d: int, r: int, r_prev: int) -> list:
     """Zeroed totals for the parts ``_center_moments`` returns."""
-    return [np.zeros(((d + 1) * r, r))] + (
+    return [np.zeros((r, r)), np.zeros((d * r, r))] + (
         [np.zeros((r, r_prev))] if r_prev else [])
 
 
@@ -187,13 +198,13 @@ def _centers(moments: list, lowering: list | None) -> list:
     Approximation*, 2004, 2.2).  This ordering is an extension of the
     paper's algorithm.
     """
-    stacked = moments[0]
+    stacked = moments[1]
     r = stacked.shape[1]
     out = []
-    for i in range(stacked.shape[0] // r - 1):
-        x = stacked[(i + 1) * r:(i + 2) * r]
+    for i in range(stacked.shape[0] // r):
+        x = stacked[i * r:(i + 1) * r]
         if lowering is not None:
-            x = x - lowering[i].T @ moments[1].T
+            x = x - lowering[i].T @ moments[2].T
         out.append(0.5 * (x + x.T))
     return out
 
@@ -358,44 +369,38 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
 
     The coordinate-i residual x_i p_n - A_{n+1,i} p_n - B_{n,i}^T p_{n-1}
     (``centers`` holding the A matrices) equals B_{n+1,i} p_{n+1} in
-    exact arithmetic.  Per chunk, one GEMM forms all d residuals from the
-    shifted stack, and block-row panels give the lower block triangle of
-    their Gram.  Returns (diagonal blocks {(i,i): T} symmetrized, mixed
-    blocks {(i,j): T, i<j}); mixed blocks are skipped when ``need_pairs``
-    is false.
+    exact arithmetic.  Per chunk, one GEMM forms all d residuals of the
+    half-weighted blocks from the shifted stack, and one symmetric
+    product gives their whole Gram T, exactly symmetric.  Returns
+    (diagonal blocks {(i,i): T}, mixed blocks {(i,j): T, i<j}), views of
+    T; the mixed blocks are left out when ``need_pairs`` is false.
     """
     d = state.measure.d
     n = state.degree
     r = state.values_cur.shape[0]
-    nodes, w = state.measure.nodes, state.measure.weights
+    nodes = state.measure.nodes
     shift = np.vstack(centers)
     if n >= 1:
         shift = np.hstack([shift, np.vstack([b.T for b in
                                              state.recurrence.B[n]])])
-
-    # Residual i's panel covers residuals first[i]..i.
-    first = [0 if need_pairs else i * r for i in range(d)]
 
     def chunk(sl):
         stack = shifted_stack(nodes[sl], state.values_cur[:, sl],
                               _prev_slice(state, sl))
         resid = shift @ stack[d * r:]
         np.subtract(stack[:d * r], resid, out=resid)
-        weighted = resid * w[sl][None, :]
-        return [weighted[i * r:(i + 1) * r] @ resid[first[i]:(i + 1) * r].T
-                for i in range(d)]
+        return [resid @ resid.T]
 
-    # The shifted stack, the residuals and their weighted copy.
-    rows = (3 * d + 1) * r + _prev_rows(state)
-    acc = _sweep(state, rows, chunk,
-                 [np.zeros((r, (i + 1) * r - first[i])) for i in range(d)])
-    diag, mixed = {}, {}
-    for i, panel in enumerate(acc):
-        t = panel[:, -r:]
-        diag[(i, i)] = 0.5 * (t + t.T)
-        if need_pairs:
-            for j in range(i):
-                mixed[(j, i)] = panel[:, j * r:(j + 1) * r].T
+    # The shifted stack and the residuals.
+    rows = (2 * d + 1) * r + _prev_rows(state)
+    [gram] = _sweep(state, rows, chunk, [np.zeros((d * r, d * r))])
+
+    def block(i, j):
+        return gram[i * r:(i + 1) * r, j * r:(j + 1) * r]
+
+    diag = {(i, i): block(i, i) for i in range(d)}
+    mixed = ({(i, j): block(i, j) for i in range(d) for j in range(i + 1, d)}
+             if need_pairs else {})
     return diag, mixed
 
 
@@ -474,9 +479,9 @@ def _commit_degree(state: StieltjesState, centers, raisings):
 
 def _evaluate_committed_degree(state: StieltjesState,
                                diags: StieltjesDiagnostics):
-    """Evaluate the committed block over all nodes in one sweep, over
-    the buffer rows of p_{n-1}, tracking Gram drift and forming the
-    centers of the next degree from the same moments."""
+    """Evaluate the committed half-weighted block over all nodes in one
+    sweep, over the buffer rows of p_{n-1}, tracking Gram drift and
+    forming the centers of the next degree from the same moments."""
     measure = state.measure
     d, n = measure.d, state.degree
     r = state.values_cur.shape[0]
@@ -493,14 +498,13 @@ def _evaluate_committed_degree(state: StieltjesState,
         pts, p_cur = measure.nodes[sl], state.values_cur[:, sl]
         block = _next_block(step, pts, p_cur, _prev_slice(state, sl),
                             out=out[:, sl])
-        return _center_moments(pts, measure.weights[sl], block, p_cur)
+        return _center_moments(pts, block, p_cur)
 
-    # The shifted stack, the new block and its weighted coordinate stack.
-    rows = step.shape[1] + (d + 2) * r_next
+    # The shifted stack, the new block and its coordinate stack.
+    rows = step.shape[1] + (d + 1) * r_next
     moments = _sweep(state, rows, chunk, _center_accumulators(d, r_next, r))
-    gram_new = moments[0][:r_next]
-    drift = max(float(np.max(np.abs(gram_new - np.eye(r_next)))),
-                float(np.max(np.abs(moments[1]))))
+    drift = max(float(np.max(np.abs(moments[0] - np.eye(r_next)))),
+                float(np.max(np.abs(moments[2]))))
     diags.gram_drift.append(drift)
     state.centers = _centers(moments, state.recurrence.B[n + 1])
     state.values_prev = state.values_cur

@@ -1,5 +1,7 @@
 """Reference quantities that only the tests compute."""
 
+import json
+
 import numpy as np
 
 from mvortho.indexing import MultiIndexSet
@@ -41,3 +43,23 @@ def symmetry_defect(rec) -> float:
         for mat in rec.A[n]:
             worst = max(worst, float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0)
     return worst
+
+
+def recurrence_to_json(rec) -> str:
+    """The recurrence JSON as the indented ``json`` encoder writes it:
+    the reference ``serialization.recurrence_to_json`` must match byte
+    for byte."""
+    doc = {
+        "format_version": 1,
+        "d": rec.d,
+        "N": rec.max_degree,
+        "ordering": "graded-lex",
+        "lambda_order": "non-increasing",
+        "A": [[rec.A[n][i].tolist() for i in range(rec.d)]
+              for n in range(1, rec.max_degree + 1)],
+        "B": [[rec.B[n][i].tolist() for i in range(rec.d)]
+              for n in range(1, rec.max_degree + 1)],
+        "lambda": None if rec.lam is None
+        else [rec.lam[n].tolist() for n in range(1, rec.max_degree + 1)],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"

@@ -8,8 +8,10 @@ from mvortho.diagnostics import (christoffel_streaming, commuting_residuals,
 from mvortho.errors import NumericalFailure
 from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
-from mvortho.measures import tensor_jacobi
-from mvortho.stieltjes import _mean_condition
+from mvortho.measures import square_minus_ball, tensor_jacobi
+from mvortho.moment_method import (build_gram, monomial_basis,
+                                   orthonormal_evaluator)
+from mvortho.stieltjes import _mean_condition, stieltjes_recurrence
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
@@ -81,7 +83,8 @@ class TestGramError:
 
     @pytest.mark.parametrize("stack_bytes", [None, 8 * 171 * 50])
     def test_ragged_panels_match_dense(self, monkeypatch, stack_bytes):
-        # 171 basis rows: two 128-row panels, the second one ragged.
+        # 171 basis rows, in one chunk or in 50-point chunks with a ragged
+        # last one.
         iset, canon, measure = oracle_setup(17)
         size = iset.cumulative(17)
         assert size == 171
@@ -90,6 +93,24 @@ class TestGramError:
         report = gram_error_streaming(evaluator(canon, 17), measure, size)
         vals = evaluate(canon, measure.nodes, 17).stacked
         dense = (vals * measure.weights[None, :]) @ vals.T - np.eye(size)
+        assert np.array_equal(report.error_matrix, report.error_matrix.T)
+        assert np.max(np.abs(report.error_matrix - dense)) < 1e-13
+
+    @pytest.mark.parametrize("method", ["ms", "mm"])
+    def test_symmetric_product_matches_dense(self, monkeypatch, method):
+        # The mm evaluator returns F-ordered blocks, the ms one C-ordered;
+        # several chunks per sweep.
+        m = square_minus_ball(3000, 1)
+        iset = MultiIndexSet.build(2, 8)
+        if method == "ms":
+            run = evaluator(stieltjes_recurrence(m, iset, 8)[0])
+        else:
+            run = orthonormal_evaluator(build_gram(monomial_basis(iset), m))
+        size = iset.cumulative(8)
+        vals = run(m.nodes)
+        dense = (vals * m.weights[None, :]) @ vals.T - np.eye(size)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * size * 700)
+        report = gram_error_streaming(run, m, size)
         assert np.array_equal(report.error_matrix, report.error_matrix.T)
         assert np.max(np.abs(report.error_matrix - dense)) < 1e-13
 

@@ -5,11 +5,16 @@ import pytest
 
 from mvortho.errors import SchemaError
 from mvortho.indexing import MultiIndexSet
+from mvortho.measures import torus_measure
+from mvortho.recurrence import RecurrenceData
 from mvortho.serialization import (load_recurrence, recurrence_from_json,
                                    recurrence_to_json, save_recurrence,
                                    write_condition_csv, write_log_error_csv)
+from mvortho.stieltjes import stieltjes_recurrence
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
+
+import reference
 
 
 def oracle(d=2, n_max=5):
@@ -50,6 +55,56 @@ class TestRoundTrip:
         raw = tensor_recurrence(unis, iset, 3)
         back = recurrence_from_json(recurrence_to_json(raw))
         assert back.lam is None
+
+
+def assert_same_arrays(back, rec):
+    assert back.d == rec.d and back.max_degree == rec.max_degree
+    for n in range(1, rec.max_degree + 1):
+        for i in range(rec.d):
+            assert np.array_equal(back.A[n][i], rec.A[n][i], equal_nan=True)
+            assert np.array_equal(back.B[n][i], rec.B[n][i], equal_nan=True)
+        if rec.lam is not None:
+            assert np.array_equal(back.lam[n], rec.lam[n], equal_nan=True)
+    assert (back.lam is None) == (rec.lam is None)
+
+
+def with_non_finite(rec):
+    out = rec.copy()
+    out.A[1][0][0, 0] = np.nan
+    out.B[2][1][0, -1] = np.inf
+    out.B[3][0][1, 0] = -np.inf
+    out.lam[2][0] = np.nan
+    return out
+
+
+def univariate():
+    # d = 1: every block is 1 x 1.
+    uni = jacobi_recurrence(4, 0.5, 1.5)
+    return RecurrenceData(
+        d=1, max_degree=3,
+        A=[None] + [[np.array([[uni.a[n - 1]]])] for n in range(1, 4)],
+        B=[None] + [[np.array([[uni.b[n]]])] for n in range(1, 4)],
+        lam=[None] + [np.array([uni.b[n] ** 2]) for n in range(1, 4)])
+
+
+class TestByteIdentity:
+    """The writer reproduces the indented ``json`` encoder byte for byte."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: stieltjes_recurrence(torus_measure(7, 25, 25),
+                                     MultiIndexSet.build(3, 5), 5)[0],
+        lambda: tensor_recurrence([jacobi_recurrence(3, 0.0, 0.0)] * 2,
+                                  MultiIndexSet.build(2, 3), 3),
+        lambda: with_non_finite(oracle()),
+        lambda: RecurrenceData(d=2, max_degree=0, A=[None], B=[None],
+                               lam=[None]),
+        univariate,
+    ], ids=["tor", "lam-none", "non-finite", "degree-zero", "one-by-one"])
+    def test_matches_indented_encoder(self, make):
+        rec = make()
+        text = recurrence_to_json(rec)
+        assert text == reference.recurrence_to_json(rec)
+        assert_same_arrays(recurrence_from_json(text), rec)
 
 
 class TestSchemaValidation:

@@ -36,9 +36,14 @@ def fresh_state(measure, n_max):
                                 n_max)
 
 
+def half_weighted(measure, block):
+    """sqrt(w) * ``block``: the form the state keeps its blocks in."""
+    return np.sqrt(measure.weights)[None, :] * block
+
+
 def residual_grams(state):
     """All residual Grams of ``state``'s degree, keyed by ordered pair,
-    from the pass the algorithm runs (diagonal blocks symmetrized)."""
+    from the pass the algorithm runs."""
     diag, mixed = _moment_pass(state, coordinate_moment(state), need_pairs=True)
     out = dict(diag)
     for (i, j), mat in mixed.items():
@@ -81,14 +86,18 @@ class TestMomentBlocks:
         state.recurrence = rec
         ev = evaluate(rec, m.nodes, 4)
         state.values_cur, state.values_prev, state.degree = \
-            ev.blocks[4], ev.blocks[3], 4
-        # The pass returns the symmetrized Gram, so form the raw one here.
+            half_weighted(m, ev.blocks[4]), half_weighted(m, ev.blocks[3]), 4
+        # The pass forms the symmetric product; a general product of the
+        # same residuals may differ from it by roundoff only.
         center = coordinate_moment(state)[0]
         resid = (m.nodes[:, 0][None, :] * state.values_cur
                  - center @ state.values_cur
                  - rec.B[4][0].T @ state.values_prev)
-        raw = (resid * m.weights[None, :]) @ resid.T
+        raw = resid @ resid.T
+        general = resid @ np.ascontiguousarray(resid.T)
         assert np.max(np.abs(raw - raw.T)) < 1e-13
+        assert np.max(np.abs(general - general.T)) < 1e-13
+        assert np.max(np.abs(general - raw)) < 1e-13
 
     def test_residual_gram_matches_raising_products(self):
         # T blocks equal B_{n+1,i} B_{n+1,j}^T for the oracle matrices.
@@ -98,8 +107,8 @@ class TestMomentBlocks:
         for n in range(1, 5):
             state = fresh_state(m, 5)
             state.recurrence = oracle
-            state.values_cur = ev.blocks[n]
-            state.values_prev = ev.blocks[n - 1]
+            state.values_cur = half_weighted(m, ev.blocks[n])
+            state.values_prev = half_weighted(m, ev.blocks[n - 1])
             state.degree = n
             grams = residual_grams(state)
             for i in range(2):
@@ -146,6 +155,23 @@ class TestSweeps:
 
 
 class TestBlockBuffers:
+    @pytest.mark.parametrize("measure,n_max", [
+        (tensor_jacobi(3, 6, *JAC3), 5), (annulus_measure(8, 30), 7)])
+    def test_resident_blocks_are_half_weighted(self, measure, n_max):
+        # Non-uniform weights: the buffers hold sqrt(w) * p, not p.
+        import mvortho.stieltjes as st
+        state = fresh_state(measure, n_max)
+        state.centers = coordinate_moment(state)
+        diags = st.StieltjesDiagnostics()
+        for _ in range(n_max):
+            st._advance(state, diags)
+        assert np.ptp(measure.weights) > 0.1 * np.max(measure.weights)
+        ev = evaluate(state.recurrence, measure.nodes, n_max)
+        for got, n in ((state.values_cur, n_max),
+                       (state.values_prev, n_max - 1)):
+            want = half_weighted(measure, ev.blocks[n])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_two_blocks_resident(self, monkeypatch):
         # p_{n+1} overwrites p_{n-1}: two (r_N x M) buffers and
         # cache-sized chunks, where three live blocks measured 2.93.
