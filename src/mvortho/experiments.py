@@ -65,9 +65,10 @@ class ExperimentConfig:
     exactness is claimed (Gauss counts N+2 per axis, angular counts
     4N+5), except the spiral's outer angle which is intrinsically
     approximate and defaults to 25000 points.  The moment-method Gram
-    uses the package-wide ``measures.CHUNK``; the ``ms`` sweeps and the
-    Gram-error and Christoffel sweeps ``measures.STACK_BYTES``, on
-    ``measures.WORKERS`` threads.  The manifest records them as
+    uses the package-wide ``measures.CHUNK``, serially, in two reused
+    (R × ``CHUNK``) buffers; the ``ms`` sweeps and the Gram-error and
+    Christoffel sweeps ``measures.STACK_BYTES``, on ``measures.WORKERS``
+    threads.  The manifest records them as
     ``config.chunk_size``, ``config.stack_bytes`` and ``config.workers``
     (the outputs do not depend on the last), and
     ``environment.blas_threads`` the BLAS thread variable that set

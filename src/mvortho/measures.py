@@ -25,7 +25,9 @@ from .univariate import jacobi_recurrence
 
 # Points per chunk in the moment-method Gram assembly (``build_gram``).
 # The chunk fixes the summation order of the Gram the baselines factor, so
-# changing it moves their recurrence, not just the run time.
+# changing it moves their recurrence, not just the run time.  It also sets
+# that assembly's memory: two (R × CHUNK) buffers, the basis values and
+# their weighted copy, held for the whole call (430 MB each at R = 820).
 CHUNK = 65536
 # Bytes of float64 values one chunk of a stacked sweep may hold: small
 # enough that the chunks in flight stay in cache.  Every ``stieltjes``

@@ -52,8 +52,14 @@ class SpanningBasis:
     def size(self) -> int:
         return self.index_set.cumulative(self.max_degree)
 
-    def values(self, points) -> np.ndarray:
-        """Stacked basis values, shape (size, m)."""
+    def values(self, points, out=None) -> np.ndarray:
+        """Stacked basis values, shape (size, m), written into ``out``
+        when it is given (a (size, m) float64 array, such as a column
+        slice of a wider buffer) and returned.
+
+        Each row is the product of its per-axis factors taken left to
+        right, formed in its row of the result with no temporary, so
+        the values are the same bits with or without ``out``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -71,14 +77,19 @@ class SpanningBasis:
                 per_axis.append(evaluate_univariate(rec, n_max, mapped))
         else:
             raise ValueError(f"unknown spanning basis kind {self.kind!r}")
-        out = np.empty((self.size, pts.shape[0]))
+        if out is None:
+            out = np.empty((self.size, pts.shape[0]))
         row = 0
         for n in range(n_max + 1):
             for alpha in self.index_set.level(n):
-                vals = per_axis[0][alpha[0]]
-                for j in range(1, self.d):
-                    vals = vals * per_axis[j][alpha[j]]
-                out[row] = vals
+                dst = out[row]
+                if self.d == 1:
+                    dst[...] = per_axis[0][alpha[0]]
+                else:
+                    np.multiply(per_axis[0][alpha[0]], per_axis[1][alpha[1]],
+                                out=dst)
+                    for j in range(2, self.d):
+                        np.multiply(dst, per_axis[j][alpha[j]], out=dst)
                 row += 1
         return out
 
@@ -125,18 +136,36 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     not numerically positive definite; that degree is recorded rather
     than raised here, since partial factorizations are a reported
     outcome of the experiments.
+
+    The nodes are taken in chunks of ``measures.CHUNK``, serially, and
+    the call holds two (size × chunk) buffers throughout: ``vals``, the
+    basis values of a chunk, and ``work``, the weighted values w·v and
+    then (w·v)·x_i.  Each of the d + 1 products is one GEMM
+    ``work @ vals.T`` added in chunk order, and ``work`` is formed again
+    for each coordinate rather than kept: the baselines' breakdown is
+    what the experiments measure, so the bits must not move, and
+    stacking the products into one GEMM or splitting one by rows changes
+    the bits BLAS returns.  The last, narrower chunk uses column views
+    of the buffers.
     """
     d = basis.d
     size = basis.size
     gram = np.zeros((size, size))
     coord = [np.zeros((size, size)) for _ in range(d)]
     nodes, w = measure.nodes, measure.weights
-    for sl in node_chunks(measure.n_nodes):
-        vals = basis.values(nodes[sl])
-        weighted = vals * w[sl][None, :]
-        gram += weighted @ vals.T
+    slices = list(node_chunks(measure.n_nodes))
+    width = max(sl.stop - sl.start for sl in slices)
+    vbuf, wbuf = np.empty((size, width)), np.empty((size, width))
+    for sl in slices:
+        k = sl.stop - sl.start
+        vals = basis.values(nodes[sl], out=vbuf[:, :k])
+        work = np.multiply(vals, w[sl], out=wbuf[:, :k])
+        gram += work @ vals.T
         for i in range(d):
-            coord[i] += (weighted * nodes[sl, i][None, :]) @ vals.T
+            if i:
+                np.multiply(vals, w[sl], out=work)
+            work *= nodes[sl, i]
+            coord[i] += work @ vals.T
     gram = 0.5 * (gram + gram.T)
     coord = [0.5 * (c + c.T) for c in coord]
     if not np.all(np.isfinite(gram)):

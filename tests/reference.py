@@ -5,6 +5,8 @@ import json
 import numpy as np
 
 from mvortho.indexing import MultiIndexSet
+from mvortho.measures import node_chunks
+from mvortho.moment_method import GramData, _blocked_cholesky
 
 
 def moment(measure, f_values, g_values) -> float:
@@ -63,3 +65,25 @@ def recurrence_to_json(rec) -> str:
         else [rec.lam[n].tolist() for n in range(1, rec.max_degree + 1)],
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def build_gram_reference(basis, measure) -> GramData:
+    """``moment_method.build_gram`` with fresh arrays per chunk: the
+    weighted values and each coordinate product are new temporaries.
+    The two-buffer assembly must match it bit for bit."""
+    size = basis.size
+    gram = np.zeros((size, size))
+    coord = [np.zeros((size, size)) for _ in range(basis.d)]
+    nodes, w = measure.nodes, measure.weights
+    for sl in node_chunks(measure.n_nodes):
+        vals = basis.values(nodes[sl])
+        weighted = vals * w[sl][None, :]
+        gram += weighted @ vals.T
+        for i in range(basis.d):
+            coord[i] += (weighted * nodes[sl, i][None, :]) @ vals.T
+    gram = 0.5 * (gram + gram.T)
+    coord = [0.5 * (c + c.T) for c in coord]
+    chol, chol_degree, failure_degree = _blocked_cholesky(gram, basis.index_set)
+    return GramData(basis=basis, gram=gram, coordinate_grams=coord,
+                    chol=chol, chol_degree=chol_degree,
+                    failure_degree=failure_degree)

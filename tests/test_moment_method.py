@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -15,7 +17,7 @@ from mvortho.moment_method import (SpanningBasis, build_gram,
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
-from reference import symmetry_defect
+from reference import build_gram_reference, symmetry_defect
 
 
 def uniform_square(n_points=12):
@@ -59,6 +61,62 @@ class TestBuildGram:
         monkeypatch.setattr(measures, "CHUNK", 7)
         one = build_gram(monomial_basis(iset), m)
         assert np.allclose(one.gram, full.gram, atol=1e-15)
+
+
+# Monomials on the 2000-node set break down at degree 16; M is no
+# multiple of the chunk, so the last chunk is a narrower view.
+GRAM_CASES = [(square_minus_ball(2000, 3), 18),
+              (tensor_jacobi(3, 9, (0.5, 0.0, -0.5), (0.0, 0.5, 0.0)), 8)]
+
+
+def both_bases(measure, n_max):
+    iset = MultiIndexSet.build(measure.d, n_max)
+    return [monomial_basis(iset), legendre_box_basis(iset, measure)]
+
+
+class TestGramBuffers:
+    @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
+    def test_bit_identical_to_fresh_arrays(self, measure, n_max, monkeypatch):
+        monkeypatch.setattr(measures, "CHUNK", 97)
+        assert measure.n_nodes % 97
+        failures = []
+        for basis in both_bases(measure, n_max):
+            want = build_gram_reference(basis, measure)
+            got = build_gram(basis, measure)
+            assert np.array_equal(got.gram, want.gram)
+            for g, w in zip(got.coordinate_grams, want.coordinate_grams,
+                            strict=True):
+                assert np.array_equal(g, w)
+            assert np.array_equal(got.chol, want.chol)
+            assert got.chol_degree == want.chol_degree
+            assert got.failure_degree == want.failure_degree
+            failures.append(want.failure_degree)
+        assert failures == [16 if measure.d == 2 else None, None]
+
+    @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
+    def test_values_into_column_view(self, measure, n_max):
+        pts = measure.nodes[:50]
+        for basis in both_bases(measure, n_max):
+            buf = np.full((basis.size, 64), np.nan)
+            view = buf[:, :50]
+            assert basis.values(pts, out=view) is view
+            assert np.array_equal(view, basis.values(pts))
+            assert np.isnan(buf[:, 50:]).all()
+
+    def test_two_chunk_buffers(self, monkeypatch):
+        # vals and work: two (size x CHUNK) buffers, where fresh arrays
+        # per chunk measured 3.36-3.48 of them.
+        monkeypatch.setattr(measures, "CHUNK", 4096)
+        m = square_minus_ball(3 * 4096 + 123, 0)
+        for basis in both_bases(m, 12):
+            tracemalloc.start()
+            try:
+                build_gram(basis, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            unit = 8 * basis.size * 4096
+            assert peak < 2.75 * unit, (basis.kind, peak / unit)
 
 
 class TestOrthonormalize:
