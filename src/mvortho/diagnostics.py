@@ -1,5 +1,10 @@
 """Quality metrics: Gram error matrix, commuting-condition residuals,
-condition numbers, and reproducing-kernel (Christoffel) quantities."""
+condition numbers, and reproducing-kernel (Christoffel) quantities.
+
+The Gram error and, on a strided subset of the nodes, the
+reproducing-kernel diagonal come from one node sweep
+(``gram_error_streaming``), so a run evaluates its basis once per node;
+``christoffel_streaming`` takes the kernel at arbitrary points."""
 
 from __future__ import annotations
 
@@ -17,15 +22,19 @@ class ErrorReport:
     """Gram error of a computed basis w.r.t. its construction measure.
 
     ``error_matrix`` is blockGram - I over all degrees; ``max_abs`` its
-    entrywise maximum magnitude.
+    entrywise maximum magnitude.  ``kernel`` is the normalized
+    reproducing-kernel diagonal K at the nodes 0, s, 2s, ... when the
+    sweep was asked for it with ``kernel_stride`` s, else None.
     """
 
     error_matrix: np.ndarray
     max_abs: float
+    kernel: np.ndarray | None = None
 
 
 def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
-                         size: int) -> ErrorReport:
+                         size: int, *, kernel_stride: int | None = None
+                         ) -> ErrorReport:
     """Gram error accumulated in node chunks; ``evaluate_chunk`` maps an
     (m, d) point chunk to the (size, m) stacked basis values.
 
@@ -37,19 +46,35 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
     on ``evaluate_chunk`` returning a new array on every call, as both
     evaluators do (``evaluation.evaluator``,
     ``moment_method.orthonormal_evaluator``).
+
+    With ``kernel_stride`` s, the same sweep also returns on the report
+    the kernel diagonal K (``christoffel_streaming``) at the global node
+    indices 0, s, 2s, ..., each chunk taking it from its unweighted
+    values before the scaling; a non-positive K raises
+    NumericalFailure.
     """
     root_w = np.sqrt(measure.weights)
 
     def chunk(sl):
         vals = evaluate_chunk(measure.nodes[sl])
+        kernel = None
+        if kernel_stride is not None:
+            first = -sl.start % kernel_stride
+            kernel = _kernel_diagonal(vals[:, first::kernel_stride], size)
         vals *= root_w[sl]
-        return vals @ vals.T
+        return vals @ vals.T, kernel
 
     gram = np.zeros((size, size))
-    for part in chunk_map(chunk, node_chunks(measure.n_nodes, rows=size)):
+    kernels = []
+    for part, kernel in chunk_map(chunk, node_chunks(measure.n_nodes,
+                                                     rows=size)):
         gram += part
+        kernels.append(kernel)
     err = gram - np.eye(size)
-    return ErrorReport(error_matrix=err, max_abs=float(np.max(np.abs(err))))
+    return ErrorReport(
+        error_matrix=err, max_abs=float(np.max(np.abs(err))),
+        kernel=None if kernel_stride is None
+        else _positive(np.concatenate(kernels)))
 
 
 def commuting_residuals(rec: RecurrenceData) -> list:
@@ -130,18 +155,31 @@ def christoffel_streaming(evaluate_chunk, points, size: int):
     of at most ``measures.STACK_BYTES`` of stacked values run through
     ``measures.chunk_map``; the Christoffel function is its reciprocal.
     K is a sum of squares, so a non-positive value is a numerical
-    breakdown.
+    breakdown.  At the measure's own nodes, a run takes K from its
+    Gram-error sweep instead (``gram_error_streaming``).
     """
     pts = np.asarray(points, dtype=float)
 
     def chunk(sl):
-        return np.sum(evaluate_chunk(pts[sl]) ** 2, axis=0) / size
+        return _kernel_diagonal(evaluate_chunk(pts[sl]), size)
 
     slices = list(node_chunks(pts.shape[0], rows=size))
     kernel = np.empty(pts.shape[0])
     for sl, part in zip(slices, chunk_map(chunk, slices)):
         kernel[sl] = part
+    kernel = _positive(kernel)
+    return kernel, 1.0 / kernel
+
+
+def _kernel_diagonal(vals: np.ndarray, size: int) -> np.ndarray:
+    """K at each column of the (size, m) basis values ``vals``: the
+    squares summed down the rows, in row order, over ``size``."""
+    return np.sum(vals ** 2, axis=0) / size
+
+
+def _positive(kernel: np.ndarray) -> np.ndarray:
+    """``kernel``, after checking that every value is positive."""
     if np.any(kernel <= 0):
         raise NumericalFailure("reproducing-kernel diagonal not positive; "
                                "basis evaluation broke down")
-    return kernel, 1.0 / kernel
+    return kernel

@@ -32,9 +32,10 @@ import numpy as np
 import scipy
 
 from . import __version__, measures, serialization
-from .diagnostics import (ErrorReport, christoffel_streaming,
-                          commuting_residuals, gram_condition_numbers,
-                          gram_error_streaming)
+from .diagnostics import (ErrorReport, commuting_residuals,
+                          gram_condition_numbers, gram_error_streaming)
+# Unused here; bound for the layer probe of ``benchmarks/spans.py``.
+from .diagnostics import christoffel_streaming  # noqa: F401
 from .errors import NumericalFailure
 from .evaluation import evaluator as recurrence_evaluator
 from .indexing import MultiIndexSet
@@ -66,9 +67,11 @@ class ExperimentConfig:
     4N+5), except the spiral's outer angle which is intrinsically
     approximate and defaults to 25000 points.  The moment-method Gram
     uses the package-wide ``measures.CHUNK``, serially, in two reused
-    (R × ``CHUNK``) buffers; the ``ms`` sweeps and the Gram-error and
-    Christoffel sweeps ``measures.STACK_BYTES``, on ``measures.WORKERS``
-    threads.  The manifest records them as
+    (R × ``CHUNK``) buffers; the ``ms`` sweeps and the Gram-error sweep
+    ``measures.STACK_BYTES``, on ``measures.WORKERS`` threads.  For d = 2
+    the Gram-error sweep also takes the Christoffel kernel at every s-th
+    node (s from ``christoffel_stride``), so the Gram error and the
+    kernel come from one node sweep.  The manifest records them as
     ``config.chunk_size``, ``config.stack_bytes`` and ``config.workers``
     (the outputs do not depend on the last), and
     ``environment.blas_threads`` the BLAS thread variable that set
@@ -126,6 +129,12 @@ class ExperimentResult(Construction):
         if self.failed or self.error is None:
             return float("inf")
         return self.error.max_abs
+
+
+def christoffel_stride(n_nodes: int) -> int:
+    """Node stride of ``christoffel.csv``: at most
+    ``CHRISTOFFEL_MAX_ROWS`` rows."""
+    return max(1, -(-n_nodes // CHRISTOFFEL_MAX_ROWS))
 
 
 def default_degree(d: int) -> int:
@@ -272,7 +281,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
     christoffel_mass = None
     if built.evaluate_chunk is not None:
         usable_size = index_set.cumulative(built.usable_degree)
-        error = gram_error_streaming(built.evaluate_chunk, measure, usable_size)
+        stride = (christoffel_stride(measure.n_nodes) if write and d == 2
+                  else None)
+        error = gram_error_streaming(built.evaluate_chunk, measure,
+                                     usable_size, kernel_stride=stride)
         christoffel_mass = float(
             (np.trace(error.error_matrix) + usable_size) / usable_size)
         if built.recurrence is not None:
@@ -300,7 +312,9 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
     """Write manifest, recurrence JSON, and plot-ready CSVs to the
     configured output directory.  Identical configurations produce
     byte-identical recurrence/CSV files; the manifest also records the
-    run's ``environment``."""
+    run's ``environment``.  ``christoffel.csv`` holds the kernel that
+    the Gram-error sweep took (``ErrorReport.kernel``), written when
+    that sweep was asked for it (d = 2 runs that write outputs)."""
     out = Path(result.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -340,12 +354,11 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
     if result.cc_rows is not None:
         paths["cc"] = out / "cc_residuals.csv"
         serialization.write_cc_csv(paths["cc"], result.cc_rows)
-    if result.d == 2 and result.evaluate_chunk is not None:
-        stride = max(1, -(-measure.n_nodes // CHRISTOFFEL_MAX_ROWS))
-        pts = measure.nodes[::stride]
-        kernel, chris = christoffel_streaming(
-            result.evaluate_chunk, pts, result.error.error_matrix.shape[0])
+    if result.error is not None and result.error.kernel is not None:
+        kernel = result.error.kernel
         paths["christoffel"] = out / "christoffel.csv"
-        serialization.write_christoffel_csv(paths["christoffel"], pts,
-                                            kernel, chris)
+        serialization.write_christoffel_csv(
+            paths["christoffel"],
+            measure.nodes[::christoffel_stride(measure.n_nodes)],
+            kernel, 1.0 / kernel)
     return paths

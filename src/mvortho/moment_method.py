@@ -66,8 +66,7 @@ class SpanningBasis:
         n_max = self.max_degree
         if self.kind == "monomial":
             # Plain power products, degree by degree.
-            per_axis = [np.vander(pts[:, j], n_max + 1, increasing=True).T
-                        for j in range(self.d)]
+            per_axis = [_powers(pts[:, j], n_max) for j in range(self.d)]
         elif self.kind == "tensor-legendre":
             rec = jacobi_recurrence(n_max, 0.0, 0.0)
             per_axis = []
@@ -92,6 +91,20 @@ class SpanningBasis:
                         np.multiply(dst, per_axis[j][alpha[j]], out=dst)
                 row += 1
         return out
+
+
+def _powers(x: np.ndarray, n_max: int) -> np.ndarray:
+    """Rows x^0, ..., x^n_max of a C-contiguous (n_max + 1, m) array, with
+    x^k = x^(k-1) * x: the products ``np.vander`` forms, so the same
+    bits, but each row contiguous (a row of the transposed Vandermonde
+    matrix strides across its columns)."""
+    out = np.empty((n_max + 1, x.shape[0]))
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = x
+    for k in range(2, n_max + 1):
+        np.multiply(out[k - 1], x, out=out[k])
+    return out
 
 
 def monomial_basis(index_set: MultiIndexSet) -> SpanningBasis:

@@ -116,9 +116,20 @@ def load_recurrence(path) -> RecurrenceData:
         return recurrence_from_json(fh.read())
 
 
-def write_matrix_csv(path, matrix, fmt="%.17g") -> None:
-    """Plain rectangular CSV; infinities written as inf/-inf literals."""
-    np.savetxt(path, np.atleast_2d(matrix), fmt=fmt, delimiter=",")
+def write_matrix_csv(path, matrix, header: str | None = None) -> None:
+    """Plain rectangular CSV of ``%.17g`` floats (inf/-inf/nan literals),
+    after a ``header`` line when one is given: the bytes of
+    ``np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=header,
+    comments="")``.  Each row is spelled by one ``%`` over its Python
+    floats (``tolist``) and written as it is formed, so no more than one
+    row's text is held."""
+    mat = np.atleast_2d(matrix)
+    line = ",".join(["%.17g"] * mat.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        for row in mat:
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_log_error_csv(path, error_matrix) -> None:
@@ -145,9 +156,7 @@ def write_cc_csv(path, cc_rows) -> None:
 
 def write_christoffel_csv(path, points, kernel, christoffel_vals) -> None:
     pts = np.asarray(points)
-    cols = [pts[:, k] for k in range(pts.shape[1])]
-    cols += [np.asarray(kernel), np.asarray(christoffel_vals)]
     header = ",".join([f"x{k + 1}" for k in range(pts.shape[1])]
                       + ["kernel", "christoffel"])
-    data = np.stack(cols, axis=1)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+    write_matrix_csv(path, np.column_stack([pts, kernel, christoffel_vals]),
+                     header=header)

@@ -373,7 +373,9 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
     half-weighted blocks from the shifted stack, and one symmetric
     product gives their whole Gram T, exactly symmetric.  Returns
     (diagonal blocks {(i,i): T}, mixed blocks {(i,j): T, i<j}), views of
-    T; the mixed blocks are left out when ``need_pairs`` is false.
+    T.  When ``need_pairs`` is false the mixed blocks are left out and
+    each chunk forms only the d diagonal blocks, one symmetric product
+    of each coordinate's r residual rows.
     """
     d = state.measure.d
     n = state.degree
@@ -389,18 +391,23 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
                               _prev_slice(state, sl))
         resid = shift @ stack[d * r:]
         np.subtract(stack[:d * r], resid, out=resid)
+        if not need_pairs:
+            return [res @ res.T for res in np.split(resid, d)]
         return [resid @ resid.T]
 
     # The shifted stack and the residuals.
     rows = (2 * d + 1) * r + _prev_rows(state)
+    if not need_pairs:
+        grams = _sweep(state, rows, chunk,
+                       [np.zeros((r, r)) for _ in range(d)])
+        return {(i, i): grams[i] for i in range(d)}, {}
     [gram] = _sweep(state, rows, chunk, [np.zeros((d * r, d * r))])
 
     def block(i, j):
         return gram[i * r:(i + 1) * r, j * r:(j + 1) * r]
 
     diag = {(i, i): block(i, i) for i in range(d)}
-    mixed = ({(i, j): block(i, j) for i in range(d) for j in range(i + 1, d)}
-             if need_pairs else {})
+    mixed = {(i, j): block(i, j) for i in range(d) for j in range(i + 1, d)}
     return diag, mixed
 
 

@@ -38,6 +38,24 @@ def min_monomial_norm(measure, degree: int) -> float:
     return worst
 
 
+def monomial_values(basis, points) -> np.ndarray:
+    """Stacked monomial values from the rows of each axis's transposed
+    ``np.vander``, each row its per-axis factors multiplied left to
+    right: ``SpanningBasis.values`` must match bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    n_max = basis.max_degree
+    per_axis = [np.vander(pts[:, j], n_max + 1, increasing=True).T
+                for j in range(basis.d)]
+    rows = []
+    for n in range(n_max + 1):
+        for alpha in basis.index_set.level(n):
+            row = per_axis[0][alpha[0]].copy()
+            for j in range(1, basis.d):
+                row = row * per_axis[j][alpha[j]]
+            rows.append(row)
+    return np.array(rows)
+
+
 def symmetry_defect(rec) -> float:
     """Largest |A - A^T| entry over all stored degrees and coordinates."""
     worst = 0.0

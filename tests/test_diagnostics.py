@@ -31,6 +31,17 @@ def constant(value):
     return lambda pts: np.full((1, len(pts)), value)
 
 
+def hol_evaluator(method, n_max=8):
+    """A measure, the ``method`` evaluator built on it, and its size."""
+    m = square_minus_ball(3000, 1)
+    iset = MultiIndexSet.build(2, n_max)
+    if method == "ms":
+        run = evaluator(stieltjes_recurrence(m, iset, n_max)[0])
+    else:
+        run = orthonormal_evaluator(build_gram(monomial_basis(iset), m))
+    return m, run, iset.cumulative(n_max)
+
+
 def counted(evaluate_chunk, calls):
     """``evaluate_chunk`` recording the size of every chunk it is given."""
     def run(pts):
@@ -100,13 +111,7 @@ class TestGramError:
     def test_symmetric_product_matches_dense(self, monkeypatch, method):
         # The mm evaluator returns F-ordered blocks, the ms one C-ordered;
         # several chunks per sweep.
-        m = square_minus_ball(3000, 1)
-        iset = MultiIndexSet.build(2, 8)
-        if method == "ms":
-            run = evaluator(stieltjes_recurrence(m, iset, 8)[0])
-        else:
-            run = orthonormal_evaluator(build_gram(monomial_basis(iset), m))
-        size = iset.cumulative(8)
+        m, run, size = hol_evaluator(method)
         vals = run(m.nodes)
         dense = (vals * m.weights[None, :]) @ vals.T - np.eye(size)
         monkeypatch.setattr(measures, "STACK_BYTES", 8 * size * 700)
@@ -199,3 +204,38 @@ class TestChristoffel:
         # The one-GEMM evaluation rounds the last bits differently per
         # chunk width, so the kernel matches to a few ulp, not exactly.
         assert np.max(np.abs(one - many) / one) < 1e-14
+
+
+class TestKernelInGramErrorSweep:
+    @pytest.mark.parametrize("method", ["ms", "mm"])
+    def test_matches_christoffel_at_strided_nodes(self, monkeypatch, method):
+        m, run, size = hol_evaluator(method)
+        # Chunks of 700 nodes, not a multiple of the stride.
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * size * 700)
+        plain = gram_error_streaming(run, m, size)
+        fused = gram_error_streaming(run, m, size, kernel_stride=9)
+        want, _ = christoffel_streaming(run, m.nodes[::9], size)
+        assert plain.kernel is None
+        assert np.array_equal(fused.error_matrix, plain.error_matrix)
+        assert fused.kernel.shape == want.shape
+        if method == "mm":
+            assert np.array_equal(fused.kernel, want)
+        else:
+            # The recurrence evaluator's GEMM rounds per chunk width.
+            assert np.max(np.abs(fused.kernel - want) / want) < 1e-13
+
+    def test_identical_at_any_worker_count(self, monkeypatch):
+        m, run, size = hol_evaluator("ms")
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * size * 300)
+        kernels = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(measures, "WORKERS", workers)
+            kernels.append(gram_error_streaming(run, m, size,
+                                                kernel_stride=7).kernel)
+        assert kernels[1].tobytes() == kernels[0].tobytes()
+        assert kernels[2].tobytes() == kernels[0].tobytes()
+
+    def test_breakdown_on_nonpositive(self):
+        m = tensor_jacobi(2, 3, (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(NumericalFailure):
+            gram_error_streaming(constant(0.0), m, 1, kernel_stride=2)

@@ -263,6 +263,25 @@ class TestRunExperiment:
             assert outputs[1] == outputs[0] and outputs[2] == outputs[0], \
                 config.experiment
 
+    def test_christoffel_from_gram_error_sweep(self, tmp_path, monkeypatch):
+        # The kernel comes from the Gram-error sweep at every s-th node;
+        # the mm evaluator gives the bits christoffel_streaming gives.
+        from mvortho import experiments
+        from mvortho.diagnostics import christoffel_streaming
+        monkeypatch.setattr(experiments, "CHRISTOFFEL_MAX_ROWS", 300)
+        config = small_config(experiment="hol", method="mm", degree=6,
+                              mc_samples=2000, output_dir=str(tmp_path))
+        res = run_experiment(config)
+        stride = experiments.christoffel_stride(res.n_nodes)
+        nodes = build_measure(res.config).nodes[::stride]
+        assert stride > 1 and len(nodes) <= 300
+        kernel, chris = christoffel_streaming(res.evaluate_chunk, nodes,
+                                              res.error.error_matrix.shape[0])
+        rows = np.loadtxt(tmp_path / "christoffel.csv", delimiter=",",
+                          skiprows=1)
+        assert np.array_equal(rows, np.column_stack([nodes, kernel, chris]))
+        assert run_experiment(config, write=False).error.kernel is None
+
     def test_christoffel_mass_recorded(self, tmp_path):
         res = run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
         assert res.christoffel_mass == pytest.approx(1.0, abs=1e-10)

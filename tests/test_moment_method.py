@@ -17,7 +17,7 @@ from mvortho.moment_method import (SpanningBasis, build_gram,
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
-from reference import build_gram_reference, symmetry_defect
+from reference import build_gram_reference, monomial_values, symmetry_defect
 
 
 def uniform_square(n_points=12):
@@ -117,6 +117,27 @@ class TestGramBuffers:
                 tracemalloc.stop()
             unit = 8 * basis.size * 4096
             assert peak < 2.75 * unit, (basis.kind, peak / unit)
+
+
+def same_bits(got, want) -> bool:
+    return (got.shape == want.shape
+            and np.ascontiguousarray(got).tobytes() == want.tobytes())
+
+
+class TestMonomialPowers:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 20])
+    def test_bit_equal_to_vander_rows(self, d, n_max):
+        pts = np.random.default_rng(10 * d + n_max).uniform(-1.5, 1.5,
+                                                            (300, d))
+        pts[:3] = [[0.0] * d, [-0.0] * d, [-1.0] * d]
+        basis = monomial_basis(MultiIndexSet.build(d, n_max))
+        want = monomial_values(basis, pts)
+        assert same_bits(basis.values(pts), want)
+        buf = np.full((basis.size, 320), np.nan)
+        assert basis.values(pts, out=buf[:, :300]).base is buf
+        assert same_bits(buf[:, :300], want)
+        assert np.isnan(buf[:, 300:]).all()
 
 
 class TestOrthonormalize:

@@ -9,7 +9,8 @@ from mvortho.measures import torus_measure
 from mvortho.recurrence import RecurrenceData
 from mvortho.serialization import (load_recurrence, recurrence_from_json,
                                    recurrence_to_json, save_recurrence,
-                                   write_condition_csv, write_log_error_csv)
+                                   write_christoffel_csv, write_condition_csv,
+                                   write_log_error_csv, write_matrix_csv)
 from mvortho.stieltjes import stieltjes_recurrence
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
@@ -155,3 +156,27 @@ class TestCsvEmitters:
         assert rows[0] == "degree,cond"
         assert len(rows) == 4
         assert rows[3].split(",")[1] == "inf"
+
+
+class TestMatrixCsv:
+    TINY = np.nextafter(0.0, 1.0)
+    MATRIX = np.array([[np.inf, -np.inf, np.nan, -0.0],
+                       [TINY, -3 * TINY, 2.2250738585072014e-308 / 3, 1 / 3],
+                       [1e300, -1.5, 0.0, 12345678901234567.0]])
+
+    @pytest.mark.parametrize("header", [None, "x1,x2,kernel,christoffel"])
+    def test_bytes_match_savetxt(self, tmp_path, header):
+        write_matrix_csv(tmp_path / "got.csv", self.MATRIX, header=header)
+        np.savetxt(tmp_path / "want.csv", self.MATRIX, fmt="%.17g",
+                   delimiter=",", header=header or "", comments="")
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    def test_christoffel_columns(self, tmp_path):
+        write_christoffel_csv(tmp_path / "got.csv", self.MATRIX[:, :2],
+                              self.MATRIX[:, 2], self.MATRIX[:, 3])
+        np.savetxt(tmp_path / "want.csv", self.MATRIX, fmt="%.17g",
+                   delimiter=",", header="x1,x2,kernel,christoffel",
+                   comments="")
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())

@@ -116,6 +116,26 @@ class TestMomentBlocks:
                     want = oracle.B[n + 1][i] @ oracle.B[n + 1][j].T
                     assert np.max(np.abs(grams[(i, j)] - want)) < 1e-12
 
+    @pytest.mark.parametrize("measure", [tensor_jacobi(2, 10, *JAC2),
+                                         torus_measure(7, 25, 25)])
+    def test_condition_only_pass_forms_diagonal_blocks(self, monkeypatch,
+                                                       measure):
+        # Each coordinate's block is its own symmetric product; it may
+        # differ from the block of the whole Gram by roundoff only.
+        import mvortho.stieltjes as st
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
+        state = fresh_state(measure, 4)
+        state.centers = coordinate_moment(state)
+        diags = st.StieltjesDiagnostics()
+        for _ in range(4):
+            st._advance(state, diags)
+            full, _ = _moment_pass(state, state.centers)
+            diag, mixed = _moment_pass(state, state.centers, need_pairs=False)
+            assert mixed == {} and diag.keys() == full.keys()
+            for key, mat in diag.items():
+                assert np.array_equal(mat, mat.T)
+                assert np.max(np.abs(mat - full[key])) <= 1e-14 * np.max(mat)
+
 
 class TestSweeps:
     @pytest.mark.parametrize("measure", [tensor_jacobi(2, 8, *JAC2),
