@@ -40,6 +40,9 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
 
     Chunks hold at most ``measures.STACK_BYTES`` of stacked values, so
     each one stays in cache, and run through ``measures.chunk_map``.
+    Both evaluators release the GIL for their heavy calls (numpy
+    products, and the ``dtrtrs`` of ``lapack.solve_lower`` for the
+    moment-method bases), so the chunks run in parallel.
     Each chunk scales its values by sqrt(w) in place, so the weighted
     Gram is the symmetric product of the scaled values with themselves
     (one BLAS ``syrk``, exactly symmetric).  The sweep therefore relies

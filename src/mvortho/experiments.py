@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import __version__, measures, serialization
+from . import __version__, lapack, measures, serialization
 from .diagnostics import (ErrorReport, commuting_residuals,
                           gram_condition_numbers, gram_error_streaming)
 # Unused here; bound for the layer probe of ``benchmarks/spans.py``.
@@ -300,12 +299,16 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
 
 def environment() -> dict:
-    """Python, numpy and scipy versions, the CPU count, and the BLAS
-    thread variable that sets ``measures.WORKERS``
-    (``measures.blas_thread_setting``), for the manifest."""
+    """Python, numpy and scipy versions, the CPU count, the BLAS thread
+    variable that sets ``measures.WORKERS``
+    (``measures.blas_thread_setting``) and the LAPACK the package calls
+    (``lapack.backend``), for the manifest.  Importing ``scipy`` alone
+    does not import ``scipy.linalg``."""
+    import scipy
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
-            "blas_threads": measures.blas_thread_setting()}
+            "blas_threads": measures.blas_thread_setting(),
+            "lapack": lapack.backend()}
 
 
 def write_outputs(result: ExperimentResult, measure) -> dict:

@@ -1,0 +1,165 @@
+"""The two LAPACK routines the package calls outside numpy, bound through
+``ctypes`` to the OpenBLAS that numpy has already loaded.
+
+numpy's wheels ship an ILP64 OpenBLAS (``scipy-openblas64``) whose
+LAPACK symbols carry the prefix ``scipy_`` and the suffix ``_64_``.
+Binding ``dstevd`` (the Golub-Welsch eigensolve) and ``dtrtrs`` (the
+moment method's triangular solves) there spares every process the import
+of ``scipy.linalg``, about 0.25 s and 22-28 MB.  Each routine is called
+with the arguments scipy's wrappers pass it, and scipy's wheels link an
+LP64 build of the same OpenBLAS, so the results are the bits of
+``scipy.linalg.eigh_tridiagonal`` and ``scipy.linalg.solve_triangular``.
+A ``ctypes`` call also releases the GIL, so solves on the chunk threads
+of ``measures.chunk_map`` run in parallel.
+
+Where no loaded library exports both symbols (numpy built against MKL or
+a system BLAS), both functions fall back to ``scipy.linalg``, imported on
+first use.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+from collections import namedtuple
+
+import numpy as np
+
+# The bound routines and the library's build string (None when the
+# library does not export one).
+_Bound = namedtuple("_Bound", "stevd trtrs config")
+
+
+def _loaded_openblas_paths():
+    """Paths of the OpenBLAS libraries numpy may have loaded: those in its
+    wheel's library directory (``numpy.libs``, or ``numpy/.dylibs`` on
+    macOS), then every OpenBLAS mapped into this process."""
+    root = os.path.dirname(np.__file__)
+    for pattern in (root + ".libs", os.path.join(root, ".dylibs")):
+        yield from sorted(glob.glob(os.path.join(pattern, "*openblas*")))
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            mapped = {line.split(maxsplit=5)[5].strip() for line in fh
+                      if "openblas" in line}
+    except OSError:
+        return
+    yield from sorted(mapped)
+
+
+@functools.cache
+def _bound() -> _Bound | None:
+    """The routines of the first library that exports both, or None."""
+    for path in _loaded_openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+            stevd, trtrs = lib.scipy_dstevd_64_, lib.scipy_dtrtrs_64_
+        except (OSError, AttributeError):
+            continue
+        # ILP64: every integer is passed as a pointer to int64; a
+        # character argument's hidden length trails the list.
+        i64, buf, char = (ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p,
+                          ctypes.c_char_p)
+        stevd.argtypes = [char, i64, buf, buf, buf, i64, buf, i64, buf, i64,
+                          i64, ctypes.c_size_t]
+        trtrs.argtypes = [char, char, char, i64, i64, buf, i64, buf, i64,
+                          i64] + [ctypes.c_size_t] * 3
+        stevd.restype = trtrs.restype = None
+        config = getattr(lib, "scipy_openblas_get_config64_", None)
+        if config is not None:
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            config = config().decode()
+        return _Bound(stevd, trtrs, config)
+    return None
+
+
+def backend() -> str:
+    """The OpenBLAS build string of the bound library, or
+    ``"scipy.linalg"`` when the functions fall back to scipy."""
+    bound = _bound()
+    if bound is None:
+        return "scipy.linalg"
+    return bound.config or "OpenBLAS"
+
+
+def _int(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _ptr(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
+def eigh_tridiagonal(d, e):
+    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of
+    the symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal
+    ``e``, by LAPACK ``dstevd``: what ``scipy.linalg.eigh_tridiagonal``
+    computes for the full spectrum, bit for bit."""
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    bound = _bound()
+    if bound is None:
+        from scipy.linalg import eigh_tridiagonal as scipy_eigh
+        return scipy_eigh(d, e)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError(f"d {d.shape} must have one more element than e "
+                         f"{e.shape}")
+    n = d.size
+    w = d.copy()
+    off = e.copy()
+    z = np.empty((n, n), order="F")
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    work = np.empty(lwork)
+    iwork = np.empty(liwork, dtype=np.int64)
+    info = ctypes.c_int64(0)
+    bound.stevd(b"V", _int(n), _ptr(w), _ptr(off), _ptr(z), _int(n),
+                _ptr(work), _int(lwork), _ptr(iwork), _int(liwork),
+                ctypes.byref(info), 1)
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of "
+                         "internal stevd (eigh_tridiagonal)")
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"stevd (eigh_tridiagonal) did not converge "
+            f"(LAPACK info={info.value})")
+    return w, z
+
+
+def solve_lower(factor, rhs):
+    """X with ``factor @ X = rhs`` for a lower triangular ``factor``, by
+    LAPACK ``dtrtrs``, as ``scipy.linalg.solve_triangular(factor, rhs,
+    lower=True, check_finite=False)`` computes it, bit for bit.
+
+    Like scipy, a factor that is not Fortran-ordered (a C-ordered factor
+    or a view of one) is solved as the transposed upper system on its C
+    layout, and ``rhs`` is copied to Fortran order, which the returned
+    array keeps: those copies fix the bits.  A zero on the diagonal
+    raises ``np.linalg.LinAlgError``."""
+    bound = _bound()
+    if bound is None:
+        from scipy.linalg import solve_triangular
+        return solve_triangular(factor, rhs, lower=True, check_finite=False)
+    a = np.asarray(factor, dtype=float)
+    x = np.array(rhs, dtype=float, order="F")
+    if (a.ndim != 2 or x.ndim != 2
+            or not a.shape[0] == a.shape[1] == x.shape[0]):
+        raise ValueError(f"need a square factor and a matrix with as many "
+                         f"rows, not {a.shape} and {x.shape}")
+    if x.size == 0:
+        return x
+    if a.flags.f_contiguous:
+        uplo, trans = b"L", b"N"
+    else:
+        a, uplo, trans = np.ascontiguousarray(a), b"U", b"T"
+    n = a.shape[0]
+    info = ctypes.c_int64(0)
+    bound.trtrs(uplo, trans, b"N", _int(n), _int(x.shape[1]), _ptr(a),
+                _int(n), _ptr(x), _int(n), ctypes.byref(info), 1, 1, 1)
+    if info.value > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info.value - 1}")
+    if info.value < 0:
+        raise ValueError(f"illegal value in {-info.value}-th argument of "
+                         "internal trtrs")
+    return x

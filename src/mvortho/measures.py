@@ -18,8 +18,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from . import lapack
 from .errors import PointCloudError
 from .univariate import jacobi_recurrence
 
@@ -186,8 +186,10 @@ def gauss_jacobi_rule(n_points: int, alpha: float, beta: float):
 
     Computed by Golub-Welsch: eigen-decomposition of the symmetric
     tridiagonal matrix built from the closed-form Jacobi recurrence
-    coefficients.  Exact for polynomials of degree <= 2 n_points - 1
-    against the probability-normalized weight
+    coefficients, by LAPACK ``dstevd`` in the OpenBLAS numpy loads
+    (``lapack.eigh_tridiagonal``), or by ``scipy.linalg`` when numpy's
+    BLAS exports no such routine.  Exact for polynomials of degree
+    <= 2 n_points - 1 against the probability-normalized weight
     (1-x)^alpha (1+x)^beta / (2^(alpha+beta+1) B(alpha+1, beta+1)).
     """
     if n_points < 1:
@@ -195,7 +197,7 @@ def gauss_jacobi_rule(n_points: int, alpha: float, beta: float):
     rec = jacobi_recurrence(n_points, alpha, beta)
     if n_points == 1:
         return np.array([rec.a[0]]), np.array([1.0])
-    nodes, vecs = eigh_tridiagonal(rec.a, rec.b[1:n_points])
+    nodes, vecs = lapack.eigh_tridiagonal(rec.a, rec.b[1:n_points])
     weights = vecs[0, :] ** 2
     return nodes, weights / weights.sum()
 

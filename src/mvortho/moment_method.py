@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConditioningError
 from .indexing import MultiIndexSet
+from .lapack import solve_lower
 from .measures import DiscreteMeasure, node_chunks
 from .recurrence import RecurrenceData
 from .univariate import evaluate_univariate, jacobi_recurrence
@@ -201,8 +201,7 @@ def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
     for n in range(index_set.max_degree + 1):
         hi = index_set.cumulative(n)
         if lo > 0:
-            off = solve_triangular(chol[:lo, :lo], gram[:lo, lo:hi],
-                                   lower=True, check_finite=False)
+            off = solve_lower(chol[:lo, :lo], gram[:lo, lo:hi])
             chol[lo:hi, :lo] = off.T
             schur = gram[lo:hi, lo:hi] - off.T @ off
         else:
@@ -232,14 +231,20 @@ def _factored_degree(gram: GramData, max_degree: int | None) -> int:
 def orthonormal_evaluator(gram: GramData, max_degree: int | None = None):
     """Point-chunk closure evaluating the Cholesky-orthonormalized basis
     (for the streaming accumulators); see ``_factored_degree``.  Only the
-    spanning functions up to that degree are evaluated."""
+    spanning functions up to that degree are evaluated.
+
+    Each chunk is one ``lapack.solve_lower`` (LAPACK ``dtrtrs``), which
+    copies the C-ordered values to Fortran order as scipy's
+    ``solve_triangular`` does: the copy fixes the bits, so it stays.  The
+    solve releases the GIL, so chunks on the ``measures.WORKERS`` threads
+    of the Gram-error sweep run in parallel (``hol`` mm N=20, M=1e5, BLAS
+    on one thread, 2-core host: 0.49 s on one thread, 0.26 s on two)."""
     basis = replace(gram.basis, index_set=MultiIndexSet.build(
         gram.basis.d, _factored_degree(gram, max_degree)))
     chol = gram.chol[:basis.size, :basis.size]
 
     def run(points_chunk):
-        return solve_triangular(chol, basis.values(points_chunk), lower=True,
-                                check_finite=False)
+        return solve_lower(chol, basis.values(points_chunk))
 
     return run
 
@@ -259,8 +264,7 @@ def extract_recurrence(gram: GramData, max_degree: int | None = None) -> Recurre
     iset = gram.basis.index_set
     n_max = _factored_degree(gram, max_degree)
     size = iset.cumulative(n_max)
-    linv = solve_triangular(gram.chol[:size, :size], np.eye(size),
-                            lower=True, check_finite=False)
+    linv = solve_lower(gram.chol[:size, :size], np.eye(size))
     A: list = [None]
     B: list = [None]
     for n in range(n_max):

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal, solve_triangular
 
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import node_chunks
@@ -105,3 +106,15 @@ def build_gram_reference(basis, measure) -> GramData:
     return GramData(basis=basis, gram=gram, coordinate_grams=coord,
                     chol=chol, chol_degree=chol_degree,
                     failure_degree=failure_degree)
+
+
+def scipy_eigh_tridiagonal(d, e):
+    """scipy's Golub-Welsch eigensolve (``dstevd`` for the full
+    spectrum): ``lapack.eigh_tridiagonal`` must match it bit for bit."""
+    return eigh_tridiagonal(d, e)
+
+
+def scipy_solve_lower(factor, rhs):
+    """scipy's lower triangular solve (``trtrs``): ``lapack.solve_lower``
+    must match it bit for bit."""
+    return solve_triangular(factor, rhs, lower=True, check_finite=False)

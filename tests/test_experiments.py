@@ -193,7 +193,7 @@ class TestRunExperiment:
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         # The environment goes to the manifest only: the recurrence and
         # the CSVs keep their bytes whatever it holds.
-        from mvortho import measures
+        from mvortho import lapack, measures
         names = ("recurrence.json", "error_matrix.csv", "cond.csv",
                  "cc_residuals.csv", "christoffel.csv")
         outputs, envs = [], []
@@ -208,8 +208,9 @@ class TestRunExperiment:
                 (out / "manifest.json").read_text())["environment"])
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert set(envs[0]) == {"python", "numpy", "scipy", "cpu_count",
-                                "blas_threads"}
+                                "blas_threads", "lapack"}
         assert envs[0]["numpy"] == np.__version__
+        assert envs[0]["lapack"] == lapack.backend()
         assert envs[0]["cpu_count"] == os.cpu_count()
         assert envs[0]["blas_threads"] == ["MKL_NUM_THREADS", "1"]
         assert envs[1]["blas_threads"] is None
