@@ -217,7 +217,6 @@ def _run_exact(config, measure, index_set) -> Construction:
 def _run_ms(config, measure, index_set) -> Construction:
     rec, diags = stieltjes_recurrence(measure, index_set, config.degree)
     counters = {
-        "moment_fallbacks": diags.moment_fallbacks,
         "closure_residual": diags.closure_residual,
         "completion_defect": diags.completion_defect,
     }

@@ -16,13 +16,14 @@ recovers the degree-(n+1) matrices from factorizations of those moments:
 * mixed residual Grams determine the upper blocks of the right singular
   factors, and the remaining rows come from orthonormality (d = 2) or,
   for every d >= 3, from a kernel argument plus one coupled
-  orthogonal-factor solve (``wopp`` module), which is closed-form when
-  only two coordinates are coupled (d = 3).
+  orthogonal-factor solve (``wopp`` module, one eigendecomposition).
 
-For d > 2 the degree-1 raising matrices fall back to the moment method,
-whose tiny degree-1 Gram is well-conditioned.  After every degree the new
-matrices are rotated into canonical form so the next block can be
-evaluated through the diagonal identity.
+For d >= 3 degree 1 needs no kernel argument: p_0 is a constant, so the
+whole residual Gram is S S^T for the stacked raising rows S, and its
+eigen-factors give one such S.  After every degree the new
+matrices are rotated into canonical form, which removes the rotation the
+factorizations leave free, so the next block can be evaluated through
+the diagonal identity.
 
 A degree takes two node sweeps.  The residual pass forms the residual
 Grams; the block-evaluation sweep evaluates the committed block, its Gram
@@ -68,7 +69,6 @@ from .evaluation import (_next_block, canonical_rotation, descending_eigh,
 from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
-from . import moment_method
 from .wopp import RANK_TOL, scaled_cross, solve_orthogonal_factors
 
 PSD_CLIP = -1e-10         # most negative admissible eigenvalue of a PSD residual
@@ -127,16 +127,16 @@ class StieltjesDiagnostics:
     ``t_condition[n]`` averages the condition numbers of the symmetric
     residual Grams formed at degree n; ``gram_drift[k]`` bounds the
     orthonormality defect of the block committed at degree k+1;
-    ``completion_defect`` holds, per degree built from the residual
-    factorizations, max |R^T R - I| over the assembled right factors R;
+    ``completion_defect`` holds, per degree whose right factors are
+    completed, max |R^T R - I| over the assembled right factors R;
     ``closure_residual`` holds, per degree the orthogonal-factor solve
-    closes (d >= 3), the coupling residual of its factors.
+    closes, the coupling residual of its factors.  For d >= 3 degree 1,
+    factored from the whole residual Gram, adds to neither.
     """
 
     t_condition: list = field(default_factory=list)
     gram_drift: list = field(default_factory=list)
     completion_defect: list = field(default_factory=list)
-    moment_fallbacks: int = 0
     closure_residual: list = field(default_factory=list)
 
 
@@ -298,21 +298,6 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
     return fix_column_signs(vt[rank:].T)
 
 
-def degree_one_from_moments(measure: DiscreteMeasure) -> list:
-    """Degree-1 raising matrices via the moment method (d > 2 start).
-
-    The affine-polynomial Gram is size d+1 and typically well-conditioned,
-    so Cholesky-based extraction is safe exactly where the moment
-    factorizations alone cannot pin down the right factors.
-    """
-    iset = MultiIndexSet.build(measure.d, 1)
-    gram = moment_method.build_gram(moment_method.monomial_basis(iset), measure)
-    if gram.failure_degree is not None:
-        raise RankDeficiencyError(
-            "measure degenerate on affine polynomials", degree=1)
-    return moment_method.extract_recurrence(gram, 1).B[1]
-
-
 def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
                          max_degree: int):
     """Compute canonical recurrence matrices through ``max_degree``.
@@ -412,7 +397,8 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
 
 
 def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
-    """Compute, canonicalize, and commit the matrices of degree n+1."""
+    """Compute, canonicalize, and commit the matrices of degree n+1,
+    every closure from the residual Grams of one ``_moment_pass``."""
     measure, iset = state.measure, state.index_set
     d, n = measure.d, state.degree
     r_n = state.values_cur.shape[0]
@@ -425,8 +411,13 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     diags.t_condition.append(_mean_condition(t_diag))
 
     if d > 2 and n == 0:
-        raisings = degree_one_from_moments(measure)
-        diags.moment_fallbacks += 1
+        # r_0 = 1: T is the d x d Gram S S^T of the stacked raising rows
+        # S = [B_{1,1}; ...; B_{1,d}], so S = U Sigma from its factors.
+        gram = np.empty((d, d))
+        for (i, j), block in {**t_diag, **t_mixed}.items():
+            gram[i, j] = gram[j, i] = block[0, 0]
+        u, s = symmetric_factor(gram)
+        raisings = list((u * s[None, :])[:, None, :])
     else:
         left, sing = [], []
         for i in range(d):

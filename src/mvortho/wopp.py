@@ -11,13 +11,12 @@ frames V_j = top rows of Z_j^T W_j:
 
     V_i V_j^T = Y_i^-1 X_i^T H_{ij} X_j Y_j^-1.
 
-Two coordinates whose blocks carry one padded column (q = m + 1, every
-degree of a d = 3 measure) have a closed form: the orthogonal completion
-of that one coupling block.  Every other shape is the non-convex case;
-its frames are the leading eigenvectors of the stacked coupling matrix
-(spectral synchronization), which is exact on consistent data.  The solve
-does not iterate: both shapes return through one residual check, and a
-residual above ``TOL`` raises NonConvergenceError, which the
+The frames are the leading eigenvectors of the stacked coupling matrix
+(spectral synchronization), which is exact on consistent data, for any
+number of coordinates and any padding q - m: a d = 3 measure (two
+coupled coordinates, q = m + 1) takes the same single eigendecomposition
+as d > 3, where the problem is non-convex.  The solve does not iterate:
+a residual above ``TOL`` raises NonConvergenceError, which the
 degree-advancing algorithm reports with the failing degree.
 """
 
@@ -28,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClosureError, NonConvergenceError
-from .evaluation import fix_vector_sign
 
 RANK_TOL = 1e-10          # singular values below RANK_TOL * max treated as zero
-W_ORTHO_TOL = 1e-8        # orthogonality defect allowed in a closed-form factor
 TOL = 1e-10               # largest coupling residual the solve may return
 
 
@@ -57,30 +54,6 @@ def coupling_residual(E: dict, H: dict, W: dict) -> float:
     return float(np.sqrt(total))
 
 
-def orthogonal_completion(block: np.ndarray) -> np.ndarray:
-    """Extend an m x m principal block to an (m+1) x (m+1) orthogonal matrix.
-
-    The missing last-row entries are determined up to one overall sign by
-    unit-column and pairwise-orthogonality conditions; the last column is
-    the unit vector completing the column space.  Signs are fixed
-    deterministically.
-    """
-    m = block.shape[0]
-    col_sq = np.sum(block ** 2, axis=0)
-    magnitudes = np.sqrt(np.clip(1.0 - col_sq, 0.0, None))
-    lead = int(np.argmax(magnitudes))
-    last_row = np.zeros(m)
-    if magnitudes[lead] > 1e-13:
-        last_row[lead] = magnitudes[lead]
-        for k in range(m):
-            if k != lead:
-                last_row[k] = -(block[:, k] @ block[:, lead]) / last_row[lead]
-    tall = np.vstack([block, last_row[None, :]])
-    u, _, _ = np.linalg.svd(tall)
-    last_col = fix_vector_sign(u[:, -1])
-    return np.hstack([tall, last_col[:, None]])
-
-
 def _reduce(block: np.ndarray, coord) -> tuple:
     """(X, Y, Z) of block = X (Y 0) Z^T; ClosureError below ``RANK_TOL``."""
     x, y, zt = np.linalg.svd(block, full_matrices=True)
@@ -90,21 +63,6 @@ def _reduce(block: np.ndarray, coord) -> tuple:
             f"weight block of coordinate {coord} rank-deficient "
             f"(singular-value ratio {ratio:.3e})")
     return x, y, zt.T
-
-
-def _closed_form(reduced: dict, H: dict, gauge, other) -> dict:
-    """Two coordinates with q = m + 1: Z_g^T W_o^T Z_o has the principal
-    block Y_g^-1 X_g^T H X_o Y_o^-1; complete it orthogonally."""
-    x_g, y_g, z_g = reduced[gauge]
-    x_o, y_o, z_o = reduced[other]
-    w_full = orthogonal_completion(
-        scaled_cross(x_g, y_g, H[(gauge, other)], x_o, y_o))
-    q = w_full.shape[0]
-    defect = float(np.max(np.abs(w_full.T @ w_full - np.eye(q))))
-    if defect > W_ORTHO_TOL:
-        raise ClosureError(
-            f"assembled completion not orthogonal (defect {defect:.3e})")
-    return {gauge: np.eye(q), other: (z_g @ w_full @ z_o.T).T}
 
 
 def _spectral_frames(reduced: dict, H: dict, keys, m: int, q: int) -> dict:
@@ -154,8 +112,7 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
     ------
     ClosureError
         A weight block with singular-value ratio at most ``RANK_TOL``
-        (naming its coordinate); in the closed form (two coordinates,
-        q = m + 1) also a non-orthogonal completion.
+        (naming its coordinate).
     NonConvergenceError
         The factors leave a coupling residual above ``TOL``; carries them
         and their residual.
@@ -168,10 +125,7 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
         if E[k].shape[1] != q:
             raise ValueError("coupled blocks must share their column count")
     reduced = {k: _reduce(E[k], k) for k in keys}
-    if len(keys) == 2 and q == m + 1:
-        W = _closed_form(reduced, H, *keys)
-    else:
-        W = _spectral_frames(reduced, H, keys, m, q)
+    W = _spectral_frames(reduced, H, keys, m, q)
     residual = coupling_residual(E, H, W)
     if residual > TOL:
         raise NonConvergenceError(

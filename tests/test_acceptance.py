@@ -137,13 +137,11 @@ def test_criterion_06_torus_pipeline(capsys, run_cache):
           and res.error.max_abs <= 1e-5
           and cc <= 1e-7
           and len(residuals) == res.degree - 1
-          and worst <= 1e-10
-          and counters["moment_fallbacks"] == 1)
+          and worst <= 1e-10)
     _report(capsys, 6, ok,
             f"tor N=15: E={res.error.max_abs:.2e} (<=1e-5), cc={cc:.2e} "
             f"(<=1e-7), closures={len(residuals)}/{res.degree - 1} with "
-            f"residual {worst:.1e} (<=1e-10), "
-            f"fallbacks={counters['moment_fallbacks']}/1")
+            f"residual {worst:.1e} (<=1e-10)")
 
 
 @pytest.mark.slow

@@ -1,12 +1,12 @@
 """Metamorphic properties of the ms recurrence on random point clouds.
 
-Permuting the nodes or rotating the coordinates about the origin changes
-the orthonormal basis only by an orthogonal transform per degree, so the
-canonical diagonals lam_n (the spectra of sum_i B_{n,i}^T B_{n,i}) stay
-the same.  Scaling the coordinates by s scales every raising matrix by s,
-so lam_n scales by s^2.  Translation is not covered: it costs digits
-today (ROADMAP, affine normalization).  A cloud that cannot carry the
-requested degree fails with a typed error naming a degree.
+Permuting the nodes, rotating the coordinates about the origin, or
+translating them changes the orthonormal basis only by an orthogonal
+transform per degree, so the canonical diagonals lam_n (the spectra of
+sum_i B_{n,i}^T B_{n,i}) stay the same.  Scaling the coordinates by s
+scales every raising matrix by s, so lam_n scales by s^2.  A cloud that
+cannot carry the requested degree fails with a typed error naming a
+degree.
 """
 
 import numpy as np
@@ -60,6 +60,18 @@ def test_rotation_leaves_spectra(seed, d, n_max):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     rotation = q * np.sign(np.diag(r))[None, :]
     assert_same_spectra(spectra(nodes @ rotation.T, weights, n_max),
+                        spectra(nodes, weights, n_max))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(**CASES)
+def test_translation_leaves_spectra(seed, d, n_max):
+    # Only A_{n,i} moves (by the offset times the identity); the
+    # subtraction of the centers costs digits as the offset grows.
+    rng = np.random.default_rng(seed)
+    nodes, weights = random_cloud(rng, d)
+    offset = rng.uniform(-1e3, 1e3, d)
+    assert_same_spectra(spectra(nodes + offset[None, :], weights, n_max),
                         spectra(nodes, weights, n_max))
 
 

@@ -11,10 +11,9 @@ from mvortho.errors import (ClosureError, NonConvergenceError,
                             RankDeficiencyError)
 from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
-from mvortho.measures import (annulus_measure, square_minus_ball,
-                              tensor_jacobi, torus_measure)
+from mvortho.measures import (DiscreteMeasure, annulus_measure,
+                              square_minus_ball, tensor_jacobi, torus_measure)
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
-                               degree_one_from_moments,
                                kernel_completion_basis, psd_sqrt,
                                rank_one_completion, scaled_cross,
                                stieltjes_recurrence, symmetric_factor)
@@ -29,6 +28,15 @@ def jacobi_oracle(d, params, n_max):
     iset = MultiIndexSet.build(d, n_max)
     unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*params)]
     return iset, canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+
+
+def uniform_ball(d, n_nodes, seed):
+    """Equal-weight Monte Carlo nodes, uniform in the unit ball."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_nodes, d))
+    x *= (rng.uniform(size=n_nodes) ** (1 / d)
+          / np.linalg.norm(x, axis=1))[:, None]
+    return DiscreteMeasure(nodes=x, weights=np.full(n_nodes, 1 / n_nodes))
 
 
 def fresh_state(measure, n_max):
@@ -311,19 +319,36 @@ class TestCompletions:
             kernel_completion_basis(oracle.B[2][0], u, s, expected_dim=1)
 
 
+def degree_one(measure):
+    rec, _ = stieltjes_recurrence(measure, MultiIndexSet.build(measure.d, 1), 1)
+    return rec
+
+
 class TestDegreeOneFallback:
+    """Degree 1 of a d = 3 measure, factored from one residual Gram."""
+
     def test_uniform_cube_spectra(self):
-        m = tensor_jacobi(3, 4, (0, 0, 0), (0, 0, 0))
-        raisings = degree_one_from_moments(m)
-        gram = sum(b.T @ b for b in raisings)
-        assert np.allclose(np.linalg.eigvalsh(gram), [1 / 3, 1 / 3, 1 / 3],
-                           atol=1e-13)
+        rec = degree_one(tensor_jacobi(3, 4, (0, 0, 0), (0, 0, 0)))
+        assert np.allclose(rec.lam[1], [1 / 3, 1 / 3, 1 / 3], atol=1e-13)
 
     def test_each_raising_full_rank_one(self):
-        m = tensor_jacobi(3, 4, *JAC3)
-        for b in degree_one_from_moments(m):
+        for b in degree_one(tensor_jacobi(3, 4, *JAC3)).B[1]:
             assert b.shape == (1, 3)
             assert np.linalg.norm(b) > 1e-8
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3, 1e6])
+    def test_collinear_cloud_is_rank_deficient_at_any_scale(self, scale):
+        # The rank test is relative to the largest singular value; a PSD
+        # check with an absolute clip would reject the rounding-negative
+        # eigenvalue of a large flat Gram as a ClosureError instead.
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            line = rng.standard_normal(3)[None, :] + (
+                rng.standard_normal(300)[:, None] * rng.standard_normal(3))
+            m = DiscreteMeasure(nodes=scale * line, weights=np.full(300, 1 / 300))
+            with pytest.raises(RankDeficiencyError) as err:
+                degree_one(m)
+            assert err.value.degree == 1
 
 
 class TestFullRuns:
@@ -340,7 +365,6 @@ class TestFullRuns:
 
     def test_rejects_univariate(self):
         x, w = np.linspace(-1, 1, 30)[:, None], np.full(30, 1 / 30)
-        from mvortho.measures import DiscreteMeasure
         m = DiscreteMeasure(nodes=x, weights=w)
         with pytest.raises(ValueError):
             stieltjes_recurrence(m, MultiIndexSet.build(1, 3), 3)
@@ -349,7 +373,6 @@ class TestFullRuns:
         m = tensor_jacobi(3, 8, *JAC3)
         iset = MultiIndexSet.build(3, 6)
         _, diags = stieltjes_recurrence(m, iset, 6)
-        assert diags.moment_fallbacks == 1
         assert len(diags.closure_residual) == 5  # every degree n = 1..5
 
     def test_annulus_beats_moment_method(self):
@@ -429,6 +452,23 @@ class TestFullRuns:
             for i in range(2):
                 assert np.array_equal(got.B[n][i], want.B[n][i])
 
+    @pytest.mark.parametrize("build,n_max,bound", [
+        (lambda: tensor_jacobi(3, 14, *JAC3), 12, 2e-13),
+        (lambda: uniform_ball(4, 20_000, 0), 6, 3e-14),
+        (lambda: uniform_ball(5, 20_000, 0), 4, 3e-14)],
+        ids=["jac3", "ball4", "ball5"])
+    def test_gram_error_for_d3_and_higher(self, build, n_max, bound):
+        # Measured max |E| on one and two BLAS threads: 4.9e-14 (jac3),
+        # 5.5e-15 to 5.7e-15 (d = 4) and 1.4e-14 to 1.6e-14 (d = 5).  A
+        # degree-1 start from the Cholesky factor of the monomial Gram
+        # reaches 6.8e-13, 1.3e-13 and 1.5e-13 on the same measures.
+        m = build()
+        iset = MultiIndexSet.build(m.d, n_max)
+        rec, _ = stieltjes_recurrence(m, iset, n_max)
+        err = gram_error_streaming(evaluator(rec, n_max), m,
+                                   iset.cumulative(n_max)).max_abs
+        assert err <= bound
+
     def test_high_dim_matches_oracle(self):
         for d in (4, 5):
             params = ((0.0, 1.5, 0.5, 2.0, 1.0)[:d],
@@ -455,7 +495,6 @@ class TestFullRuns:
     def test_degenerate_measure_fails_with_degree(self):
         # 5 nodes cannot support the 6-dimensional quadratic space.
         rng = np.random.default_rng(0)
-        from mvortho.measures import DiscreteMeasure
         m = DiscreteMeasure(nodes=rng.uniform(-1, 1, (5, 2)),
                             weights=np.full(5, 0.2))
         iset = MultiIndexSet.build(2, 3)

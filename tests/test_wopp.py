@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mvortho.errors import ClosureError, NonConvergenceError
-from mvortho.wopp import (coupling_residual, orthogonal_completion,
-                          solve_orthogonal_factors)
+from mvortho.wopp import coupling_residual, solve_orthogonal_factors
 
 
 def random_orthogonal(rng, n):
@@ -112,15 +111,8 @@ class TestRefinementAndFailure:
             solve_orthogonal_factors(bad, {})
 
 
-class TestClosedForm:
-    def test_orthogonal_completion_recovers_rotations(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            q = random_orthogonal(rng, 4)
-            rebuilt = orthogonal_completion(q[:3, :3])
-            assert np.max(np.abs(rebuilt.T @ rebuilt - np.eye(4))) < 1e-12
-            # principal block is preserved
-            assert np.allclose(rebuilt[:3, :3], q[:3, :3])
+class TestTwoCoordinates:
+    """The d = 3 shape: two coupled coordinates, one padded column."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_coordinates_one_padded_column(self, seed):
