@@ -32,12 +32,6 @@ def fix_column_signs(mat: np.ndarray) -> np.ndarray:
     return out * signs
 
 
-def fix_vector_sign(vec: np.ndarray) -> np.ndarray:
-    v = np.asarray(vec, dtype=float)
-    s = np.sign(v[np.abs(v).argmax()]) if v.size else 1.0
-    return v * (s if s != 0 else 1.0)
-
-
 @dataclass
 class BasisEvaluation:
     """Orthonormal basis values over a point set, blocked by degree.

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 import platform
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -298,14 +299,16 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
 
 def environment() -> dict:
-    """Python, numpy and scipy versions, the CPU count, the BLAS thread
-    variable that sets ``measures.WORKERS``
-    (``measures.blas_thread_setting``) and the LAPACK the package calls
-    (``lapack.backend``), for the manifest.  Importing ``scipy`` alone
-    does not import ``scipy.linalg``."""
-    import scipy
+    """Python and numpy versions, the CPU count, the BLAS thread variable
+    that sets ``measures.WORKERS`` (``measures.blas_thread_setting``) and
+    the LAPACK the package calls (``lapack.backend``), for the manifest.
+    ``scipy`` holds scipy's version when scipy is already loaded (the
+    ``scipy.linalg`` fallback ran), else None: importing it only to read
+    the version would cost every run that writes outputs."""
+    scipy = sys.modules.get("scipy")
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "scipy": getattr(scipy, "__version__", None),
+            "cpu_count": os.cpu_count(),
             "blas_threads": measures.blas_thread_setting(),
             "lapack": lapack.backend()}
 

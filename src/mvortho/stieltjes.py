@@ -14,12 +14,12 @@ recovers the degree-(n+1) matrices from factorizations of those moments:
   eigen-decomposition yields the left factor and singular values of each
   raising matrix;
 * mixed residual Grams determine the upper blocks of the right singular
-  factors, and the remaining rows come from orthonormality (d = 2) or,
-  for every d >= 3, from a kernel argument plus one coupled
-  orthogonal-factor solve (``wopp`` module, one eigendecomposition).
+  factors, and the remaining rows come from a kernel argument plus one
+  coupled orthogonal-factor solve (``wopp`` module, one
+  eigendecomposition; for d = 2 a single coordinate, the gauge alone).
 
-For d >= 3 degree 1 needs no kernel argument: p_0 is a constant, so the
-whole residual Gram is S S^T for the stacked raising rows S, and its
+Degree 1 needs no kernel argument: p_0 is a constant, so the whole
+residual Gram is S S^T for the stacked raising rows S, and its
 eigen-factors give one such S.  After every degree the new
 matrices are rotated into canonical form, which removes the rotation the
 factorizations leave free, so the next block can be evaluated through
@@ -64,8 +64,7 @@ import numpy as np
 from .diagnostics import condition_numbers
 from .errors import ClosureError, NumericalFailure, RankDeficiencyError
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
-                         fix_column_signs, fix_vector_sign, shifted_stack,
-                         step_matrix)
+                         fix_column_signs, shifted_stack, step_matrix)
 from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
@@ -130,8 +129,9 @@ class StieltjesDiagnostics:
     ``completion_defect`` holds, per degree whose right factors are
     completed, max |R^T R - I| over the assembled right factors R;
     ``closure_residual`` holds, per degree the orthogonal-factor solve
-    closes, the coupling residual of its factors.  For d >= 3 degree 1,
-    factored from the whole residual Gram, adds to neither.
+    closes, the coupling residual of its factors.  Degree 1, factored
+    from the whole residual Gram, adds to neither, so for every d both
+    lists hold one entry per degree 2..N.
     """
 
     t_condition: list = field(default_factory=list)
@@ -248,41 +248,23 @@ def symmetric_factor(t_sym: np.ndarray, where: str = ""):
     return vecs, s
 
 
-def _psd_eigh(mat: np.ndarray, what: str):
-    """Ascending eigenpairs of the symmetrized ``mat``; ClosureError when
-    an eigenvalue falls below ``PSD_CLIP``."""
+def psd_sqrt(mat: np.ndarray, what: str) -> np.ndarray:
+    """Symmetric PSD square root of the symmetrized ``mat``, clipping
+    roundoff-negative eigenvalues.
+
+    Raises ClosureError, naming ``what``, for an eigenvalue below
+    ``PSD_CLIP``.
+    """
     evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     if evals[0] < PSD_CLIP:
         raise ClosureError(f"{what} not positive semi-definite "
                            f"(min eigenvalue {evals[0]:.3e})")
-    return evals, vecs
-
-
-def rank_one_completion(vhat: np.ndarray) -> np.ndarray:
-    """Last right-factor row y for d = 2 from y y^T = I - vhat^T vhat.
-
-    Takes the dominant eigenpair of the rank-1 residual; sign fixed
-    deterministically (the recurrence is independent of it).  Raises
-    ClosureError if the residual has an eigenvalue below ``PSD_CLIP``,
-    which signals corrupted upstream moments.
-    """
-    evals, vecs = _psd_eigh(np.eye(vhat.shape[1]) - vhat.T @ vhat,
-                            "orthonormality residual")
-    top = max(evals[-1], 0.0)
-    return fix_vector_sign(vecs[:, -1]) * np.sqrt(top)
-
-
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root, clipping roundoff-negative eigenvalues.
-
-    Raises ClosureError for eigenvalues below ``PSD_CLIP``.
-    """
-    evals, vecs = _psd_eigh(mat, "matrix")
     return (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.T
 
 
 def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
-                            s_j: np.ndarray, expected_dim: int) -> np.ndarray:
+                            s_j: np.ndarray, expected_dim: int,
+                            where: str = "") -> np.ndarray:
     """Orthonormal kernel basis constraining the unknown right-factor rows.
 
     The commuting conditions force those rows into the kernel of
@@ -294,7 +276,8 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
     rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0
     if k_mat.shape[1] - rank != expected_dim:
         raise RankDeficiencyError(
-            f"kernel dimension {k_mat.shape[1] - rank} != expected {expected_dim}")
+            f"kernel dimension {k_mat.shape[1] - rank} != expected "
+            f"{expected_dim}{where}")
     return fix_column_signs(vt[rank:].T)
 
 
@@ -410,7 +393,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     t_diag, t_mixed = _moment_pass(state, centers)
     diags.t_condition.append(_mean_condition(t_diag))
 
-    if d > 2 and n == 0:
+    if n == 0:
         # r_0 = 1: T is the d x d Gram S S^T of the stacked raising rows
         # S = [B_{1,1}; ...; B_{1,d}], so S = U Sigma from its factors.
         gram = np.empty((d, d))
@@ -428,33 +411,30 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
         vhat = {j: scaled_cross(left[0], sing[0], t_mixed[(0, j)],
                                 left[j], sing[j])
                 for j in range(1, d)}
-        rows = {}
-        if d == 2:
-            rows[1] = rank_one_completion(vhat[1])[None, :]
-        else:
-            psi, weight_blocks, targets = {}, {}, {}
-            for j in range(1, d):
-                psi[j] = kernel_completion_basis(state.recurrence.B[n][0],
-                                                 left[j], sing[j], dr_n)
-                block = np.eye(dr_n) - psi[j].T @ vhat[j].T @ vhat[j] @ psi[j]
-                weight_blocks[j] = np.hstack(
-                    [psd_sqrt(block), np.zeros((dr_n, dr_next - dr_n))])
-            for i in range(1, d):
-                for j in range(i + 1, d):
-                    targets[(i, j)] = psi[i].T @ (
-                        scaled_cross(left[i], sing[i], t_mixed[(i, j)],
-                                     left[j], sing[j])
-                        - vhat[i].T @ vhat[j]) @ psi[j]
-            solved = solve_orthogonal_factors(weight_blocks, targets)
-            diags.closure_residual.append(solved.residual)
-            for j in range(1, d):
-                rows[j] = (psi[j] @ (weight_blocks[j] @ solved.W[j])).T
+        psi, weight_blocks, targets = {}, {}, {}
+        for j in range(1, d):
+            psi[j] = kernel_completion_basis(state.recurrence.B[n][0],
+                                             left[j], sing[j], dr_n,
+                                             where=f" (coordinate {j})")
+            block = np.eye(dr_n) - psi[j].T @ vhat[j].T @ vhat[j] @ psi[j]
+            weight_blocks[j] = np.hstack(
+                [psd_sqrt(block, f"weight block of coordinate {j}"),
+                 np.zeros((dr_n, dr_next - dr_n))])
+        for i in range(1, d):
+            for j in range(i + 1, d):
+                targets[(i, j)] = psi[i].T @ (
+                    scaled_cross(left[i], sing[i], t_mixed[(i, j)],
+                                 left[j], sing[j])
+                    - vhat[i].T @ vhat[j]) @ psi[j]
+        solved = solve_orthogonal_factors(weight_blocks, targets)
+        diags.closure_residual.append(solved.residual)
 
         raisings = [np.hstack([left[0] * sing[0][None, :],
                                np.zeros((r_n, dr_next))])]
         defect = 0.0
         for j in range(1, d):
-            right = np.vstack([vhat[j], rows[j]])
+            rows = (psi[j] @ (weight_blocks[j] @ solved.W[j])).T
+            right = np.vstack([vhat[j], rows])
             defect = max(defect,
                          float(np.max(np.abs(right.T @ right - np.eye(r_n)))))
             raisings.append((left[j] * sing[j][None, :]) @ right.T)

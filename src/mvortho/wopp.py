@@ -1,10 +1,14 @@
-"""Coupled weighted orthogonal Procrustes solve (the d >= 3 closure).
+"""Coupled weighted orthogonal Procrustes solve (the closure of every
+degree after the first).
 
 Finds orthogonal W_j with
 
     E_i W_i W_j^T E_j^T = H_{ij}    for every pair i < j,
 
 with the gauge W fixed to the identity for the first coupled coordinate.
+A single coupled coordinate (every d = 2 degree) is the gauge alone:
+W = I and the residual is 0.
+
 Each weight block is reduced once by SVD, E_j = X_j (Y_j 0) Z_j^T, which
 turns consistent data into the synchronization of the orthonormal-row
 frames V_j = top rows of Z_j^T W_j:
@@ -83,6 +87,9 @@ def _spectral_frames(reduced: dict, H: dict, keys, m: int, q: int) -> dict:
             coupling[b * m:(b + 1) * m, a * m:(a + 1) * m] = block.T
     evals, evecs = np.linalg.eigh(coupling)
     top = evecs[:, -q:] * np.sqrt(np.clip(evals[-q:], 0.0, None))[None, :]
+    # With fewer than q eigenpairs (len(keys) * m < q, as for one padded
+    # coordinate) the missing columns of the frames are zero.
+    top = np.pad(top, ((0, 0), (0, q - top.shape[1])))
     W = {}
     for a, j in enumerate(keys):
         block = top[a * m:(a + 1) * m]
@@ -103,8 +110,9 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
     Parameters
     ----------
     E : dict coord -> (m, q) ndarray
-        Full-row-rank weight blocks, keyed by coupled coordinate.  The
-        smallest key is the gauge coordinate whose factor stays identity.
+        Full-row-rank weight blocks, keyed by coupled coordinate, at least
+        one.  The smallest key is the gauge coordinate whose factor stays
+        identity; a single coordinate is the gauge alone.
     H : dict (i, j) -> (m, m) ndarray
         Coupling targets for every pair of coordinates i < j.
 
@@ -118,8 +126,8 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
         and their residual.
     """
     keys = sorted(E)
-    if len(keys) < 2:
-        raise ValueError("need at least two coupled coordinates")
+    if not keys:
+        raise ValueError("need at least one coupled coordinate")
     m, q = E[keys[0]].shape
     for k in keys:
         if E[k].shape[1] != q:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -144,9 +146,14 @@ class TestRunExperiment:
     def test_manifest_records_completion_defect(self, tmp_path):
         run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        defects = manifest["diagnostics_counters"]["completion_defect"]
-        assert len(defects) == 5  # one per degree n = 1..5 for d = 2
+        counters = manifest["diagnostics_counters"]
+        defects = counters["completion_defect"]
+        residuals = counters["closure_residual"]
+        # Degree 1 comes from the whole residual Gram; the solve closes
+        # every degree 2..5, as for d >= 3.
+        assert len(defects) == len(residuals) == 4
         assert max(defects) < 1e-8
+        assert residuals == [0.0] * 4  # one coordinate: the gauge alone
 
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -210,12 +217,23 @@ class TestRunExperiment:
         assert set(envs[0]) == {"python", "numpy", "scipy", "cpu_count",
                                 "blas_threads", "lapack"}
         assert envs[0]["numpy"] == np.__version__
+        loaded = sys.modules.get("scipy")
+        assert envs[0]["scipy"] == getattr(loaded, "__version__", None)
         assert envs[0]["lapack"] == lapack.backend()
         assert envs[0]["cpu_count"] == os.cpu_count()
         assert envs[0]["blas_threads"] == ["MKL_NUM_THREADS", "1"]
         assert envs[1]["blas_threads"] is None
         assert outputs[0] == outputs[1]
         assert all(b"environment" not in data for data in outputs[0].values())
+
+    def test_environment_never_imports_scipy(self, monkeypatch):
+        from mvortho.experiments import environment
+        monkeypatch.delitem(sys.modules, "scipy", raising=False)
+        assert environment()["scipy"] is None
+        assert "scipy" not in sys.modules
+        monkeypatch.setitem(sys.modules, "scipy",
+                            types.SimpleNamespace(__version__="0.0.test"))
+        assert environment()["scipy"] == "0.0.test"
 
     def test_stack_bytes_moves_ms_only_at_rounding(self, tmp_path,
                                                    monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvortho import measures
+from mvortho import measures, stieltjes
 from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
 from mvortho.errors import (ClosureError, NonConvergenceError,
                             RankDeficiencyError)
@@ -14,8 +14,7 @@ from mvortho.indexing import MultiIndexSet
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
                               square_minus_ball, tensor_jacobi, torus_measure)
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
-                               kernel_completion_basis, psd_sqrt,
-                               rank_one_completion, scaled_cross,
+                               kernel_completion_basis, psd_sqrt, scaled_cross,
                                stieltjes_recurrence, symmetric_factor)
 from mvortho.tensor_product import canonical_reorder, tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
@@ -279,27 +278,22 @@ class TestFactorizations:
 
 
 class TestCompletions:
-    def test_rank_one_forced_direction(self):
-        vhat = np.array([[0.0, 1.0], [0.0, 0.0]])  # I - vhat^T vhat = e1 e1^T
-        y = rank_one_completion(vhat)
-        assert np.allclose(y, [1.0, 0.0], atol=1e-14)
-
-    def test_rank_one_indefinite_rejected(self):
-        vhat = np.array([[1.2, 0.0], [0.0, 0.3]])
-        with pytest.raises(ClosureError):
-            rank_one_completion(vhat)
-
     def test_psd_sqrt_squares_back(self):
         rng = np.random.default_rng(8)
         root = rng.standard_normal((4, 4))
         mat = root @ root.T
-        s = psd_sqrt(mat)
+        s = psd_sqrt(mat, "block")
         assert np.max(np.abs(s @ s - mat)) < 1e-12
 
     def test_psd_sqrt_clips_roundoff(self):
         mat = np.diag([1.0, -1e-12])
-        s = psd_sqrt(mat)
+        s = psd_sqrt(mat, "block")
         assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-13)
+
+    def test_psd_sqrt_rejects_indefinite(self):
+        vhat = np.array([[1.2, 0.0], [0.0, 0.3]])  # I - vhat^T vhat indefinite
+        with pytest.raises(ClosureError, match="^block not positive"):
+            psd_sqrt(np.eye(2) - vhat.T @ vhat, "block")
 
     def test_kernel_completion_shapes_and_nullity(self):
         iset, oracle = jacobi_oracle(3, JAC3, 4)
@@ -319,13 +313,40 @@ class TestCompletions:
             kernel_completion_basis(oracle.B[2][0], u, s, expected_dim=1)
 
 
+class TestClosureFailuresNameCoordinate:
+    """A failing closure step names the coordinate it failed on."""
+
+    def test_indefinite_weight_block(self, monkeypatch):
+        # Negating the squared weight block makes it indefinite at the
+        # first degree the solve closes.
+        sqrt = stieltjes.psd_sqrt
+        monkeypatch.setattr(stieltjes, "psd_sqrt",
+                            lambda mat, what: sqrt(-mat, what))
+        m = tensor_jacobi(2, 8, *JAC2)
+        with pytest.raises(ClosureError, match="weight block of coordinate 1 "
+                           "not positive semi-definite") as err:
+            stieltjes_recurrence(m, MultiIndexSet.build(2, 4), 4)
+        assert err.value.degree == 2
+
+    def test_kernel_dimension(self, monkeypatch):
+        basis = stieltjes.kernel_completion_basis
+        monkeypatch.setattr(
+            stieltjes, "kernel_completion_basis",
+            lambda raising, u, s, dim, **kw: basis(raising, u, s, dim + 1, **kw))
+        m = tensor_jacobi(3, 6, *JAC3)
+        with pytest.raises(RankDeficiencyError,
+                           match=r"!= expected 3 \(coordinate 1\)") as err:
+            stieltjes_recurrence(m, MultiIndexSet.build(3, 3), 3)
+        assert err.value.degree == 2
+
+
 def degree_one(measure):
     rec, _ = stieltjes_recurrence(measure, MultiIndexSet.build(measure.d, 1), 1)
     return rec
 
 
 class TestDegreeOneFallback:
-    """Degree 1 of a d = 3 measure, factored from one residual Gram."""
+    """Degree 1, factored from one residual Gram (here of d = 3 measures)."""
 
     def test_uniform_cube_spectra(self):
         rec = degree_one(tensor_jacobi(3, 4, (0, 0, 0), (0, 0, 0)))

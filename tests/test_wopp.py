@@ -105,10 +105,23 @@ class TestRefinementAndFailure:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            solve_orthogonal_factors({1: np.eye(3)}, {})
+            solve_orthogonal_factors({}, {})
         bad = {1: np.zeros((2, 4)), 2: np.zeros((2, 5))}
         with pytest.raises(ValueError):
             solve_orthogonal_factors(bad, {})
+
+
+class TestOneCoordinate:
+    """The d = 2 shape: one coupled coordinate, the gauge alone."""
+
+    @pytest.mark.parametrize("m,q", [(1, 1), (3, 3), (2, 4)])
+    def test_gauge_alone(self, m, q):
+        weights, targets, _ = recoverable_instance(0, m=m, q=q, d=2)
+        assert targets == {}
+        res = solve_orthogonal_factors(weights, targets)
+        assert res.W.keys() == {1}
+        assert np.array_equal(res.W[1], np.eye(q))
+        assert res.residual == 0.0
 
 
 class TestTwoCoordinates:
