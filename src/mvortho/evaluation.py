@@ -156,14 +156,15 @@ def _as_points(rec: RecurrenceData, points) -> np.ndarray:
 
 def _evaluate(steps: list, pts: np.ndarray) -> BasisEvaluation:
     """Degree blocks 0..len(steps) at ``pts``, written into one stacked
-    array by ``_next_block``."""
+    array by ``_next_block``, starting from the empty block p_{-1}."""
     bounds = np.cumsum([0, 1] + [step.shape[0] for step in steps])
     stacked = np.empty((bounds[-1], pts.shape[0]))
     blocks = [stacked[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     blocks[0].fill(1.0)
+    prev = stacked[:0]
     for n, step in enumerate(steps):
-        _next_block(step, pts, blocks[n], blocks[n - 1] if n >= 1 else None,
-                    out=blocks[n + 1])
+        _next_block(step, pts, blocks[n], prev, out=blocks[n + 1])
+        prev = blocks[n]
     return BasisEvaluation(stacked=stacked, blocks=blocks, points=pts)
 
 
@@ -190,25 +191,25 @@ def step_matrix(rec: RecurrenceData, n: int) -> np.ndarray:
 
 
 def shifted_stack(pts: np.ndarray, p_cur: np.ndarray,
-                  p_prev: np.ndarray | None) -> np.ndarray:
-    """S = [x_1 p_n; ...; x_d p_n; p_n; p_{n-1}] in a new array (no
-    p_{n-1} rows when ``p_prev`` is None)."""
+                  p_prev: np.ndarray) -> np.ndarray:
+    """S = [x_1 p_n; ...; x_d p_n; p_n; p_{n-1}] in a new array; at
+    degree 0 ``p_prev`` is the empty (0 x m) block p_{-1}, which adds no
+    rows."""
     d = pts.shape[1]
     r = p_cur.shape[0]
-    rows = (d + 1) * r + (0 if p_prev is None else p_prev.shape[0])
-    out = np.empty((rows, pts.shape[0]))
+    out = np.empty(((d + 1) * r + p_prev.shape[0], pts.shape[0]))
     for i in range(d):
         np.multiply(pts[:, i][None, :], p_cur, out=out[i * r:(i + 1) * r])
     out[d * r:(d + 1) * r] = p_cur
-    if p_prev is not None:
-        out[(d + 1) * r:] = p_prev
+    out[(d + 1) * r:] = p_prev
     return out
 
 
 def _next_block(step: np.ndarray, pts: np.ndarray, p_cur: np.ndarray,
-                p_prev: np.ndarray | None,
+                p_prev: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Degree-(n+1) values from the degree-n and degree-(n-1) blocks as
     one GEMM, ``step`` (``step_matrix(rec, n)``) times the shifted stack,
-    written into ``out`` (a new array when None) and returned."""
+    written into ``out`` (a new array when None) and returned.  At
+    degree 0 ``p_prev`` is the empty block p_{-1}."""
     return np.matmul(step, shifted_stack(pts, p_cur, p_prev), out=out)

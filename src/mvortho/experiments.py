@@ -216,7 +216,7 @@ def _run_exact(config, measure, index_set) -> Construction:
 
 
 def _run_ms(config, measure, index_set) -> Construction:
-    rec, diags = stieltjes_recurrence(measure, index_set, config.degree)
+    rec, diags = stieltjes_recurrence(measure, config.degree)
     counters = {
         "closure_residual": diags.closure_residual,
         "completion_defect": diags.completion_defect,

@@ -33,10 +33,12 @@ degree's centers (only degree 0's centers take a sweep of their own,
 stack S = [x_1 p_n; ...; x_d p_n; p_n; p_{n-1}] (``shifted_stack``), so
 each stage is one GEMM: the step matrix times S for the new block, the
 stacked centers and lowering matrices times the tail of S for the
-residuals.  A sweep is a sum of per-chunk partial sums over
-slices of at most ``measures.STACK_BYTES`` of values, computed on
-``measures.WORKERS`` threads by ``measures.chunk_map`` and added in chunk
-order.  The recurrence therefore depends on ``STACK_BYTES`` (the
+residuals.  As in the classical Stieltjes procedure, p_{-1} = 0: an
+empty block, with d empty lowering matrices B_{0,i} (``_lowering``), so
+degree 0 runs the same code as every later degree.  A sweep is a sum of
+per-chunk partial sums over slices of at most ``measures.STACK_BYTES``
+of values, computed on ``measures.WORKERS`` threads by
+``measures.chunk_map`` and added in chunk order.  The recurrence therefore depends on ``STACK_BYTES`` (the
 summation order) but is bit-identical at any worker count.
 
 Every moment the algorithm takes is a weighted Gram <f, g> =
@@ -49,10 +51,10 @@ product, exactly symmetric), and no chunk writes a weighted copy.
 
 The recurrence needs only the two newest blocks, so a run holds two
 (r_N x M) buffers, N the requested degree: block k is the row view
-``[:r_k]`` of buffer k mod 2, and the block evaluation writes p_{n+1}
-over p_{n-1}, chunk by chunk, after each chunk has copied its own p_{n-1}
-columns into its shifted stack.  Rows a block never reaches are never
-written, so resident memory grows with the degree.
+``[:r_k]`` of buffer k mod 2 (r_{-1} = 0), and the block evaluation
+writes p_{n+1} over p_{n-1}, chunk by chunk, after each chunk has copied
+its own p_{n-1} columns into its shifted stack.  Rows a block never
+reaches are never written, so resident memory grows with the degree.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .diagnostics import condition_numbers
 from .errors import ClosureError, NumericalFailure, RankDeficiencyError
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, shifted_stack, step_matrix)
-from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
 from .wopp import RANK_TOL, scaled_cross, solve_orthogonal_factors
@@ -88,35 +89,34 @@ class StieltjesState:
     is the row view ``buffers[k % 2][:r_k]``, so ``values_cur`` and
     ``values_prev`` are views into different buffers, and the next block
     is written over ``values_prev`` (``_evaluate_committed_degree``).
+    At degree 0, ``values_prev`` is p_{-1} = 0, the empty (0 x M) view
+    ``buffers[1][:0]``.
     A sweep that fails leaves ``values_prev`` partly overwritten, so a
     state is not resumed after an exception.
     """
 
     measure: DiscreteMeasure
-    index_set: MultiIndexSet
     recurrence: RecurrenceData
     values_cur: np.ndarray
-    values_prev: np.ndarray | None
+    values_prev: np.ndarray
     degree: int
     buffers: tuple
     centers: list | None = None
 
     @classmethod
-    def start(cls, measure: DiscreteMeasure, index_set: MultiIndexSet,
-              max_degree: int) -> StieltjesState:
+    def start(cls, measure: DiscreteMeasure, max_degree: int) -> StieltjesState:
         """Degree-0 state with buffers deep enough for ``max_degree``:
         q_0 = sqrt(w) / sqrt(total mass), the half-weighted constant
-        p_0, in ``buffers[0][:1]``."""
-        rows = index_set.r(max_degree)
-        buffers = tuple(np.empty((rows, measure.n_nodes)) for _ in range(2))
+        p_0, in ``buffers[0][:1]``, and the empty p_{-1}."""
+        rec = RecurrenceData(d=measure.d, max_degree=0, A=[None], B=[None],
+                             lam=[None])
+        buffers = tuple(np.empty((rec.r(max_degree), measure.n_nodes))
+                        for _ in range(2))
         q0 = buffers[0][:1]
         np.divide(np.sqrt(measure.weights), np.sqrt(measure.total_mass),
                   out=q0[0])
-        return cls(measure=measure, index_set=index_set,
-                   recurrence=RecurrenceData(d=measure.d, max_degree=0,
-                                             A=[None], B=[None], lam=[None]),
-                   values_cur=q0, values_prev=None, degree=0,
-                   buffers=buffers)
+        return cls(measure=measure, recurrence=rec, values_cur=q0,
+                   values_prev=buffers[1][:0], degree=0, buffers=buffers)
 
 
 @dataclass
@@ -151,40 +151,43 @@ def coordinate_moment(state: StieltjesState) -> list:
 
     def chunk(sl):
         return _center_moments(nodes[sl], state.values_cur[:, sl],
-                               _prev_slice(state, sl))
+                               state.values_prev[:, sl])
 
     r = state.values_cur.shape[0]
     d = state.measure.d
     moments = _sweep(state, (d + 1) * r, chunk,
-                     _center_accumulators(d, r, _prev_rows(state)))
-    return _centers(moments, state.recurrence.B[state.degree]
-                    if state.degree >= 1 else None)
+                     _center_accumulators(d, r, state.values_prev.shape[0]))
+    return _centers(moments, _lowering(state))
+
+
+def _lowering(state: StieltjesState) -> list:
+    """The lowering matrices B_{n,i} of the current degree n; at degree 0,
+    where p_{-1} is the empty block, d empty (0 x 1) blocks."""
+    if state.degree == 0:
+        return [np.zeros((0, 1))] * state.measure.d
+    return state.recurrence.B[state.degree]
 
 
 def _center_moments(pts: np.ndarray, q: np.ndarray,
-                    q_prev: np.ndarray | None) -> list:
+                    q_prev: np.ndarray) -> list:
     """One chunk's share of the moments the centers come from, from the
     half-weighted blocks ``q`` and ``q_prev``: the Gram <p, p> = q q^T
     (symmetric product), the stacked [<x_1 p, p>; ...; <x_d p, p>]
-    = [x_1 q; ...; x_d q] q^T (one GEMM) and, when ``q_prev`` is given,
-    the overlap <p, p_prev> = q q_prev^T."""
+    = [x_1 q; ...; x_d q] q^T (one GEMM) and the overlap
+    <p, p_prev> = q q_prev^T."""
     r = q.shape[0]
     shifted = np.empty((pts.shape[1] * r, pts.shape[0]))
     for i in range(pts.shape[1]):
         np.multiply(pts[:, i][None, :], q, out=shifted[i * r:(i + 1) * r])
-    parts = [q @ q.T, shifted @ q.T]
-    if q_prev is not None:
-        parts.append(q @ q_prev.T)
-    return parts
+    return [q @ q.T, shifted @ q.T, q @ q_prev.T]
 
 
 def _center_accumulators(d: int, r: int, r_prev: int) -> list:
     """Zeroed totals for the parts ``_center_moments`` returns."""
-    return [np.zeros((r, r)), np.zeros((d * r, r))] + (
-        [np.zeros((r, r_prev))] if r_prev else [])
+    return [np.zeros((r, r)), np.zeros((d * r, r)), np.zeros((r, r_prev))]
 
 
-def _centers(moments: list, lowering: list | None) -> list:
+def _centers(moments: list, lowering: list) -> list:
     """Lanczos-ordered centers from the summed ``_center_moments``.
 
     A_{n+1,i} = sym<x_i p_n - B_{n,i}^T p_{n-1}, p_n>
@@ -202,19 +205,9 @@ def _centers(moments: list, lowering: list | None) -> list:
     r = stacked.shape[1]
     out = []
     for i in range(stacked.shape[0] // r):
-        x = stacked[i * r:(i + 1) * r]
-        if lowering is not None:
-            x = x - lowering[i].T @ moments[2].T
+        x = stacked[i * r:(i + 1) * r] - lowering[i].T @ moments[2].T
         out.append(0.5 * (x + x.T))
     return out
-
-
-def _prev_slice(state: StieltjesState, sl: slice):
-    return None if state.values_prev is None else state.values_prev[:, sl]
-
-
-def _prev_rows(state: StieltjesState) -> int:
-    return 0 if state.values_prev is None else state.values_prev.shape[0]
 
 
 def _sweep(state: StieltjesState, rows: int, chunk, acc: list) -> list:
@@ -237,15 +230,16 @@ def symmetric_factor(t_sym: np.ndarray, where: str = ""):
 
     Returns (U, s) with eigenvalues sorted non-increasing, s their square
     roots, and U sign-fixed.  Raises RankDeficiencyError when the
-    smallest singular value falls below ``RANK_TOL`` times the largest.
+    smallest eigenvalue falls below ``RANK_TOL`` times the largest (on s
+    the test would sit under its roundoff floor, near 1e-8 relative).
     """
     evals, vecs = descending_eigh(t_sym)
-    s = np.sqrt(np.clip(evals, 0.0, None))
-    if s[-1] <= RANK_TOL * s[0]:
+    if evals[-1] <= RANK_TOL * evals[0]:
+        ratio = evals[-1] / evals[0] if evals[0] > 0 else 0.0
         raise RankDeficiencyError(
             f"residual Gram rank-deficient{where} "
-            f"(singular value ratio {s[-1] / s[0] if s[0] else 0.0:.3e})")
-    return vecs, s
+            f"(eigenvalue ratio {ratio:.3e})")
+    return vecs, np.sqrt(evals)
 
 
 def psd_sqrt(mat: np.ndarray, what: str) -> np.ndarray:
@@ -281,8 +275,7 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
     return fix_column_signs(vt[rank:].T)
 
 
-def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
-                         max_degree: int):
+def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
     """Compute canonical recurrence matrices through ``max_degree``.
 
     Parameters
@@ -290,8 +283,9 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
     measure : DiscreteMeasure
         Must be non-degenerate through degree 2 * max_degree + 1 and have
         d >= 2 (the univariate problem has its own classical method).
-    index_set : MultiIndexSet
-        Degree bookkeeping, at least as deep as ``max_degree``.
+    max_degree : int
+        The last degree N whose matrices are computed, N >= 0.  The
+        block sizes r_n follow from d (``RecurrenceData.r``).
 
     Returns
     -------
@@ -301,19 +295,18 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
 
     Raises
     ------
+    ValueError
+        For d < 2 or a negative ``max_degree``.
     NumericalFailure
         Carrying the degree being computed when it failed.
     """
-    d = measure.d
-    if d < 2:
+    if measure.d < 2:
         raise ValueError("degree advancement requires d >= 2; "
                          "use the univariate routines for d = 1")
-    if index_set.d != d:
-        raise ValueError("index set dimension does not match the measure")
-    if index_set.max_degree < max_degree:
-        raise ValueError("index set shallower than requested degree")
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
 
-    state = StieltjesState.start(measure, index_set, max_degree)
+    state = StieltjesState.start(measure, max_degree)
     state.centers = coordinate_moment(state)
     diags = StieltjesDiagnostics()
     for n in range(max_degree):
@@ -322,14 +315,14 @@ def stieltjes_recurrence(measure: DiscreteMeasure, index_set: MultiIndexSet,
         except NumericalFailure as exc:
             exc.degree = n + 1
             raise
-    t_diag, _ = _moment_pass(state, state.centers, need_pairs=False)
-    diags.t_condition.append(_mean_condition(t_diag))
+    diags.t_condition.append(_mean_condition(
+        _moment_pass(state, state.centers, need_pairs=False)))
     return state.recurrence, diags
 
 
-def _mean_condition(t_diag) -> float:
+def _mean_condition(t_blocks: list) -> float:
     """Condition number averaged over the symmetric residual Grams."""
-    return float(np.mean(condition_numbers(list(t_diag.values()))))
+    return float(np.mean(condition_numbers(t_blocks)))
 
 
 def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
@@ -339,24 +332,21 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
     (``centers`` holding the A matrices) equals B_{n+1,i} p_{n+1} in
     exact arithmetic.  Per chunk, one GEMM forms all d residuals of the
     half-weighted blocks from the shifted stack, and one symmetric
-    product gives their whole Gram T, exactly symmetric.  Returns
-    (diagonal blocks {(i,i): T}, mixed blocks {(i,j): T, i<j}), views of
-    T.  When ``need_pairs`` is false the mixed blocks are left out and
-    each chunk forms only the d diagonal blocks, one symmetric product
-    of each coordinate's r residual rows.
+    product gives their whole (d r x d r) Gram T, exactly symmetric;
+    block (i, j) of T is <res_i, res_j>.  Returns T.  When ``need_pairs``
+    is false the mixed blocks are left out: each chunk forms only the d
+    diagonal blocks, one symmetric product of each coordinate's r
+    residual rows, and the list of those d blocks is returned.
     """
     d = state.measure.d
-    n = state.degree
     r = state.values_cur.shape[0]
     nodes = state.measure.nodes
-    shift = np.vstack(centers)
-    if n >= 1:
-        shift = np.hstack([shift, np.vstack([b.T for b in
-                                             state.recurrence.B[n]])])
+    shift = np.hstack([np.vstack(centers),
+                       np.vstack([b.T for b in _lowering(state)])])
 
     def chunk(sl):
         stack = shifted_stack(nodes[sl], state.values_cur[:, sl],
-                              _prev_slice(state, sl))
+                              state.values_prev[:, sl])
         resid = shift @ stack[d * r:]
         np.subtract(stack[:d * r], resid, out=resid)
         if not need_pairs:
@@ -364,66 +354,58 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
         return [resid @ resid.T]
 
     # The shifted stack and the residuals.
-    rows = (2 * d + 1) * r + _prev_rows(state)
+    rows = (2 * d + 1) * r + state.values_prev.shape[0]
     if not need_pairs:
-        grams = _sweep(state, rows, chunk,
-                       [np.zeros((r, r)) for _ in range(d)])
-        return {(i, i): grams[i] for i in range(d)}, {}
-    [gram] = _sweep(state, rows, chunk, [np.zeros((d * r, d * r))])
-
-    def block(i, j):
-        return gram[i * r:(i + 1) * r, j * r:(j + 1) * r]
-
-    diag = {(i, i): block(i, i) for i in range(d)}
-    mixed = {(i, j): block(i, j) for i in range(d) for j in range(i + 1, d)}
-    return diag, mixed
+        return _sweep(state, rows, chunk, [np.zeros((r, r)) for _ in range(d)])
+    return _sweep(state, rows, chunk, [np.zeros((d * r, d * r))])[0]
 
 
 def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     """Compute, canonicalize, and commit the matrices of degree n+1,
     every closure from the residual Grams of one ``_moment_pass``."""
-    measure, iset = state.measure, state.index_set
-    d, n = measure.d, state.degree
+    rec = state.recurrence
+    d, n = state.measure.d, state.degree
     r_n = state.values_cur.shape[0]
-    r_next = iset.r(n + 1)
-    dr_n = r_n - iset.r(n - 1)
+    r_next = rec.r(n + 1)
+    dr_n = r_n - rec.r(n - 1)
     dr_next = r_next - r_n
 
     centers = state.centers
-    t_diag, t_mixed = _moment_pass(state, centers)
-    diags.t_condition.append(_mean_condition(t_diag))
+    t = _moment_pass(state, centers)
+
+    def block(i, j):
+        return t[i * r_n:(i + 1) * r_n, j * r_n:(j + 1) * r_n]
+
+    diags.t_condition.append(_mean_condition([block(i, i) for i in range(d)]))
 
     if n == 0:
         # r_0 = 1: T is the d x d Gram S S^T of the stacked raising rows
         # S = [B_{1,1}; ...; B_{1,d}], so S = U Sigma from its factors.
-        gram = np.empty((d, d))
-        for (i, j), block in {**t_diag, **t_mixed}.items():
-            gram[i, j] = gram[j, i] = block[0, 0]
-        u, s = symmetric_factor(gram)
+        u, s = symmetric_factor(t)
         raisings = list((u * s[None, :])[:, None, :])
     else:
         left, sing = [], []
         for i in range(d):
-            u_i, s_i = symmetric_factor(t_diag[(i, i)],
+            u_i, s_i = symmetric_factor(block(i, i),
                                         where=f" (coordinate {i})")
             left.append(u_i)
             sing.append(s_i)
-        vhat = {j: scaled_cross(left[0], sing[0], t_mixed[(0, j)],
+        vhat = {j: scaled_cross(left[0], sing[0], block(0, j),
                                 left[j], sing[j])
                 for j in range(1, d)}
         psi, weight_blocks, targets = {}, {}, {}
         for j in range(1, d):
-            psi[j] = kernel_completion_basis(state.recurrence.B[n][0],
+            psi[j] = kernel_completion_basis(rec.B[n][0],
                                              left[j], sing[j], dr_n,
                                              where=f" (coordinate {j})")
-            block = np.eye(dr_n) - psi[j].T @ vhat[j].T @ vhat[j] @ psi[j]
+            squared = np.eye(dr_n) - psi[j].T @ vhat[j].T @ vhat[j] @ psi[j]
             weight_blocks[j] = np.hstack(
-                [psd_sqrt(block, f"weight block of coordinate {j}"),
+                [psd_sqrt(squared, f"weight block of coordinate {j}"),
                  np.zeros((dr_n, dr_next - dr_n))])
         for i in range(1, d):
             for j in range(i + 1, d):
                 targets[(i, j)] = psi[i].T @ (
-                    scaled_cross(left[i], sing[i], t_mixed[(i, j)],
+                    scaled_cross(left[i], sing[i], block(i, j),
                                  left[j], sing[j])
                     - vhat[i].T @ vhat[j]) @ psi[j]
         solved = solve_orthogonal_factors(weight_blocks, targets)
@@ -474,7 +456,7 @@ def _evaluate_committed_degree(state: StieltjesState,
         # no chunk outlive an exception.  Nothing may read
         # ``values_prev[:, sl]`` after the GEMM: it is p_{n+1} by then.
         pts, p_cur = measure.nodes[sl], state.values_cur[:, sl]
-        block = _next_block(step, pts, p_cur, _prev_slice(state, sl),
+        block = _next_block(step, pts, p_cur, state.values_prev[:, sl],
                             out=out[:, sl])
         return _center_moments(pts, block, p_cur)
 

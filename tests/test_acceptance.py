@@ -80,8 +80,8 @@ def test_criterion_03_ms_oracle_equivalence(capsys):
     ok = True
     for d, params, n_max in ((2, JAC2, 20), (3, JAC3, 8)):
         measure = tensor_jacobi(d, n_max + 2, *params)
-        iset, oracle = _oracle(d, params, n_max)
-        rec, _ = stieltjes_recurrence(measure, iset, n_max)
+        _, oracle = _oracle(d, params, n_max)
+        rec, _ = stieltjes_recurrence(measure, n_max)
         worst = max(np.max(np.abs(np.sort(rec.lam[n]) - np.sort(oracle.lam[n]))
                            / np.sort(oracle.lam[n]))
                     for n in range(1, n_max + 1))

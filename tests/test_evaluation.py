@@ -36,7 +36,7 @@ def three_term_block(rec, n, pts, p_cur, p_prev):
         raising_t = rec.B[n + 1][i].T
         out += raising_t @ (pts[:, i][None, :] * p_cur)
         out -= (raising_t @ rec.A[n + 1][i]) @ p_cur
-        if p_prev is not None:
+        if n >= 1:
             out -= (raising_t @ rec.B[n][i].T) @ p_prev
     return out / rec.lam[n + 1][:, None]
 
@@ -109,8 +109,9 @@ class TestEvaluate:
         # Reference: blocks built one by one and stacked afterwards.
         blocks = [np.ones((1, 40))]
         for n in range(6):
+            p_prev = blocks[n - 1] if n >= 1 else np.empty((0, 40))
             blocks.append(_next_block(step_matrix(canon, n), pts, blocks[n],
-                                      blocks[n - 1] if n >= 1 else None))
+                                      p_prev))
         assert [b.shape for b in ev.blocks] == [b.shape for b in blocks]
         assert np.array_equal(ev.stacked, np.vstack(blocks))
 
@@ -121,7 +122,7 @@ class TestEvaluate:
         pts = np.random.default_rng(5).uniform(-1, 1, size=(300, len(params[0])))
         blocks = [np.ones((1, 300))]
         for n in range(n_max):
-            p_prev = blocks[n - 1] if n >= 1 else None
+            p_prev = blocks[n - 1] if n >= 1 else np.empty((0, 300))
             want = three_term_block(canon, n, pts, blocks[n], p_prev)
             got = _next_block(step_matrix(canon, n), pts, blocks[n], p_prev)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -11,7 +11,7 @@ degree.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvortho.errors import RankDeficiencyError
@@ -32,8 +32,7 @@ def random_cloud(rng, d, n_nodes=400):
 
 def spectra(nodes, weights, n_max):
     measure = DiscreteMeasure(nodes=nodes, weights=weights / weights.sum())
-    rec, _ = stieltjes_recurrence(
-        measure, MultiIndexSet.build(nodes.shape[1], n_max), n_max)
+    rec, _ = stieltjes_recurrence(measure, n_max)
     return rec.lam[1:]
 
 
@@ -105,9 +104,14 @@ def test_collinear_cloud_fails_with_degree(seed, d):
 
 @settings(max_examples=10, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
+@example(seed=216, d=2)
+@example(seed=109362868, d=2)
 def test_too_few_nodes_fail_with_degree(seed, d):
     # 12 nodes carry at most 12 orthonormal polynomials, fewer than the
-    # polynomials of degree <= 4 (d = 2) or <= 3 (d = 3).
+    # polynomials of degree <= 4 (d = 2) or <= 3 (d = 3).  The examples
+    # reach a residual Gram whose smallest eigenvalue is roundoff: its
+    # singular-value ratio (6.9e-9 and 1.5e-9) passed a rank test on s,
+    # and the closure then raised ClosureError.
     rng = np.random.default_rng(seed)
     nodes, weights = random_cloud(rng, d, n_nodes=12)
     iset = MultiIndexSet.build(d, 6)

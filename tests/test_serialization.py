@@ -92,8 +92,7 @@ class TestByteIdentity:
     """The writer reproduces the indented ``json`` encoder byte for byte."""
 
     @pytest.mark.parametrize("make", [
-        lambda: stieltjes_recurrence(torus_measure(7, 25, 25),
-                                     MultiIndexSet.build(3, 5), 5)[0],
+        lambda: stieltjes_recurrence(torus_measure(7, 25, 25), 5)[0],
         lambda: tensor_recurrence([jacobi_recurrence(3, 0.0, 0.0)] * 2,
                                   MultiIndexSet.build(2, 3), 3),
         lambda: with_non_finite(oracle()),

@@ -39,8 +39,7 @@ def uniform_ball(d, n_nodes, seed):
 
 
 def fresh_state(measure, n_max):
-    return StieltjesState.start(measure, MultiIndexSet.build(measure.d, n_max),
-                                n_max)
+    return StieltjesState.start(measure, n_max)
 
 
 def half_weighted(measure, block):
@@ -48,14 +47,18 @@ def half_weighted(measure, block):
     return np.sqrt(measure.weights)[None, :] * block
 
 
+def gram_block(t, r, i, j):
+    """Block (i, j), the Gram <res_i, res_j>, of a residual Gram T."""
+    return t[i * r:(i + 1) * r, j * r:(j + 1) * r]
+
+
 def residual_grams(state):
     """All residual Grams of ``state``'s degree, keyed by ordered pair,
-    from the pass the algorithm runs."""
-    diag, mixed = _moment_pass(state, coordinate_moment(state), need_pairs=True)
-    out = dict(diag)
-    for (i, j), mat in mixed.items():
-        out[(i, j)], out[(j, i)] = mat, mat.T
-    return out
+    as blocks of the Gram T the algorithm's pass returns."""
+    t = _moment_pass(state, coordinate_moment(state), need_pairs=True)
+    r, d = state.values_cur.shape[0], state.measure.d
+    assert t.shape == (d * r, d * r) and np.array_equal(t, t.T)
+    return {(i, j): gram_block(t, r, i, j) for i in range(d) for j in range(d)}
 
 
 class TestMomentBlocks:
@@ -67,8 +70,7 @@ class TestMomentBlocks:
 
     def test_legendre_all_centers_vanish(self):
         m = tensor_jacobi(2, 10, (0.0, 0.0), (0.0, 0.0))
-        iset = MultiIndexSet.build(2, 6)
-        rec, _ = stieltjes_recurrence(m, iset, 6)
+        rec, _ = stieltjes_recurrence(m, 6)
         for n in range(1, 7):
             for mat in rec.A[n]:
                 assert np.max(np.abs(mat)) < 1e-14
@@ -87,8 +89,7 @@ class TestMomentBlocks:
 
     def test_residual_gram_asymmetry_is_roundoff_only(self):
         m = tensor_jacobi(2, 10, *JAC2)
-        iset = MultiIndexSet.build(2, 8)
-        rec, _ = stieltjes_recurrence(m, iset, 4)
+        rec, _ = stieltjes_recurrence(m, 4)
         state = fresh_state(m, 8)
         state.recurrence = rec
         ev = evaluate(rec, m.nodes, 4)
@@ -109,7 +110,7 @@ class TestMomentBlocks:
     def test_residual_gram_matches_raising_products(self):
         # T blocks equal B_{n+1,i} B_{n+1,j}^T for the oracle matrices.
         m = tensor_jacobi(2, 8, (0.0, 0.0), (0.0, 0.0))
-        iset, oracle = jacobi_oracle(2, ((0.0, 0.0), (0.0, 0.0)), 5)
+        _, oracle = jacobi_oracle(2, ((0.0, 0.0), (0.0, 0.0)), 5)
         ev = evaluate(oracle, m.nodes, 5)
         for n in range(1, 5):
             state = fresh_state(m, 5)
@@ -136,12 +137,14 @@ class TestMomentBlocks:
         diags = st.StieltjesDiagnostics()
         for _ in range(4):
             st._advance(state, diags)
-            full, _ = _moment_pass(state, state.centers)
-            diag, mixed = _moment_pass(state, state.centers, need_pairs=False)
-            assert mixed == {} and diag.keys() == full.keys()
-            for key, mat in diag.items():
+            t = _moment_pass(state, state.centers)
+            blocks = _moment_pass(state, state.centers, need_pairs=False)
+            r = state.values_cur.shape[0]
+            assert len(blocks) == measure.d
+            for i, mat in enumerate(blocks):
                 assert np.array_equal(mat, mat.T)
-                assert np.max(np.abs(mat - full[key])) <= 1e-14 * np.max(mat)
+                assert (np.max(np.abs(mat - gram_block(t, r, i, i)))
+                        <= 1e-14 * np.max(mat))
 
 
 class TestSweeps:
@@ -160,8 +163,7 @@ class TestSweeps:
 
         monkeypatch.setattr(st, "_sweep", counting)
         n_max = 5
-        stieltjes_recurrence(measure, MultiIndexSet.build(measure.d, n_max),
-                             n_max)
+        stieltjes_recurrence(measure, n_max)
         assert len(calls) == 2 * n_max + 2
 
     @pytest.mark.parametrize("measure,n_max", [
@@ -182,6 +184,13 @@ class TestSweeps:
 
 
 class TestBlockBuffers:
+    def test_degree_zero_prev_block_is_empty_view(self):
+        # p_{-1} = 0 is the empty row view of the buffer p_1 is written to.
+        m = tensor_jacobi(2, 6, *JAC2)
+        state = fresh_state(m, 3)
+        assert state.values_prev.shape == (0, m.n_nodes)
+        assert state.values_prev.base is state.buffers[1]
+
     @pytest.mark.parametrize("measure,n_max", [
         (tensor_jacobi(3, 6, *JAC3), 5), (annulus_measure(8, 30), 7)])
     def test_resident_blocks_are_half_weighted(self, measure, n_max):
@@ -209,7 +218,7 @@ class TestBlockBuffers:
         iset = MultiIndexSet.build(2, n_max)
         tracemalloc.start()
         try:
-            stieltjes_recurrence(m, iset, n_max)
+            stieltjes_recurrence(m, n_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,30 +229,18 @@ class TestBlockBuffers:
         # Many small chunks race to write p_{n+1} over p_{n-1}; a chunk
         # reading columns another one has written would move the bits.
         m = tensor_jacobi(2, 12, *JAC2)
-        iset = MultiIndexSet.build(2, 8)
         monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 3)
         monkeypatch.setattr(measures, "WORKERS", 1)
-        want, _ = stieltjes_recurrence(m, iset, 8)
+        want, _ = stieltjes_recurrence(m, 8)
         monkeypatch.setattr(measures, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got, _ = stieltjes_recurrence(m, iset, 8)
+            got, _ = stieltjes_recurrence(m, 8)
         finally:
             sys.setswitchinterval(interval)
         for n in range(1, 9):
             for i in range(2):
-                assert np.array_equal(got.B[n][i], want.B[n][i])
-
-    def test_deeper_index_set_bit_identical(self):
-        m = tensor_jacobi(2, 12, *JAC2)
-        want, _ = stieltjes_recurrence(m, MultiIndexSet.build(2, 8), 8)
-        got, _ = stieltjes_recurrence(m, MultiIndexSet.build(2, 12), 8)
-        assert got.max_degree == want.max_degree == 8
-        for n in range(1, 9):
-            assert np.array_equal(got.lam[n], want.lam[n])
-            for i in range(2):
-                assert np.array_equal(got.A[n][i], want.A[n][i])
                 assert np.array_equal(got.B[n][i], want.B[n][i])
 
 
@@ -325,7 +322,7 @@ class TestClosureFailuresNameCoordinate:
         m = tensor_jacobi(2, 8, *JAC2)
         with pytest.raises(ClosureError, match="weight block of coordinate 1 "
                            "not positive semi-definite") as err:
-            stieltjes_recurrence(m, MultiIndexSet.build(2, 4), 4)
+            stieltjes_recurrence(m, 4)
         assert err.value.degree == 2
 
     def test_kernel_dimension(self, monkeypatch):
@@ -336,12 +333,12 @@ class TestClosureFailuresNameCoordinate:
         m = tensor_jacobi(3, 6, *JAC3)
         with pytest.raises(RankDeficiencyError,
                            match=r"!= expected 3 \(coordinate 1\)") as err:
-            stieltjes_recurrence(m, MultiIndexSet.build(3, 3), 3)
+            stieltjes_recurrence(m, 3)
         assert err.value.degree == 2
 
 
 def degree_one(measure):
-    rec, _ = stieltjes_recurrence(measure, MultiIndexSet.build(measure.d, 1), 1)
+    rec, _ = stieltjes_recurrence(measure, 1)
     return rec
 
 
@@ -377,8 +374,8 @@ class TestFullRuns:
                                                      (3, JAC3, 8, 1e-8)])
     def test_matches_oracle_spectra(self, d, params, n_max, rtol):
         measure = tensor_jacobi(d, n_max + 2, *params)
-        iset, oracle = jacobi_oracle(d, params, n_max)
-        rec, diags = stieltjes_recurrence(measure, iset, n_max)
+        _, oracle = jacobi_oracle(d, params, n_max)
+        rec, diags = stieltjes_recurrence(measure, n_max)
         for n in range(1, n_max + 1):
             assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
                                rtol=rtol)
@@ -388,19 +385,28 @@ class TestFullRuns:
         x, w = np.linspace(-1, 1, 30)[:, None], np.full(30, 1 / 30)
         m = DiscreteMeasure(nodes=x, weights=w)
         with pytest.raises(ValueError):
-            stieltjes_recurrence(m, MultiIndexSet.build(1, 3), 3)
+            stieltjes_recurrence(m, 3)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            stieltjes_recurrence(tensor_jacobi(2, 4, *JAC2), -1)
+
+    def test_degree_zero_run(self):
+        # Only the last residual pass runs: one condition number, that of
+        # degree 0's residual Grams, and no matrices beyond degree 0.
+        rec, diags = stieltjes_recurrence(tensor_jacobi(2, 4, *JAC2), 0)
+        assert rec.max_degree == 0 and len(diags.t_condition) == 1
 
     def test_d3_control_flow_counters(self):
         m = tensor_jacobi(3, 8, *JAC3)
-        iset = MultiIndexSet.build(3, 6)
-        _, diags = stieltjes_recurrence(m, iset, 6)
+        _, diags = stieltjes_recurrence(m, 6)
         assert len(diags.closure_residual) == 5  # every degree n = 1..5
 
     def test_annulus_beats_moment_method(self):
         n_max = 16
         m = annulus_measure(n_max + 2, 4 * n_max + 5)
         iset = MultiIndexSet.build(2, n_max)
-        rec, _ = stieltjes_recurrence(m, iset, n_max)
+        rec, _ = stieltjes_recurrence(m, n_max)
         size = iset.cumulative(n_max)
         ms_err = gram_error_streaming(evaluator(rec, n_max), m, size).max_abs
 
@@ -416,18 +422,16 @@ class TestFullRuns:
 
     def test_commuting_conditions_hold(self):
         m = tensor_jacobi(3, 9, *JAC3)
-        iset = MultiIndexSet.build(3, 7)
-        rec, _ = stieltjes_recurrence(m, iset, 7)
+        rec, _ = stieltjes_recurrence(m, 7)
         assert max_commuting_residual(rec) < 1e-8
 
     def test_chunked_matches_unchunked(self, monkeypatch):
         # 100 nodes: one chunk per sweep by default; with the small
         # STACK_BYTES, 2 to 17 chunks (sweeps hold 4 to 34 rows per node).
         m = tensor_jacobi(2, 10, *JAC2)
-        iset = MultiIndexSet.build(2, 6)
-        b, _ = stieltjes_recurrence(m, iset, 6)
+        b, _ = stieltjes_recurrence(m, 6)
         monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
-        a, _ = stieltjes_recurrence(m, iset, 6)
+        a, _ = stieltjes_recurrence(m, 6)
         for n in range(1, 7):
             for i in range(2):
                 assert np.allclose(a.B[n][i], b.B[n][i], atol=1e-12)
@@ -451,7 +455,7 @@ class TestFullRuns:
         iset = MultiIndexSet.build(2, 6)
         monkeypatch.setattr(measures, "WORKERS", 2)
         monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
-        want, _ = stieltjes_recurrence(m, iset, 6)
+        want, _ = stieltjes_recurrence(m, 6)
         real, threads = st._next_block, []
 
         def failing(step, pts, *args, **kwargs):
@@ -464,11 +468,11 @@ class TestFullRuns:
 
         monkeypatch.setattr(st, "_next_block", failing)
         with pytest.raises(RankDeficiencyError, match="injected") as err:
-            stieltjes_recurrence(m, iset, 6)
+            stieltjes_recurrence(m, 6)
         assert err.value.degree == 3
         assert threads and threads[0] != threading.current_thread().name
         monkeypatch.setattr(st, "_next_block", real)
-        got, _ = stieltjes_recurrence(m, iset, 6)
+        got, _ = stieltjes_recurrence(m, 6)
         for n in range(1, 7):
             for i in range(2):
                 assert np.array_equal(got.B[n][i], want.B[n][i])
@@ -485,7 +489,7 @@ class TestFullRuns:
         # reaches 6.8e-13, 1.3e-13 and 1.5e-13 on the same measures.
         m = build()
         iset = MultiIndexSet.build(m.d, n_max)
-        rec, _ = stieltjes_recurrence(m, iset, n_max)
+        rec, _ = stieltjes_recurrence(m, n_max)
         err = gram_error_streaming(evaluator(rec, n_max), m,
                                    iset.cumulative(n_max)).max_abs
         assert err <= bound
@@ -495,8 +499,8 @@ class TestFullRuns:
             params = ((0.0, 1.5, 0.5, 2.0, 1.0)[:d],
                       (0.0, 0.5, 3.0, 1.0, 2.5)[:d])
             m = tensor_jacobi(d, 6, *params)
-            iset, oracle = jacobi_oracle(d, params, 4)
-            rec, diags = stieltjes_recurrence(m, iset, 4)
+            _, oracle = jacobi_oracle(d, params, 4)
+            rec, diags = stieltjes_recurrence(m, 4)
             for n in range(1, 5):
                 assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
                                    rtol=1e-9), (d, n)
@@ -510,7 +514,7 @@ class TestFullRuns:
         monkeypatch.setattr("mvortho.stieltjes.solve_orthogonal_factors", stall)
         m = tensor_jacobi(4, 6, (0, 0, 0, 0), (0, 0, 0, 0))
         with pytest.raises(NonConvergenceError) as err:
-            stieltjes_recurrence(m, MultiIndexSet.build(4, 4), 4)
+            stieltjes_recurrence(m, 4)
         assert err.value.degree == 2
 
     def test_degenerate_measure_fails_with_degree(self):
@@ -518,13 +522,11 @@ class TestFullRuns:
         rng = np.random.default_rng(0)
         m = DiscreteMeasure(nodes=rng.uniform(-1, 1, (5, 2)),
                             weights=np.full(5, 0.2))
-        iset = MultiIndexSet.build(2, 3)
         with pytest.raises((RankDeficiencyError, ClosureError)) as err:
-            stieltjes_recurrence(m, iset, 3)
+            stieltjes_recurrence(m, 3)
         assert err.value.degree is not None
 
     def test_t_condition_length_covers_all_degrees(self):
         m = tensor_jacobi(2, 8, *JAC2)
-        iset = MultiIndexSet.build(2, 5)
-        _, diags = stieltjes_recurrence(m, iset, 5)
+        _, diags = stieltjes_recurrence(m, 5)
         assert len(diags.t_condition) == 6
