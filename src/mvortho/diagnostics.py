@@ -84,9 +84,9 @@ def commuting_residuals(rec: RecurrenceData) -> list:
     """Max-norm defects of the three compatibility identities.
 
     Returns tuples (n, i, j, res1, res2, res3) for 0 <= n < rec.max_degree and
-    coordinate pairs i < j.  The first identity applies from n = 0 (the
-    degree-0 raising term is vacuous); the other two start at n = 1 and
-    are reported as 0 for n = 0.
+    coordinate pairs i < j.  At n = 0 the lowering blocks B_{0,i} are
+    empty: their terms vanish, and the last two identities, empty,
+    report 0.
     """
     out = []
     for n in range(rec.max_degree):
@@ -94,18 +94,15 @@ def commuting_residuals(rec: RecurrenceData) -> list:
             for j in range(i + 1, rec.d):
                 b_i, b_j = rec.B[n + 1][i], rec.B[n + 1][j]
                 a_i, a_j = rec.A[n + 1][i], rec.A[n + 1][j]
+                p_i, p_j = rec.B[n][i], rec.B[n][j]
                 defect1 = b_i @ b_j.T - b_j @ b_i.T + a_i @ a_j - a_j @ a_i
-                if n >= 1:
-                    p_i, p_j = rec.B[n][i], rec.B[n][j]
-                    defect1 += p_i.T @ p_j - p_j.T @ p_i
-                    defect2 = (p_i @ a_j - p_j @ a_i
-                               + rec.A[n][i] @ p_j - rec.A[n][j] @ p_i)
-                    defect3 = p_i @ b_j - p_j @ b_i
-                    res2 = float(np.max(np.abs(defect2)))
-                    res3 = float(np.max(np.abs(defect3)))
-                else:
-                    res2 = res3 = 0.0
-                out.append((n, i, j, float(np.max(np.abs(defect1))), res2, res3))
+                defect1 += p_i.T @ p_j - p_j.T @ p_i
+                defect2 = (p_i @ a_j - p_j @ a_i
+                           + rec.A[n][i] @ p_j - rec.A[n][j] @ p_i)
+                defect3 = p_i @ b_j - p_j @ b_i
+                out.append((n, i, j, float(np.max(np.abs(defect1))),
+                            float(np.max(np.abs(defect2), initial=0.0)),
+                            float(np.max(np.abs(defect3), initial=0.0))))
     return out
 
 

@@ -88,18 +88,14 @@ def to_canonical(rec: RecurrenceData) -> RecurrenceData:
     """
     out = rec.copy()
     lam: list = [None]
-    u_prev = None  # degree-0 transform is the 1x1 identity
+    u_prev = np.ones((1, 1))  # degree-0 transform is the 1x1 identity
     for n in range(1, rec.max_degree + 1):
         # The raising Gram is invariant to the degree-(n-1) transform.
         evals, vecs = canonical_rotation(rec.raising_gram(n), n)
         for i in range(rec.d):
-            mat_a = rec.A[n][i]
-            mat_b = rec.B[n][i]
-            if u_prev is not None:
-                mat_a = u_prev.T @ mat_a @ u_prev
-                mat_b = u_prev.T @ mat_b
+            mat_a = u_prev.T @ rec.A[n][i] @ u_prev
             out.A[n][i] = 0.5 * (mat_a + mat_a.T)
-            out.B[n][i] = mat_b @ vecs
+            out.B[n][i] = u_prev.T @ rec.B[n][i] @ vecs
         lam.append(evals)
         u_prev = vecs
     out.lam = lam
@@ -175,18 +171,18 @@ def step_matrix(rec: RecurrenceData, n: int) -> np.ndarray:
         [B_{n+1,1}^T ... B_{n+1,d}^T,  -sum_i B_{n+1,i}^T A_{n+1,i},
          -sum_i B_{n+1,i}^T B_{n,i}^T] / lam_{n+1}
 
-    (the last column block only for n >= 1), the canonical three-term
-    identity solved for p_{n+1}.  Raises RankDeficiencyError when the
-    canonical diagonal lam_{n+1} is singular within ``COND_TOL``.
+    (empty at n = 0, as p_{-1} is), the canonical three-term identity
+    solved for p_{n+1}.  Raises RankDeficiencyError when the canonical
+    diagonal lam_{n+1} is singular within ``COND_TOL``.
     """
     lam = rec.lam[n + 1]
     if np.min(lam) <= COND_TOL * np.max(lam):
         raise RankDeficiencyError(
             f"canonical diagonal nearly singular at degree {n + 1}", degree=n + 1)
     raising_t = [mat.T for mat in rec.B[n + 1]]
-    columns = raising_t + [-sum(bt @ a for bt, a in zip(raising_t, rec.A[n + 1]))]
-    if n >= 1:
-        columns.append(-sum(bt @ b.T for bt, b in zip(raising_t, rec.B[n])))
+    columns = raising_t + [
+        -sum(bt @ a for bt, a in zip(raising_t, rec.A[n + 1])),
+        -sum(bt @ b.T for bt, b in zip(raising_t, rec.B[n]))]
     return np.hstack(columns) / lam[:, None]
 
 

@@ -265,8 +265,7 @@ def extract_recurrence(gram: GramData, max_degree: int | None = None) -> Recurre
     n_max = _factored_degree(gram, max_degree)
     size = iset.cumulative(n_max)
     linv = solve_lower(gram.chol[:size, :size], np.eye(size))
-    A: list = [None]
-    B: list = [None]
+    rec = RecurrenceData.start(iset.d)
     for n in range(n_max):
         lo_n, hi_n = (iset.cumulative(n - 1) if n else 0), iset.cumulative(n)
         lo_p, hi_p = hi_n, iset.cumulative(n + 1)
@@ -278,6 +277,7 @@ def extract_recurrence(gram: GramData, max_degree: int | None = None) -> Recurre
             a_mat = rows_n @ cg[:hi_n, :hi_n] @ rows_n.T
             A_row.append(0.5 * (a_mat + a_mat.T))
             B_row.append(rows_n @ cg[:hi_n, :hi_p] @ rows_p.T)
-        A.append(A_row)
-        B.append(B_row)
-    return RecurrenceData(d=iset.d, max_degree=n_max, A=A, B=B, lam=None)
+        rec.A.append(A_row)
+        rec.B.append(B_row)
+    rec.max_degree = n_max
+    return rec

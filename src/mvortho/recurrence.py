@@ -13,22 +13,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _copy_nested(tables):
-    return [None if row is None else [np.array(m) for m in row] for row in tables]
-
-
 @dataclass
 class RecurrenceData:
     """Recurrence matrices through degree ``max_degree``.
 
     ``A[n][i]`` is the symmetric (r_{n-1}, r_{n-1}) coefficient of p_{n-1}
     and ``B[n][i]`` the (r_{n-1}, r_n) degree-raising coefficient, for
-    n = 1..max_degree and coordinates i = 0..d-1 (entry 0 of each list is
-    None).  ``lam[n]``, when present, is the diagonal of the stacked
-    raising Gram sum_i B[n][i]^T B[n][i]; its presence marks canonical
-    form (diagonal ordered non-increasing).  ``index_order[n]`` optionally
-    records which multi-index labels each basis position (tensor-product
-    construction only).
+    n = 0..max_degree and coordinates i = 0..d-1 (p_{-1} is the empty block,
+    so entry 0 holds empty blocks, ``start``).  ``lam[n]``, when present,
+    is the diagonal of the stacked raising Gram sum_i B[n][i]^T B[n][i]
+    (``lam[0]`` is None); its presence marks canonical form (diagonal
+    ordered non-increasing).  ``index_order[n]`` optionally records which
+    multi-index labels each basis position (tensor-product construction
+    only).
     """
 
     d: int
@@ -37,6 +34,12 @@ class RecurrenceData:
     B: list
     lam: list | None = None
     index_order: list | None = field(default=None, repr=False)
+
+    @classmethod
+    def start(cls, d: int) -> "RecurrenceData":
+        """Degree-0 data, the empty blocks A[0] and B[0], and no ``lam``."""
+        return cls(d=d, max_degree=0, A=[[np.zeros((0, 0))] * d],
+                   B=[[np.zeros((0, 1))] * d])
 
     def r(self, n: int) -> int:
         if n < 0:
@@ -63,8 +66,8 @@ class RecurrenceData:
         return RecurrenceData(
             d=self.d,
             max_degree=self.max_degree,
-            A=_copy_nested(self.A),
-            B=_copy_nested(self.B),
+            A=[[np.array(m) for m in row] for row in self.A],
+            B=[[np.array(m) for m in row] for row in self.B],
             lam=None if self.lam is None else [None if v is None else np.array(v)
                                                for v in self.lam],
             index_order=None if self.index_order is None
@@ -74,7 +77,7 @@ class RecurrenceData:
     def validate_shapes(self):
         if len(self.A) != self.max_degree + 1 or len(self.B) != self.max_degree + 1:
             raise ValueError("coefficient tables must have max_degree + 1 rows")
-        for n in range(1, self.max_degree + 1):
+        for n in range(self.max_degree + 1):
             if len(self.A[n]) != self.d or len(self.B[n]) != self.d:
                 raise ValueError(f"degree {n}: expected {self.d} coordinate matrices")
             for i in range(self.d):

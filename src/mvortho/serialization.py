@@ -93,13 +93,12 @@ def recurrence_from_json(text: str) -> RecurrenceData:
     if len(doc["A"]) != n_max or len(doc["B"]) != n_max:
         raise SchemaError(f"expected {n_max} degrees of matrices, got "
                           f"{len(doc['A'])}/{len(doc['B'])}")
-    rec = RecurrenceData(
-        d=d, max_degree=n_max,
-        A=[None] + [[np.array(m, dtype=float) for m in row] for row in doc["A"]],
-        B=[None] + [[np.array(m, dtype=float) for m in row] for row in doc["B"]],
-        lam=None if doc.get("lambda") is None
-        else [None] + [np.array(v, dtype=float) for v in doc["lambda"]],
-    )
+    rec = RecurrenceData.start(d)
+    rec.max_degree = n_max
+    rec.A += [[np.array(m, dtype=float) for m in row] for row in doc["A"]]
+    rec.B += [[np.array(m, dtype=float) for m in row] for row in doc["B"]]
+    if doc.get("lambda") is not None:
+        rec.lam = [None] + [np.array(v, dtype=float) for v in doc["lambda"]]
     try:
         rec.validate_shapes()
     except ValueError as exc:

@@ -16,7 +16,8 @@ recovers the degree-(n+1) matrices from factorizations of those moments:
 * mixed residual Grams determine the upper blocks of the right singular
   factors, and the remaining rows come from a kernel argument plus one
   coupled orthogonal-factor solve (``wopp`` module, one
-  eigendecomposition; for d = 2 a single coordinate, the gauge alone).
+  eigendecomposition; for d = 2 a single coordinate, the gauge alone,
+  and for d = 1 none).
 
 Degree 1 needs no kernel argument: p_0 is a constant, so the whole
 residual Gram is S S^T for the stacked raising rows S, and its
@@ -24,6 +25,11 @@ eigen-factors give one such S.  After every degree the new
 matrices are rotated into canonical form, which removes the rotation the
 factorizations leave free, so the next block can be evaluated through
 the diagonal identity.
+
+The same steps serve every d >= 1; in d = 1 they are the classical
+Stieltjes procedure.  There every residual Gram is 1 x 1, so no rank
+test can see a measure run out of nodes: too few nodes for the requested
+degree are refused before any sweep, in every d.
 
 A degree takes two node sweeps.  The residual pass forms the residual
 Grams; the block-evaluation sweep evaluates the committed block, its Gram
@@ -34,8 +40,9 @@ stack S = [x_1 p_n; ...; x_d p_n; p_n; p_{n-1}] (``shifted_stack``), so
 each stage is one GEMM: the step matrix times S for the new block, the
 stacked centers and lowering matrices times the tail of S for the
 residuals.  As in the classical Stieltjes procedure, p_{-1} = 0: an
-empty block, with d empty lowering matrices B_{0,i} (``_lowering``), so
-degree 0 runs the same code as every later degree.  A sweep is a sum of
+empty block, with d empty lowering matrices B_{0,i}
+(``RecurrenceData.start``), so degree 0 runs the same code as every later
+degree.  A sweep is a sum of
 per-chunk partial sums over slices of at most ``measures.STACK_BYTES``
 of values, computed on ``measures.WORKERS`` threads by
 ``measures.chunk_map`` and added in chunk order.  The recurrence therefore depends on ``STACK_BYTES`` (the
@@ -59,12 +66,14 @@ reaches are never written, so resident memory grows with the degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .diagnostics import condition_numbers
-from .errors import ClosureError, NumericalFailure, RankDeficiencyError
+from .errors import (ClosureError, DegenerateMeasureError, NumericalFailure,
+                     RankDeficiencyError)
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, shifted_stack, step_matrix)
 from .measures import DiscreteMeasure, chunk_map, node_chunks
@@ -108,8 +117,8 @@ class StieltjesState:
         """Degree-0 state with buffers deep enough for ``max_degree``:
         q_0 = sqrt(w) / sqrt(total mass), the half-weighted constant
         p_0, in ``buffers[0][:1]``, and the empty p_{-1}."""
-        rec = RecurrenceData(d=measure.d, max_degree=0, A=[None], B=[None],
-                             lam=[None])
+        rec = RecurrenceData.start(measure.d)
+        rec.lam = [None]
         buffers = tuple(np.empty((rec.r(max_degree), measure.n_nodes))
                         for _ in range(2))
         q0 = buffers[0][:1]
@@ -157,15 +166,7 @@ def coordinate_moment(state: StieltjesState) -> list:
     d = state.measure.d
     moments = _sweep(state, (d + 1) * r, chunk,
                      _center_accumulators(d, r, state.values_prev.shape[0]))
-    return _centers(moments, _lowering(state))
-
-
-def _lowering(state: StieltjesState) -> list:
-    """The lowering matrices B_{n,i} of the current degree n; at degree 0,
-    where p_{-1} is the empty block, d empty (0 x 1) blocks."""
-    if state.degree == 0:
-        return [np.zeros((0, 1))] * state.measure.d
-    return state.recurrence.B[state.degree]
+    return _centers(moments, state.recurrence.B[state.degree])
 
 
 def _center_moments(pts: np.ndarray, q: np.ndarray,
@@ -281,8 +282,9 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
     Parameters
     ----------
     measure : DiscreteMeasure
-        Must be non-degenerate through degree 2 * max_degree + 1 and have
-        d >= 2 (the univariate problem has its own classical method).
+        In any dimension d >= 1.  Before any sweep its M nodes are
+        checked to number at least R_N = C(N + d, d), N = ``max_degree``;
+        other degeneracy fails a rank test at the degree where it shows.
     max_degree : int
         The last degree N whose matrices are computed, N >= 0.  The
         block sizes r_n follow from d (``RecurrenceData.r``).
@@ -296,15 +298,20 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
     Raises
     ------
     ValueError
-        For d < 2 or a negative ``max_degree``.
+        For a negative ``max_degree``.
+    DegenerateMeasureError
+        For M < R_N, carrying the first degree n with R_n > M.
     NumericalFailure
         Carrying the degree being computed when it failed.
     """
-    if measure.d < 2:
-        raise ValueError("degree advancement requires d >= 2; "
-                         "use the univariate routines for d = 1")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    short = [n for n in range(max_degree + 1)
+             if math.comb(n + measure.d, n) > measure.n_nodes]
+    if short:
+        raise DegenerateMeasureError(
+            f"{measure.n_nodes} nodes carry no orthonormal basis through "
+            f"degree {short[0]}", degree=short[0])
 
     state = StieltjesState.start(measure, max_degree)
     state.centers = coordinate_moment(state)
@@ -341,8 +348,8 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
     d = state.measure.d
     r = state.values_cur.shape[0]
     nodes = state.measure.nodes
-    shift = np.hstack([np.vstack(centers),
-                       np.vstack([b.T for b in _lowering(state)])])
+    lowering = state.recurrence.B[state.degree]
+    shift = np.hstack([np.vstack(centers), np.vstack([b.T for b in lowering])])
 
     def chunk(sl):
         stack = shifted_stack(nodes[sl], state.values_cur[:, sl],

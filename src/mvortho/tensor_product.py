@@ -37,8 +37,7 @@ def tensor_recurrence(uni_recs, index_set: MultiIndexSet, max_degree: int) -> Re
     if max_degree > index_set.max_degree:
         raise ValueError("index set shallower than requested degree")
 
-    A: list = [None]
-    B: list = [None]
+    rec = RecurrenceData.start(d)
     order = [np.array(index_set.level(0))]
     for n in range(max_degree):
         level = index_set.level(n)
@@ -53,11 +52,12 @@ def tensor_recurrence(uni_recs, index_set: MultiIndexSet, max_degree: int) -> Re
                 raising[k, col] = uni_recs[i].b[level[k, i] + 1]
             A_row.append(np.diag(a_diag))
             B_row.append(raising)
-        A.append(A_row)
-        B.append(B_row)
+        rec.A.append(A_row)
+        rec.B.append(B_row)
         order.append(np.array(index_set.level(n + 1)))
-    return RecurrenceData(d=d, max_degree=max_degree, A=A, B=B,
-                          lam=None, index_order=order)
+    rec.max_degree = max_degree
+    rec.index_order = order
+    return rec
 
 
 def canonical_reorder(rec: RecurrenceData, index_set: MultiIndexSet) -> RecurrenceData:

@@ -1,11 +1,12 @@
-"""Univariate three-term recurrence coefficients and evaluation.
+"""Closed-form Jacobi recurrence coefficients and univariate evaluation.
 
 Coefficients follow the orthonormal convention
 
     x p_n(x) = b_{n+1} p_{n+1}(x) + a_{n+1} p_n(x) + b_n p_{n-1}(x),
 
 with p_{-1} = 0 and p_0 = 1/b_0, so b_0 encodes the measure's total mass.
-All measures here are normalized to unit mass, giving b_0 = 1.
+All measures here are normalized to unit mass, giving b_0 = 1.  A
+discrete 1-d measure's coefficients come from ``stieltjes`` with d = 1.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DegenerateMeasureError
-
-DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,42 +77,6 @@ def jacobi_recurrence(max_degree: int, alpha: float, beta: float) -> UnivariateR
         widths_sq[2:] = (4 * k * (k + alpha) * (k + beta) * (k + s)
                          / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
     return UnivariateRecurrence(a=centers, b=np.sqrt(widths_sq))
-
-
-def discrete_recurrence(nodes, weights, max_degree: int,
-                        tol: float = DEGENERACY_TOL) -> UnivariateRecurrence:
-    """Stieltjes coefficients for a discrete 1-d measure.
-
-    Iterates a_{n+1} = <x p_n, p_n>, b_{n+1} = ||(x - a_{n+1}) p_n - b_n p_{n-1}||,
-    evaluating the running polynomials through the recurrence itself.
-
-    Raises
-    ------
-    DegenerateMeasureError
-        When a width falls below ``tol * b_0`` (the discrete measure cannot
-        support that many orthogonal polynomials).
-    """
-    x = np.asarray(nodes, dtype=float).reshape(-1)
-    w = np.asarray(weights, dtype=float).reshape(-1)
-    if x.shape != w.shape:
-        raise ValueError("nodes and weights must have matching length")
-    b0 = float(np.sqrt(w.sum()))
-    a = np.zeros(max_degree)
-    b = np.zeros(max_degree + 1)
-    b[0] = b0
-    p_prev = np.zeros_like(x)
-    p_cur = np.full_like(x, 1.0 / b0)
-    for n in range(max_degree):
-        a[n] = float(np.sum(w * x * p_cur * p_cur))
-        q = (x - a[n]) * p_cur - b[n] * p_prev
-        b_next = float(np.sqrt(np.sum(w * q * q)))
-        if b_next < tol * b0:
-            raise DegenerateMeasureError(
-                f"measure degenerate at degree {n + 1} (width {b_next:.3e})",
-                degree=n + 1)
-        b[n + 1] = b_next
-        p_prev, p_cur = p_cur, q / b_next
-    return UnivariateRecurrence(a=a, b=b)
 
 
 def evaluate_univariate(rec: UnivariateRecurrence, n: int, x) -> np.ndarray:

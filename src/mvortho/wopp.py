@@ -7,7 +7,7 @@ Finds orthogonal W_j with
 
 with the gauge W fixed to the identity for the first coupled coordinate.
 A single coupled coordinate (every d = 2 degree) is the gauge alone:
-W = I and the residual is 0.
+W = I and the residual is 0; with none (d = 1), W = {}.
 
 Each weight block is reduced once by SVD, E_j = X_j (Y_j 0) Z_j^T, which
 turns consistent data into the synchronization of the orthonormal-row
@@ -110,9 +110,10 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
     Parameters
     ----------
     E : dict coord -> (m, q) ndarray
-        Full-row-rank weight blocks, keyed by coupled coordinate, at least
-        one.  The smallest key is the gauge coordinate whose factor stays
-        identity; a single coordinate is the gauge alone.
+        Full-row-rank weight blocks, keyed by coupled coordinate.  The
+        smallest key is the gauge coordinate whose factor stays identity;
+        a single coordinate is the gauge alone.  With none (d = 1) there
+        is nothing to solve: W = {} and the residual is 0.
     H : dict (i, j) -> (m, m) ndarray
         Coupling targets for every pair of coordinates i < j.
 
@@ -127,7 +128,7 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
     """
     keys = sorted(E)
     if not keys:
-        raise ValueError("need at least one coupled coordinate")
+        return OrthogonalFactors(W={}, residual=0.0)
     m, q = E[keys[0]].shape
     for k in keys:
         if E[k].shape[1] != q:

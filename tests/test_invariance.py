@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvortho.errors import RankDeficiencyError
+from mvortho.errors import DegenerateMeasureError, RankDeficiencyError
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import DiscreteMeasure
 from mvortho.stieltjes import stieltjes_recurrence
@@ -85,8 +85,8 @@ def test_scaling_scales_spectra_by_square(exponent, seed, d, n_max):
                          spectra(nodes, weights, n_max)])
 
 
-def failing_degree(nodes, weights, n_max):
-    with pytest.raises(RankDeficiencyError) as err:
+def failing_degree(nodes, weights, n_max, error=RankDeficiencyError):
+    with pytest.raises(error) as err:
         spectra(nodes, weights, n_max)
     return err.value.degree
 
@@ -102,18 +102,45 @@ def test_collinear_cloud_fails_with_degree(seed, d):
     assert failing_degree(nodes, rng.uniform(0.5, 1.5, 300), 3) == 1
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_parabola_cloud_fails_with_degree(seed):
+    # On y = x^2 the quadratic y - x^2 vanishes, so the degree-2 space is
+    # dependent although 300 nodes pass the node-count check: the rank
+    # test of the residual Gram fires.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(300)
+    with pytest.raises(RankDeficiencyError, match="coordinate 0") as err:
+        spectra(np.column_stack([x, x ** 2]), rng.uniform(0.5, 1.5, 300), 3)
+    assert err.value.degree == 2
+
+
 @settings(max_examples=10, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]))
 @example(seed=216, d=2)
 @example(seed=109362868, d=2)
 def test_too_few_nodes_fail_with_degree(seed, d):
     # 12 nodes carry at most 12 orthonormal polynomials, fewer than the
-    # polynomials of degree <= 4 (d = 2) or <= 3 (d = 3).  The examples
-    # reach a residual Gram whose smallest eigenvalue is roundoff: its
-    # singular-value ratio (6.9e-9 and 1.5e-9) passed a rank test on s,
-    # and the closure then raised ClosureError.
+    # polynomials of degree <= 4 (d = 2) or <= 3 (d = 3), and the node
+    # count says so before any sweep.  Before that check, the examples
+    # reached a residual Gram whose smallest eigenvalue was roundoff.
     rng = np.random.default_rng(seed)
     nodes, weights = random_cloud(rng, d, n_nodes=12)
     iset = MultiIndexSet.build(d, 6)
     counted = next(n for n in range(7) if iset.cumulative(n) > 12)
-    assert 1 <= failing_degree(nodes, weights, 6) <= counted
+    assert failing_degree(nodes, weights, 6,
+                          DegenerateMeasureError) == counted
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]),
+       n_max=st.integers(1, 8), data=st.data())
+def test_node_count_names_first_short_degree(seed, d, n_max, data):
+    # Any cloud with fewer nodes than the R_N polynomials of degree <= N
+    # fails, naming the first degree n with R_n > M.
+    iset = MultiIndexSet.build(d, n_max)
+    n_nodes = data.draw(st.integers(1, iset.cumulative(n_max) - 1))
+    nodes, weights = random_cloud(np.random.default_rng(seed), d, n_nodes)
+    first = next(n for n in range(n_max + 1)
+                 if iset.cumulative(n) > n_nodes)
+    assert failing_degree(nodes, weights, n_max,
+                          DegenerateMeasureError) == first

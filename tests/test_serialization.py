@@ -81,11 +81,18 @@ def with_non_finite(rec):
 def univariate():
     # d = 1: every block is 1 x 1.
     uni = jacobi_recurrence(4, 0.5, 1.5)
-    return RecurrenceData(
-        d=1, max_degree=3,
-        A=[None] + [[np.array([[uni.a[n - 1]]])] for n in range(1, 4)],
-        B=[None] + [[np.array([[uni.b[n]]])] for n in range(1, 4)],
-        lam=[None] + [np.array([uni.b[n] ** 2]) for n in range(1, 4)])
+    rec = RecurrenceData.start(1)
+    rec.max_degree = 3
+    rec.A += [[np.array([[uni.a[n - 1]]])] for n in range(1, 4)]
+    rec.B += [[np.array([[uni.b[n]]])] for n in range(1, 4)]
+    rec.lam = [None] + [np.array([uni.b[n] ** 2]) for n in range(1, 4)]
+    return rec
+
+
+def degree_zero():
+    rec = RecurrenceData.start(2)
+    rec.lam = [None]
+    return rec
 
 
 class TestByteIdentity:
@@ -96,8 +103,7 @@ class TestByteIdentity:
         lambda: tensor_recurrence([jacobi_recurrence(3, 0.0, 0.0)] * 2,
                                   MultiIndexSet.build(2, 3), 3),
         lambda: with_non_finite(oracle()),
-        lambda: RecurrenceData(d=2, max_degree=0, A=[None], B=[None],
-                               lam=[None]),
+        degree_zero,
         univariate,
     ], ids=["tor", "lam-none", "non-finite", "degree-zero", "one-by-one"])
     def test_matches_indented_encoder(self, make):

@@ -7,8 +7,8 @@ import pytest
 
 from mvortho import measures, stieltjes
 from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
-from mvortho.errors import (ClosureError, NonConvergenceError,
-                            RankDeficiencyError)
+from mvortho.errors import (ClosureError, DegenerateMeasureError,
+                            NonConvergenceError, RankDeficiencyError)
 from mvortho.evaluation import evaluate, evaluator
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
@@ -381,11 +381,21 @@ class TestFullRuns:
                                rtol=rtol)
         assert max(diags.gram_drift) < 1e-10
 
-    def test_rejects_univariate(self):
-        x, w = np.linspace(-1, 1, 30)[:, None], np.full(30, 1 / 30)
-        m = DiscreteMeasure(nodes=x, weights=w)
-        with pytest.raises(ValueError):
-            stieltjes_recurrence(m, 3)
+    @pytest.mark.parametrize("params,n_max", [((3.8, 0.78), 39),
+                                              ((-0.5, -0.5), 60),
+                                              ((0.0, 0.0), 80)])
+    def test_univariate_matches_jacobi(self, params, n_max):
+        # d = 1 is the classical Stieltjes procedure: on an exact
+        # (N + 2)-node Gauss-Jacobi rule it reproduces the closed form.
+        measure = tensor_jacobi(1, n_max + 2, (params[0],), (params[1],))
+        closed = jacobi_recurrence(n_max, *params)
+        rec, _ = stieltjes_recurrence(measure, n_max)
+        a = np.array([rec.A[n][0][0, 0] for n in range(1, n_max + 1)])
+        b = np.array([rec.B[n][0][0, 0] for n in range(1, n_max + 1)])
+        assert np.max(np.abs(a - closed.a)) < 1e-13
+        assert np.max(np.abs(b - closed.b[1:])) < 1e-13
+        report = gram_error_streaming(evaluator(rec), measure, n_max + 1)
+        assert report.max_abs <= 1e-14
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
@@ -522,9 +532,18 @@ class TestFullRuns:
         rng = np.random.default_rng(0)
         m = DiscreteMeasure(nodes=rng.uniform(-1, 1, (5, 2)),
                             weights=np.full(5, 0.2))
-        with pytest.raises((RankDeficiencyError, ClosureError)) as err:
+        with pytest.raises(DegenerateMeasureError) as err:
             stieltjes_recurrence(m, 3)
-        assert err.value.degree is not None
+        assert err.value.degree == 2
+
+    @pytest.mark.parametrize("n_nodes,degree", [(300, 24), (819, 39)])
+    def test_short_monte_carlo_cloud_fails_with_degree(self, n_nodes, degree):
+        # hol at N = 39 needs R_39 = 820 nodes.  Without the node-count
+        # check these clouds returned quietly with max |E| 39.7 (M = 300)
+        # and 0.30 (M = 819).
+        with pytest.raises(DegenerateMeasureError) as err:
+            stieltjes_recurrence(square_minus_ball(n_nodes, 1), 39)
+        assert err.value.degree == degree
 
     def test_t_condition_length_covers_all_degrees(self):
         m = tensor_jacobi(2, 8, *JAC2)

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from mvortho.errors import DegenerateMeasureError
-from mvortho.measures import gauss_jacobi_rule
-from mvortho.univariate import (UnivariateRecurrence, discrete_recurrence,
-                                evaluate_univariate, jacobi_recurrence)
+from mvortho.measures import DiscreteMeasure, gauss_jacobi_rule
+from mvortho.stieltjes import stieltjes_recurrence
+from mvortho.univariate import (UnivariateRecurrence, evaluate_univariate,
+                                jacobi_recurrence)
+
+
+def stieltjes_coefficients(x, w, n_max):
+    """Centers a_1..a_N and widths b_1..b_N of the discrete measure with
+    nodes ``x`` and weights ``w``, from ``ms`` in d = 1 (the classical
+    Stieltjes procedure)."""
+    rec, _ = stieltjes_recurrence(DiscreteMeasure(nodes=x, weights=w), n_max)
+    return (np.array([rec.A[n][0][0, 0] for n in range(1, n_max + 1)]),
+            np.array([rec.B[n][0][0, 0] for n in range(1, n_max + 1)]))
 
 
 class TestJacobiRecurrence:
@@ -29,38 +39,36 @@ class TestJacobiRecurrence:
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (3.8, 7.34), (1.61, -0.89)])
     def test_matches_discrete_stieltjes(self, alpha, beta):
-        # Independent oracle: run the discrete Stieltjes iteration on an
-        # exact quadrature rule and compare coefficient by coefficient.
+        # Independent oracle: run the discrete Stieltjes iteration (``ms``
+        # in d = 1) on an exact quadrature rule and compare coefficient by
+        # coefficient.
         closed = jacobi_recurrence(20, alpha, beta)
         x, w = gauss_jacobi_rule(50, alpha, beta)
-        iterated = discrete_recurrence(x, w, 20)
-        assert np.max(np.abs(closed.a - iterated.a)) < 1e-13
-        assert np.max(np.abs(closed.b - iterated.b)) < 1e-13
+        a, b = stieltjes_coefficients(x, w, 20)
+        assert np.max(np.abs(closed.a - a)) < 1e-13
+        assert np.max(np.abs(closed.b[1:] - b)) < 1e-13
 
 
 class TestDiscreteRecurrence:
+    """The recurrence of discrete 1-d measures, from ``ms`` in d = 1."""
+
     def test_symmetric_measure_centers_vanish(self):
         x, w = gauss_jacobi_rule(40, 0.0, 0.0)
-        rec = discrete_recurrence(x, w, 15)
-        assert np.max(np.abs(rec.a)) < 1e-14
-
-    def test_degree_zero_width_is_total_mass_root(self):
-        x, w = gauss_jacobi_rule(10, 0.0, 0.0)
-        rec = discrete_recurrence(x, w, 0)
-        assert rec.b[0] == pytest.approx(1.0, abs=1e-15)
+        a, _ = stieltjes_coefficients(x, w, 15)
+        assert np.max(np.abs(a)) < 1e-14
 
     def test_refinement_invariance(self):
-        coarse = discrete_recurrence(*gauss_jacobi_rule(30, 2.0, 0.5), 12)
-        fine = discrete_recurrence(*gauss_jacobi_rule(120, 2.0, 0.5), 12)
-        assert np.max(np.abs(coarse.a - fine.a)) < 1e-12
-        assert np.max(np.abs(coarse.b - fine.b)) < 1e-12
+        coarse = stieltjes_coefficients(*gauss_jacobi_rule(30, 2.0, 0.5), 12)
+        fine = stieltjes_coefficients(*gauss_jacobi_rule(120, 2.0, 0.5), 12)
+        for got, want in zip(coarse, fine):
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_degeneracy_detected(self):
         # Three nodes support at most three orthogonal polynomials.
         x = np.array([-0.5, 0.1, 0.7])
         w = np.full(3, 1.0 / 3.0)
         with pytest.raises(DegenerateMeasureError) as err:
-            discrete_recurrence(x, w, 5)
+            stieltjes_coefficients(x, w, 5)
         assert err.value.degree == 3
 
 

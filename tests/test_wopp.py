@@ -104,8 +104,9 @@ class TestRefinementAndFailure:
             solve_orthogonal_factors(weights, consistent_targets(weights, truth))
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            solve_orthogonal_factors({}, {})
+        # No coupled coordinate (d = 1): nothing to solve.
+        res = solve_orthogonal_factors({}, {})
+        assert res.W == {} and res.residual == 0.0
         bad = {1: np.zeros((2, 4)), 2: np.zeros((2, 5))}
         with pytest.raises(ValueError):
             solve_orthogonal_factors(bad, {})
