@@ -3,11 +3,11 @@ polynomials with respect to user-supplied discrete measures."""
 
 __version__ = "0.1.0"
 
-from .indexing import MultiIndexSet, space_dimensions
+from .indexing import MultiIndexSet
 from .measures import DiscreteMeasure
 from .recurrence import RecurrenceData
 from .evaluation import BasisEvaluation, evaluate, to_canonical
-from .tensor_product import canonical_reorder, tensor_recurrence
+from .tensor_product import tensor_recurrence
 from .stieltjes import stieltjes_recurrence
 
 __all__ = [
@@ -15,9 +15,7 @@ __all__ = [
     "DiscreteMeasure",
     "MultiIndexSet",
     "RecurrenceData",
-    "canonical_reorder",
     "evaluate",
-    "space_dimensions",
     "stieltjes_recurrence",
     "tensor_recurrence",
     "to_canonical",

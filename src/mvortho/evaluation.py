@@ -84,7 +84,11 @@ def to_canonical(rec: RecurrenceData) -> RecurrenceData:
     raising Gram (``canonical_rotation``); the resulting orthogonal
     factors conjugate the A matrices and sandwich the B matrices.  For
     repeated eigenvalues the basis is unique only up to rotations inside
-    the tied block.  Raises RankDeficiencyError as ``canonical_rotation``.
+    the tied block.  On tensor-product data (``tensor_recurrence``) every
+    raising Gram is exactly diagonal, so the transform is an exact
+    permutation: ``lam[n]`` is that diagonal sorted non-increasing, and
+    tied entries come in LAPACK's order.  Raises RankDeficiencyError as
+    ``canonical_rotation``.
     """
     out = rec.copy()
     lam: list = [None]
@@ -99,7 +103,6 @@ def to_canonical(rec: RecurrenceData) -> RecurrenceData:
         lam.append(evals)
         u_prev = vecs
     out.lam = lam
-    out.index_order = None
     return out
 
 

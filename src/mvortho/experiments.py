@@ -13,7 +13,8 @@ cloud      : uniform measure over a user-supplied CSV point cloud
 
 Methods
 -------
-exact : explicit tensor-product recurrence matrices (jac2/jac3 only)
+exact : explicit tensor-product recurrence matrices (jac2/jac3 only),
+        put in canonical form by ``to_canonical`` (an exact permutation)
 ms    : degree-advancing moment algorithm (stieltjes module)
 mm    : moment method on monomials
 ml    : moment method on bounding-box Legendre polynomials
@@ -37,7 +38,7 @@ from .diagnostics import (ErrorReport, commuting_residuals,
 # Unused here; bound for the layer probe of ``benchmarks/spans.py``.
 from .diagnostics import christoffel_streaming  # noqa: F401
 from .errors import NumericalFailure
-from .evaluation import evaluator as recurrence_evaluator
+from .evaluation import evaluator as recurrence_evaluator, to_canonical
 from .indexing import MultiIndexSet
 from .measures import (annulus_measure, point_cloud_measure, spiral_measure,
                        square_minus_ball, tensor_jacobi, torus_measure)
@@ -46,7 +47,7 @@ from .moment_method import (build_gram, extract_recurrence,
                             orthonormal_evaluator)
 from .recurrence import RecurrenceData
 from .stieltjes import stieltjes_recurrence
-from .tensor_product import canonical_reorder, tensor_recurrence
+from .tensor_product import tensor_recurrence
 from .univariate import jacobi_recurrence
 
 EXPERIMENTS = ("jac2", "jac3", "ann", "cur", "tor", "hol", "cloud")
@@ -73,9 +74,10 @@ class ExperimentConfig:
     node (s from ``christoffel_stride``), so the Gram error and the
     kernel come from one node sweep.  The manifest records them as
     ``config.chunk_size``, ``config.stack_bytes`` and ``config.workers``
-    (the outputs do not depend on the last), and
+    (the outputs do not depend on the last),
     ``environment.blas_threads`` the BLAS thread variable that set
-    ``WORKERS``."""
+    ``WORKERS``, and ``environment.blas_threads_active`` the thread count
+    OpenBLAS runs."""
 
     experiment: str
     method: str
@@ -208,8 +210,7 @@ def _run_exact(config, measure, index_set) -> Construction:
     alphas, betas = JACOBI_PARAMS[config.experiment]
     unis = [jacobi_recurrence(config.degree, alphas[i], betas[i])
             for i in range(measure.d)]
-    rec = canonical_reorder(tensor_recurrence(unis, index_set, config.degree),
-                            index_set)
+    rec = to_canonical(tensor_recurrence(unis, index_set, config.degree))
     cond = np.array([1.0] + [float(rec.lam[n][0] / rec.lam[n][-1])
                              for n in range(1, config.degree + 1)])
     return Construction(rec, recurrence_evaluator(rec), cond, config.degree)
@@ -300,8 +301,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
 def environment() -> dict:
     """Python and numpy versions, the CPU count, the BLAS thread variable
-    that sets ``measures.WORKERS`` (``measures.blas_thread_setting``) and
-    the LAPACK the package calls (``lapack.backend``), for the manifest.
+    that sets ``measures.WORKERS`` (``measures.blas_thread_setting``), the
+    number of threads the bound OpenBLAS runs (``lapack.active_threads``;
+    the ``mm``/``ml`` bits depend on it) and the LAPACK the package calls
+    (``lapack.backend``), for the manifest.
     ``scipy`` holds scipy's version when scipy is already loaded (the
     ``scipy.linalg`` fallback ran), else None: importing it only to read
     the version would cost every run that writes outputs."""
@@ -310,6 +313,7 @@ def environment() -> dict:
             "scipy": getattr(scipy, "__version__", None),
             "cpu_count": os.cpu_count(),
             "blas_threads": measures.blas_thread_setting(),
+            "blas_threads_active": lapack.active_threads(),
             "lapack": lapack.backend()}
 
 

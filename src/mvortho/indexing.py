@@ -2,47 +2,15 @@
 
 Multi-indices of a fixed degree are kept in degree-graded lexicographic
 order, descending on the first exponent (so for d=2, degree 1 lists
-(1,0) before (0,1)).  Positions and coordinates are 0-based.
+(1,0) before (0,1)).  Rows and coordinates are 0-based.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Largest subspace dimension we are willing to hand to array allocation.
-_DIM_LIMIT = 2**62
-
-
-def space_dimensions(d: int, n: int) -> tuple[int, int, int]:
-    """Dimensions of degree-n polynomial spaces in d variables.
-
-    Parameters
-    ----------
-    d : int
-        Number of variables, >= 1.
-    n : int
-        Total degree, >= 0.
-
-    Returns
-    -------
-    (r_n, R_n, dr_n) : tuple of int
-        r_n = binom(n+d-1, n) counts polynomials of exact degree n,
-        R_n = binom(n+d, n) those of degree <= n, and
-        dr_n = r_n - r_{n-1} with r_{-1} = 0.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    r_n = math.comb(n + d - 1, n)
-    big_r = math.comb(n + d, n)
-    if big_r > _DIM_LIMIT:
-        raise OverflowError(f"subspace dimension overflows for d={d}, n={n}")
-    r_prev = math.comb(n + d - 2, n - 1) if n >= 1 else 0
-    return r_n, big_r, r_n - r_prev
 
 
 def _exact_degree_indices(d: int, n: int) -> list[tuple[int, ...]]:
@@ -60,14 +28,12 @@ class MultiIndexSet:
     """All multi-indices of degree <= max_degree in d variables.
 
     ``levels[n]`` is an (r_n, d) integer array listing the degree-n
-    indices in graded-lex order; ``position`` maps an index tuple back
-    to its (degree, row) pair.
+    indices in graded-lex order, r_n = C(n+d-1, n).
     """
 
     d: int
     max_degree: int
     levels: tuple[np.ndarray, ...]
-    _position: dict = field(repr=False)
 
     @classmethod
     def build(cls, d: int, max_degree: int) -> "MultiIndexSet":
@@ -76,46 +42,16 @@ class MultiIndexSet:
         if max_degree < 0:
             raise ValueError(f"max_degree must be >= 0, got {max_degree}")
         levels = []
-        position: dict[tuple[int, ...], tuple[int, int]] = {}
         for n in range(max_degree + 1):
             rows = _exact_degree_indices(d, n)
-            for k, alpha in enumerate(rows):
-                position[alpha] = (n, k)
             levels.append(np.array(rows, dtype=np.int64).reshape(len(rows), d))
-        return cls(d=d, max_degree=max_degree, levels=tuple(levels),
-                   _position=position)
+        return cls(d=d, max_degree=max_degree, levels=tuple(levels))
 
     def level(self, n: int) -> np.ndarray:
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} outside stored range 0..{self.max_degree}")
         return self.levels[n]
 
-    def r(self, n: int) -> int:
-        """Number of exact-degree-n indices (r_{-1} = 0)."""
-        if n < 0:
-            return 0
-        return space_dimensions(self.d, n)[0]
-
     def cumulative(self, n: int) -> int:
-        """Number of indices of degree <= n."""
-        return space_dimensions(self.d, n)[1]
-
-    def position(self, alpha) -> tuple[int, int]:
-        key = tuple(int(a) for a in alpha)
-        try:
-            return self._position[key]
-        except KeyError:
-            raise ValueError(f"multi-index {key} not stored (max degree "
-                             f"{self.max_degree})") from None
-
-    def successor(self, n: int, k: int, i: int) -> int:
-        """Row of alpha + e_i in level n+1, where alpha = levels[n][k]."""
-        if not 0 <= n < self.max_degree:
-            raise ValueError(f"degree {n} has no stored successors")
-        if not 0 <= k < self.levels[n].shape[0]:
-            raise ValueError(f"row {k} out of range for degree {n}")
-        if not 0 <= i < self.d:
-            raise ValueError(f"coordinate {i} out of range for d={self.d}")
-        alpha = self.levels[n][k].copy()
-        alpha[i] += 1
-        return self._position[tuple(int(a) for a in alpha)][1]
+        """Number of indices of degree <= n, C(n+d, n)."""
+        return math.comb(n + self.d, n)

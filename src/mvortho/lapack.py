@@ -27,9 +27,9 @@ from collections import namedtuple
 
 import numpy as np
 
-# The bound routines and the library's build string (None when the
-# library does not export one).
-_Bound = namedtuple("_Bound", "stevd trtrs config")
+# The bound routines, then the library's build string and its
+# thread-count getter (each None when the library does not export it).
+_Bound = namedtuple("_Bound", "stevd trtrs config threads")
 
 
 def _loaded_openblas_paths():
@@ -70,7 +70,10 @@ def _bound() -> _Bound | None:
         if config is not None:
             config.argtypes, config.restype = [], ctypes.c_char_p
             config = config().decode()
-        return _Bound(stevd, trtrs, config)
+        threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if threads is not None:
+            threads.argtypes, threads.restype = [], ctypes.c_int
+        return _Bound(stevd, trtrs, config, threads)
     return None
 
 
@@ -81,6 +84,15 @@ def backend() -> str:
     if bound is None:
         return "scipy.linalg"
     return bound.config or "OpenBLAS"
+
+
+def active_threads() -> int | None:
+    """The number of threads the bound OpenBLAS runs, or None when the
+    functions fall back to scipy or the library does not report it."""
+    bound = _bound()
+    if bound is None or bound.threads is None:
+        return None
+    return bound.threads()
 
 
 def _int(value: int):

@@ -319,8 +319,9 @@ def square_minus_ball(n_samples: int, seed: int) -> DiscreteMeasure:
 def point_cloud_measure(path) -> DiscreteMeasure:
     """Uniform measure over points listed in a CSV file.
 
-    Format: UTF-8, one point per line as ``x1,...,xd`` with d >= 2,
-    optional single header line, blank lines ignored.  Weights are 1/M.
+    Format: UTF-8, one point per line as ``x1,...,xd`` with d >= 1 (the
+    first data row sets d), optional single header line, blank lines
+    ignored.  Weights are 1/M.
     """
     rows = []
     d = None
@@ -342,10 +343,6 @@ def point_cloud_measure(path) -> DiscreteMeasure:
                     line=lineno)
             header_allowed = False
             if d is None:
-                if len(vals) < 2:
-                    raise PointCloudError(
-                        f"line {lineno}: expected 2+ coordinates, got {len(vals)}",
-                        line=lineno)
                 d = len(vals)
             elif len(vals) != d:
                 raise PointCloudError(

@@ -8,7 +8,7 @@ where p_n stacks an orthonormal basis of the exact-degree-n space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,7 @@ class RecurrenceData:
     so entry 0 holds empty blocks, ``start``).  ``lam[n]``, when present,
     is the diagonal of the stacked raising Gram sum_i B[n][i]^T B[n][i]
     (``lam[0]`` is None); its presence marks canonical form (diagonal
-    ordered non-increasing).  ``index_order[n]`` optionally records which
-    multi-index labels each basis position (tensor-product construction
-    only).
+    ordered non-increasing).
     """
 
     d: int
@@ -33,7 +31,6 @@ class RecurrenceData:
     A: list
     B: list
     lam: list | None = None
-    index_order: list | None = field(default=None, repr=False)
 
     @classmethod
     def start(cls, d: int) -> "RecurrenceData":
@@ -70,8 +67,6 @@ class RecurrenceData:
             B=[[np.array(m) for m in row] for row in self.B],
             lam=None if self.lam is None else [None if v is None else np.array(v)
                                                for v in self.lam],
-            index_order=None if self.index_order is None
-            else [np.array(v) for v in self.index_order],
         )
 
     def validate_shapes(self):

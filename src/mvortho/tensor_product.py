@@ -4,7 +4,9 @@ For a product measure the multivariate orthonormal polynomials are
 products of univariate ones, so the recurrence matrices have an explicit
 sparse form: each raising matrix carries one univariate width per row,
 placed at the column of the incremented multi-index.  This construction
-is the ground truth the iterative algorithms are tested against.
+is the ground truth the iterative algorithms are tested against; its
+canonical form comes from ``evaluation.to_canonical``, which here is an
+exact permutation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import numpy as np
 
 from .indexing import MultiIndexSet
 from .recurrence import RecurrenceData
-from .univariate import UnivariateRecurrence
 
 
 def tensor_recurrence(uni_recs, index_set: MultiIndexSet, max_degree: int) -> RecurrenceData:
@@ -24,7 +25,7 @@ def tensor_recurrence(uni_recs, index_set: MultiIndexSet, max_degree: int) -> Re
     uni_recs : sequence of UnivariateRecurrence
         One per axis, each with coefficients through ``max_degree``.
     index_set : MultiIndexSet
-        Supplies the basis ordering and the successor lookup.
+        Supplies the basis ordering.
     max_degree : int
         Highest degree of produced matrices.
     """
@@ -38,50 +39,19 @@ def tensor_recurrence(uni_recs, index_set: MultiIndexSet, max_degree: int) -> Re
         raise ValueError("index set shallower than requested degree")
 
     rec = RecurrenceData.start(d)
-    order = [np.array(index_set.level(0))]
     for n in range(max_degree):
         level = index_set.level(n)
-        r_n = level.shape[0]
-        r_next = index_set.r(n + 1)
+        upper = index_set.level(n + 1)
+        row_of = {tuple(alpha): k for k, alpha in enumerate(upper.tolist())}
         A_row, B_row = [], []
         for i in range(d):
-            a_diag = np.array([uni_recs[i].a[level[k, i]] for k in range(r_n)])
-            raising = np.zeros((r_n, r_next))
-            for k in range(r_n):
-                col = index_set.successor(n, k, i)
-                raising[k, col] = uni_recs[i].b[level[k, i] + 1]
-            A_row.append(np.diag(a_diag))
+            raising = np.zeros((level.shape[0], upper.shape[0]))
+            for k, alpha in enumerate(level.tolist()):
+                alpha[i] += 1
+                raising[k, row_of[tuple(alpha)]] = uni_recs[i].b[alpha[i]]
+            A_row.append(np.diag(uni_recs[i].a[level[:, i]]))
             B_row.append(raising)
         rec.A.append(A_row)
         rec.B.append(B_row)
-        order.append(np.array(index_set.level(n + 1)))
     rec.max_degree = max_degree
-    rec.index_order = order
     return rec
-
-
-def canonical_reorder(rec: RecurrenceData, index_set: MultiIndexSet) -> RecurrenceData:
-    """Permute each degree so the stacked raising Gram diagonal is
-    non-increasing, yielding canonical-form matrices.
-
-    For tensor-product matrices the raising Gram is exactly diagonal, so
-    the transform is a pure permutation (no roundoff).  Ties keep the
-    incoming order (stable sort).
-    """
-    out = rec.copy()
-    perms = [np.arange(rec.r(n)) for n in range(rec.max_degree + 1)]
-    lam: list = [None]
-    for n in range(1, rec.max_degree + 1):
-        diag = np.diag(rec.raising_gram(n)).copy()
-        # Permutations of lower degrees change rows/cols but not the diagonal set.
-        perms[n] = np.argsort(-diag, kind="stable")
-        lam.append(diag[perms[n]])
-    for n in range(1, rec.max_degree + 1):
-        p_lo, p_hi = perms[n - 1], perms[n]
-        out.A[n] = [rec.A[n][i][np.ix_(p_lo, p_lo)] for i in range(rec.d)]
-        out.B[n] = [rec.B[n][i][np.ix_(p_lo, p_hi)] for i in range(rec.d)]
-    out.lam = lam
-    if rec.index_order is not None:
-        out.index_order = [rec.index_order[n][perms[n]]
-                           for n in range(rec.max_degree + 1)]
-    return out

@@ -9,10 +9,11 @@ from mvortho.diagnostics import (christoffel_streaming,
                                  max_commuting_residual, rank_margins)
 from mvortho.experiments import (ExperimentConfig, build_measure,
                                  run_experiment)
-from mvortho.indexing import MultiIndexSet, space_dimensions
+from mvortho.evaluation import to_canonical
+from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.stieltjes import stieltjes_recurrence
-from mvortho.tensor_product import canonical_reorder, tensor_recurrence
+from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 from mvortho.wopp import solve_orthogonal_factors
 from mvortho.errors import NonConvergenceError
@@ -32,7 +33,7 @@ def _report(capsys, number, ok, detail):
 def _oracle(d, params, n_max):
     iset = MultiIndexSet.build(d, n_max)
     unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*params)]
-    return iset, canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+    return iset, to_canonical(tensor_recurrence(unis, iset, n_max))
 
 
 @pytest.fixture(scope="module")
@@ -53,11 +54,12 @@ def run_cache(tmp_path_factory):
 
 
 def test_criterion_01_space_dimensions(capsys):
-    ok = (space_dimensions(2, 39)[1] == 820
-          and space_dimensions(3, 15)[1] == 816)
+    plane = MultiIndexSet.build(2, 39).cumulative(39)
+    space = MultiIndexSet.build(3, 15).cumulative(15)
+    ok = plane == 820 and space == 816
     _report(capsys, 1, ok,
-            f"total basis sizes: d=2 N=39 -> {space_dimensions(2, 39)[1]} "
-            f"(want 820), d=3 N=15 -> {space_dimensions(3, 15)[1]} (want 816)")
+            f"total basis sizes: d=2 N=39 -> {plane} "
+            f"(want 820), d=3 N=15 -> {space} (want 816)")
 
 
 def test_criterion_02_oracle_validity(capsys):

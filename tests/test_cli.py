@@ -2,11 +2,15 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mvortho.cli import main
 from mvortho.experiments import DEFAULT_DEGREE, ExperimentConfig
-from mvortho.measures import BLAS_THREAD_VARS, MAX_WORKERS
+from mvortho.measures import (BLAS_THREAD_VARS, MAX_WORKERS,
+                              point_cloud_measure)
+from mvortho.serialization import save_recurrence
+from mvortho.stieltjes import stieltjes_recurrence
 
 
 def run_cli(args):
@@ -83,6 +87,22 @@ class TestFlags:
                      "--degree", "1", "--cloud", str(cloud),
                      "--out", str(tmp_path / "out")])
         assert code == 0
+
+    def test_one_column_cloud(self, tmp_path):
+        # A one-column file is a d = 1 cloud, run by ms like any other.
+        cloud = tmp_path / "line.csv"
+        cloud.write_text("\n".join(map(repr, np.linspace(-1, 1, 50).tolist())))
+        out = tmp_path / "out"
+        code = main(["run", "--experiment", "cloud", "--method", "ms",
+                     "--degree", "5", "--cloud", str(cloud), "--out", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dimension"] == 1
+        save_recurrence(
+            stieltjes_recurrence(point_cloud_measure(cloud), 5)[0],
+            tmp_path / "want.json")
+        assert ((out / "recurrence.json").read_bytes()
+                == (tmp_path / "want.json").read_bytes())
 
 
 class TestHelp:

@@ -6,13 +6,13 @@ from mvortho.diagnostics import (christoffel_streaming, commuting_residuals,
                                  condition_numbers, gram_condition_numbers,
                                  gram_error_streaming, max_commuting_residual)
 from mvortho.errors import NumericalFailure
-from mvortho.evaluation import evaluate, evaluator
+from mvortho.evaluation import evaluate, evaluator, to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import square_minus_ball, tensor_jacobi
 from mvortho.moment_method import (build_gram, monomial_basis,
                                    orthonormal_evaluator)
 from mvortho.stieltjes import _mean_condition, stieltjes_recurrence
-from mvortho.tensor_product import canonical_reorder, tensor_recurrence
+from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
@@ -21,7 +21,7 @@ JAC2 = ((3.80, 0.78), (7.34, 8.26))
 def oracle_setup(n_max=10):
     iset = MultiIndexSet.build(2, n_max)
     unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*JAC2)]
-    canon = canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+    canon = to_canonical(tensor_recurrence(unis, iset, n_max))
     measure = tensor_jacobi(2, n_max + 2, *JAC2)
     return iset, canon, measure
 

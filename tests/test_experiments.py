@@ -215,7 +215,9 @@ class TestRunExperiment:
                 (out / "manifest.json").read_text())["environment"])
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert set(envs[0]) == {"python", "numpy", "scipy", "cpu_count",
-                                "blas_threads", "lapack"}
+                                "blas_threads", "blas_threads_active",
+                                "lapack"}
+        assert envs[0]["blas_threads_active"] == lapack.active_threads()
         assert envs[0]["numpy"] == np.__version__
         loaded = sys.modules.get("scipy")
         assert envs[0]["scipy"] == getattr(loaded, "__version__", None)

@@ -3,44 +3,50 @@ import math
 import numpy as np
 import pytest
 
-from mvortho.indexing import MultiIndexSet, space_dimensions
+from mvortho.indexing import MultiIndexSet
+
+
+def sizes(d, n):
+    """(r_n, R_n) read from a built set: the level shape and ``cumulative``."""
+    s = MultiIndexSet.build(d, n)
+    return s.level(n).shape[0], s.cumulative(n)
+
+
+def rows(levels):
+    return {tuple(alpha) for alpha in levels.tolist()}
 
 
 class TestSpaceDimensions:
     def test_paper_scale_totals(self):
-        assert space_dimensions(2, 39)[1] == 820
-        assert space_dimensions(3, 15)[1] == 816
+        assert MultiIndexSet.build(2, 39).cumulative(39) == 820
+        assert MultiIndexSet.build(3, 15).cumulative(15) == 816
 
     def test_two_dim_increments_always_one(self):
-        for n in range(0, 50):
-            assert space_dimensions(2, n)[2] == 1
+        s = MultiIndexSet.build(2, 49)
+        for n in range(1, 50):
+            assert s.level(n).shape[0] - s.level(n - 1).shape[0] == 1
 
     def test_univariate(self):
-        r, total, _ = space_dimensions(1, 7)
-        assert (r, total) == (1, 8)
+        assert sizes(1, 7) == (1, 8)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_telescoping_identity(self, d):
+        s = MultiIndexSet.build(d, 11)
         for n in range(0, 12):
-            total = sum(space_dimensions(d, j)[0] for j in range(n + 1))
-            assert total == space_dimensions(d, n)[1]
+            total = sum(s.level(j).shape[0] for j in range(n + 1))
+            assert total == s.cumulative(n)
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 4), (5, 3)])
     def test_against_binomials(self, d, n):
-        r, total, dr = space_dimensions(d, n)
+        r, total = sizes(d, n)
         assert r == math.comb(n + d - 1, n)
         assert total == math.comb(n + d, n)
-        assert dr == r - math.comb(n + d - 2, n - 1)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            space_dimensions(0, 3)
+            MultiIndexSet.build(0, 3)
         with pytest.raises(ValueError):
-            space_dimensions(2, -1)
-
-    def test_huge_dimensions_fail_loudly(self):
-        with pytest.raises(OverflowError):
-            space_dimensions(64, 64)
+            MultiIndexSet.build(2, -1)
 
 
 class TestMultiIndexSet:
@@ -58,33 +64,17 @@ class TestMultiIndexSet:
         s = MultiIndexSet.build(2, 6)
         assert s.level(2).shape[0] == 3
         for n in range(7):
-            assert s.level(n).shape[0] == space_dimensions(2, n)[0]
-
-    def test_position_roundtrip(self):
-        s = MultiIndexSet.build(3, 5)
-        for n in range(6):
-            for k, alpha in enumerate(s.level(n)):
-                assert s.position(alpha) == (n, k)
-
-    def test_successor_examples(self):
-        s = MultiIndexSet.build(2, 3)
-        # (0,0) + e1 = (1,0), first entry of level 1
-        assert s.successor(0, 0, 0) == 0
-        # (1,0) + e2 = (1,1), middle entry of level 2
-        assert s.successor(1, 0, 1) == 1
-
-    def test_successor_univariate_singleton(self):
-        s = MultiIndexSet.build(1, 5)
-        for n in range(5):
-            assert s.successor(n, 0, 0) == 0
+            assert s.level(n).shape[0] == math.comb(n + 1, n)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_successor_injective_per_coordinate(self, d):
+        # alpha -> alpha + e_i maps level n one-to-one into level n + 1.
         s = MultiIndexSet.build(d, 6)
         for n in range(6):
             for i in range(d):
-                images = [s.successor(n, k, i) for k in range(s.level(n).shape[0])]
-                assert len(set(images)) == len(images)
+                images = rows(s.level(n) + np.eye(d, dtype=int)[i])
+                assert len(images) == s.level(n).shape[0]
+                assert images <= rows(s.level(n + 1))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_growth_surjective(self, d):
@@ -92,21 +82,11 @@ class TestMultiIndexSet:
         for n in range(6):
             reached = set()
             for i in range(d):
-                for k in range(s.level(n).shape[0]):
-                    reached.add(s.successor(n, k, i))
-            assert reached == set(range(s.level(n + 1).shape[0]))
-
-    def test_successor_domain_errors(self):
-        s = MultiIndexSet.build(2, 2)
-        with pytest.raises(ValueError):
-            s.successor(2, 0, 0)  # no stored degree 3
-        with pytest.raises(ValueError):
-            s.successor(1, 5, 0)
-        with pytest.raises(ValueError):
-            s.successor(1, 0, 2)
+                reached |= rows(s.level(n) + np.eye(d, dtype=int)[i])
+            assert reached == rows(s.level(n + 1))
 
     def test_graded_lex_is_descending_on_tuples(self):
         s = MultiIndexSet.build(3, 5)
         for n in range(6):
-            rows = [tuple(r) for r in s.level(n)]
-            assert rows == sorted(rows, reverse=True)
+            ordered = [tuple(r) for r in s.level(n)]
+            assert ordered == sorted(ordered, reverse=True)

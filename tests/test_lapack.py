@@ -117,6 +117,7 @@ class TestSolveLower:
         rhs = rng.standard_normal((30, 11))
         no_binding(monkeypatch)
         assert lapack.backend() == "scipy.linalg"
+        assert lapack.active_threads() is None
         assert_same(lapack.solve_lower(chol, rhs),
                      scipy_solve_lower(chol, rhs))
 
@@ -189,3 +190,23 @@ print("scipy.linalg" in sys.modules)
                                   PYTHONPATH=os.pathsep.join(sys.path)),
                          timeout=120)
     assert out.stdout.split() == ["False"]
+
+
+@scipy_openblas_only
+def test_manifest_reports_active_blas_threads(tmp_path):
+    # The thread count OpenBLAS runs, not only the variable that set it.
+    code = f"""
+import json, pathlib
+import mvortho.experiments as ex
+ex.run_experiment(ex.ExperimentConfig(experiment="jac2", method="mm",
+                                      degree=3, output_dir={str(tmp_path)!r}))
+env = json.loads((pathlib.Path({str(tmp_path)!r}) / "manifest.json")
+                 .read_text())["environment"]
+print(env["blas_threads_active"])
+"""
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                                  PYTHONPATH=os.pathsep.join(sys.path)),
+                         timeout=120)
+    assert out.stdout.split() == ["1"]

@@ -169,12 +169,22 @@ class TestPointCloud:
         path.write_text("0,0,1,2\n1,0,0,-1\n")
         assert point_cloud_measure(path).d == 4
 
-    def test_one_coordinate_rejected(self, tmp_path):
+    def test_one_column_file(self, tmp_path):
         path = tmp_path / "cloud.csv"
-        path.write_text("0\n1\n")
-        with pytest.raises(PointCloudError) as err:
-            point_cloud_measure(path)
-        assert err.value.line == 1
+        path.write_text("x\n0\n0.5\n1\n")
+        m = point_cloud_measure(path)
+        assert m.nodes.shape == (3, 1)
+        assert np.array_equal(m.nodes[:, 0], [0.0, 0.5, 1.0])
+
+    def test_one_coordinate_rejected(self, tmp_path):
+        # The first data row sets d; a later row of another width fails
+        # naming its line, whichever width came first.
+        for text, line in (("0,0\n1\n", 2), ("0\n1\n\n2,3\n", 4)):
+            path = tmp_path / "cloud.csv"
+            path.write_text(text)
+            with pytest.raises(PointCloudError) as err:
+                point_cloud_measure(path)
+            assert err.value.line == line
 
     def test_nan_names_line(self, tmp_path):
         path = tmp_path / "cloud.csv"

@@ -14,7 +14,7 @@ from mvortho.measures import square_minus_ball, tensor_jacobi
 from mvortho.moment_method import (SpanningBasis, build_gram,
                                    extract_recurrence, legendre_box_basis,
                                    monomial_basis, orthonormal_evaluator)
-from mvortho.tensor_product import canonical_reorder, tensor_recurrence
+from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
 from reference import build_gram_reference, monomial_values, symmetry_defect
@@ -152,7 +152,7 @@ class TestOrthonormalize:
         m = uniform_square()
         vals = orthonormal_evaluator(build_gram(monomial_basis(iset), m))(m.nodes)
         unis = [jacobi_recurrence(2, 0.0, 0.0)] * 2
-        oracle = evaluate(canonical_reorder(tensor_recurrence(unis, iset, 2), iset),
+        oracle = evaluate(to_canonical(tensor_recurrence(unis, iset, 2)),
                           m.nodes, 2)
         for n in range(3):
             remaining = list(range(oracle.blocks[n].shape[0]))
@@ -202,7 +202,7 @@ class TestExtractRecurrence:
         rec = extract_recurrence(build_gram(monomial_basis(iset), m))
         canon = to_canonical(rec)
         unis = [jacobi_recurrence(n_max, 0.0, 0.0)] * 2
-        oracle = canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+        oracle = to_canonical(tensor_recurrence(unis, iset, n_max))
         for n in range(1, n_max + 1):
             assert np.allclose(np.sort(canon.lam[n]), np.sort(oracle.lam[n]),
                                rtol=1e-8)

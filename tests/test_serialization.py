@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvortho.errors import SchemaError
+from mvortho.evaluation import to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import torus_measure
 from mvortho.recurrence import RecurrenceData
@@ -12,7 +13,7 @@ from mvortho.serialization import (load_recurrence, recurrence_from_json,
                                    write_christoffel_csv, write_condition_csv,
                                    write_log_error_csv, write_matrix_csv)
 from mvortho.stieltjes import stieltjes_recurrence
-from mvortho.tensor_product import canonical_reorder, tensor_recurrence
+from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
 import reference
@@ -21,7 +22,7 @@ import reference
 def oracle(d=2, n_max=5):
     iset = MultiIndexSet.build(d, n_max)
     unis = [jacobi_recurrence(n_max, 0.4 * i, 1.1 + i) for i in range(d)]
-    return canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+    return to_canonical(tensor_recurrence(unis, iset, n_max))
 
 
 class TestRoundTrip:

@@ -9,14 +9,14 @@ from mvortho import measures, stieltjes
 from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
 from mvortho.errors import (ClosureError, DegenerateMeasureError,
                             NonConvergenceError, RankDeficiencyError)
-from mvortho.evaluation import evaluate, evaluator
+from mvortho.evaluation import evaluate, evaluator, to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
                               square_minus_ball, tensor_jacobi, torus_measure)
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                kernel_completion_basis, psd_sqrt, scaled_cross,
                                stieltjes_recurrence, symmetric_factor)
-from mvortho.tensor_product import canonical_reorder, tensor_recurrence
+from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
@@ -26,7 +26,7 @@ JAC3 = ((1.61, 0.32, 3.01), (-0.89, 9.83, 7.67))
 def jacobi_oracle(d, params, n_max):
     iset = MultiIndexSet.build(d, n_max)
     unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*params)]
-    return iset, canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+    return iset, to_canonical(tensor_recurrence(unis, iset, n_max))
 
 
 def uniform_ball(d, n_nodes, seed):
@@ -222,7 +222,7 @@ class TestBlockBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 8 * iset.r(n_max) * m.n_nodes
+        block = 8 * iset.level(n_max).shape[0] * m.n_nodes
         assert peak < 2.5 * block, peak / block
 
     def test_overwrite_under_more_threads_than_cores(self, monkeypatch):
@@ -296,10 +296,10 @@ class TestCompletions:
         iset, oracle = jacobi_oracle(3, JAC3, 4)
         n = 2
         u, s = symmetric_factor(oracle.B[n + 1][1] @ oracle.B[n + 1][1].T)
-        dr = iset.r(n) - iset.r(n - 1)
+        dr = oracle.r(n) - oracle.r(n - 1)
         psi = kernel_completion_basis(oracle.B[n][0], u, s, dr)
         k_mat = oracle.B[n][0] @ (u * s[None, :])
-        assert psi.shape == (iset.r(n), dr)
+        assert psi.shape == (oracle.r(n), dr)
         assert np.max(np.abs(k_mat @ psi)) < 1e-11
         assert np.max(np.abs(psi.T @ psi - np.eye(dr))) < 1e-12
 
@@ -470,7 +470,7 @@ class TestFullRuns:
 
         def failing(step, pts, *args, **kwargs):
             # Only the degree-3 step has r_3 rows.
-            if (step.shape[0] == iset.r(3)
+            if (step.shape[0] == iset.level(3).shape[0]
                     and not np.array_equal(pts[0], m.nodes[0])):
                 threads.append(threading.current_thread().name)
                 raise RankDeficiencyError("injected")

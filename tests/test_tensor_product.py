@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mvortho.diagnostics import max_commuting_residual, rank_margins
-from mvortho.evaluation import evaluate
+from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
-from mvortho.tensor_product import canonical_reorder, tensor_recurrence
+from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import evaluate_univariate, jacobi_recurrence
 
 from reference import symmetry_defect
@@ -49,34 +49,67 @@ class TestTensorRecurrence:
         rec.validate_shapes()
 
 
+def stably_sorted(values):
+    return values[np.argsort(-values, kind="stable")]
+
+
+def assert_exact_permutation(raw, canon):
+    """Every raising Gram of ``canon`` is exactly diagonal, ``lam[n]`` is
+    raw's raising-Gram diagonal stably sorted non-increasing, bit for bit,
+    and each matrix holds raw's entries, permuted."""
+    for n in range(1, raw.max_degree + 1):
+        gram = canon.raising_gram(n)
+        assert np.array_equal(gram - np.diag(np.diag(gram)), np.zeros_like(gram))
+        assert np.array_equal(np.diag(gram), canon.lam[n])
+        assert np.array_equal(canon.lam[n],
+                              stably_sorted(np.diag(raw.raising_gram(n))))
+        for i in range(raw.d):
+            for table in ("A", "B"):
+                got, want = getattr(canon, table)[n][i], getattr(raw, table)[n][i]
+                assert np.array_equal(np.sort(got, axis=None),
+                                      np.sort(want, axis=None))
+
+
 class TestCanonicalReorder:
+    """``to_canonical`` on tensor-product data: an exact permutation."""
+
     def test_legendre_degree_one_diagonal(self):
-        _, iset, rec = legendre_pair(4)
-        canon = canonical_reorder(rec, iset)
+        _, _, rec = legendre_pair(4)
+        canon = to_canonical(rec)
         assert np.allclose(canon.lam[1], [1 / 3, 1 / 3], atol=1e-15)
 
     def test_diagonal_invariant_exact(self):
         iset = MultiIndexSet.build(2, 8)
         unis = [jacobi_recurrence(8, a, b) for a, b in zip(*JAC2)]
-        canon = canonical_reorder(tensor_recurrence(unis, iset, 8), iset)
-        for n in range(1, 9):
-            gram = canon.raising_gram(n)
-            # permutation only: off-diagonal entries are exact zeros
-            assert np.array_equal(gram - np.diag(np.diag(gram)),
-                                  np.zeros_like(gram))
-            diag = np.diag(gram)
-            assert np.array_equal(diag, canon.lam[n])
-            assert np.all(np.diff(diag) <= 0)
+        raw = tensor_recurrence(unis, iset, 8)
+        assert_exact_permutation(raw, to_canonical(raw))
 
     def test_idempotent(self):
         iset = MultiIndexSet.build(2, 6)
         unis = [jacobi_recurrence(6, a, b) for a, b in zip(*JAC2)]
-        once = canonical_reorder(tensor_recurrence(unis, iset, 6), iset)
-        twice = canonical_reorder(once, iset)
+        once = to_canonical(tensor_recurrence(unis, iset, 6))
+        twice = to_canonical(once)
         for n in range(1, 7):
             for i in range(2):
                 assert np.array_equal(once.B[n][i], twice.B[n][i])
                 assert np.array_equal(once.A[n][i], twice.A[n][i])
+
+    @pytest.mark.parametrize("d,n_max", [(2, 10), (3, 6)])
+    def test_tied_axes_exact(self, d, n_max):
+        # Identical Legendre axes tie lam; the tied rows come in LAPACK's
+        # order, so a second pass may reorder them, but lam, the exact
+        # diagonal and the permuted entries stay.
+        iset = MultiIndexSet.build(d, n_max)
+        raw = tensor_recurrence([jacobi_recurrence(n_max, 0.0, 0.0)] * d,
+                                iset, n_max)
+        once = to_canonical(raw)
+        twice = to_canonical(once)
+        assert any(np.any(np.diff(once.lam[n]) == 0)
+                   for n in range(1, n_max + 1))
+        assert_exact_permutation(raw, once)
+        assert_exact_permutation(raw, twice)
+        for n in range(1, n_max + 1):
+            assert np.array_equal(once.lam[n], twice.lam[n])
 
 
 class TestOracleValidity:
@@ -84,40 +117,42 @@ class TestOracleValidity:
     def test_three_matrix_conditions(self, d, params, n_max):
         iset = MultiIndexSet.build(d, n_max)
         unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*params)]
-        canon = canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+        canon = to_canonical(tensor_recurrence(unis, iset, n_max))
         assert symmetry_defect(canon) == 0.0
         per_coord, stacked = rank_margins(canon)
         assert per_coord > 1e-10 and stacked > 1e-10
         assert max_commuting_residual(canon) < 1e-12
 
     def test_evaluation_matches_explicit_products(self):
-        # The canonical matrices carry their index ordering, so each row of
-        # the evaluated block must equal the corresponding univariate
-        # product exactly (no sign/permutation slack needed).
+        # The JAC2 raising-Gram diagonal has distinct entries, so its
+        # stable descending order labels each canonical row with its
+        # multi-index, and each row of the evaluated block must equal the
+        # corresponding univariate product (no sign slack needed).
         n_max = 6
         iset = MultiIndexSet.build(2, n_max)
         unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*JAC2)]
-        canon = canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+        raw = tensor_recurrence(unis, iset, n_max)
+        canon = to_canonical(raw)
         rng = np.random.default_rng(5)
         pts = rng.uniform(-1, 1, size=(40, 2))
         ev = evaluate(canon, pts, n_max)
         per_axis = [evaluate_univariate(unis[j], n_max, pts[:, j]) for j in range(2)]
         for n in range(n_max + 1):
-            for k, alpha in enumerate(canon.index_order[n]):
+            order = np.argsort(-np.diag(raw.raising_gram(n)), kind="stable")
+            for k, alpha in enumerate(iset.level(n)[order]):
                 explicit = per_axis[0][alpha[0]] * per_axis[1][alpha[1]]
                 assert np.max(np.abs(ev.blocks[n][k] - explicit)) < 1e-11
 
     def test_spectrum_is_basis_invariant(self):
         # Eigenvalues of each stacked raising Gram must agree between the
-        # permuted-tensor route and the general eigen-transform route.
-        from mvortho.evaluation import to_canonical
+        # raw tensor matrices and their canonical transform.
         iset = MultiIndexSet.build(2, 7)
         unis = [jacobi_recurrence(7, a, b) for a, b in zip(*JAC2)]
         raw = tensor_recurrence(unis, iset, 7)
-        by_permutation = canonical_reorder(raw, iset)
         by_transform = to_canonical(raw)
         for n in range(1, 8):
-            assert np.allclose(by_transform.lam[n], by_permutation.lam[n],
+            spectrum = np.linalg.eigvalsh(raw.raising_gram(n))[::-1]
+            assert np.allclose(by_transform.lam[n], spectrum,
                                rtol=1e-12, atol=1e-14)
 
     def test_orthonormal_under_exact_measure(self):
@@ -126,7 +161,7 @@ class TestOracleValidity:
         n_max = 10
         iset = MultiIndexSet.build(2, n_max)
         unis = [jacobi_recurrence(n_max, a, b) for a, b in zip(*JAC2)]
-        canon = canonical_reorder(tensor_recurrence(unis, iset, n_max), iset)
+        canon = to_canonical(tensor_recurrence(unis, iset, n_max))
         measure = tensor_jacobi(2, n_max + 2, *JAC2)
         report = gram_error_streaming(evaluator(canon), measure,
                                       iset.cumulative(n_max))
