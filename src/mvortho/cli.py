@@ -12,15 +12,14 @@ import sys
 from .errors import NumericalFailure, PointCloudError
 from .experiments import (DEFAULT_DEGREE, EXPERIMENTS, METHODS,
                           ExperimentConfig, run_experiment)
-from .measures import BLAS_THREAD_VARS, MAX_WORKERS
+from .measures import MAX_WORKERS
 
 RUN_EPILOG = (
     "Node sweeps (the ms construction, the Gram error and the Christoffel "
-    f"kernel) run on up to {MAX_WORKERS} threads only when "
-    f"{', '.join(BLAS_THREAD_VARS[:-1])} or {BLAS_THREAD_VARS[-1]} is 1 "
-    "(the first one set decides); otherwise they run on one thread and "
-    "leave the cores to BLAS.  The outputs do not depend on the thread "
-    "count.")
+    f"kernel) run on up to {MAX_WORKERS} threads, each holding BLAS to one "
+    "thread, where numpy's OpenBLAS exports openblas_set_num_threads_local "
+    "(0.3.27 or later), else on one; no BLAS variable changes their count "
+    "or outputs.")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .errors import NumericalFailure
 from .measures import DiscreteMeasure, chunk_map, node_chunks
 from .recurrence import RecurrenceData
@@ -80,13 +81,15 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
         else _positive(np.concatenate(kernels)))
 
 
+@lapack.one_thread()
 def commuting_residuals(rec: RecurrenceData) -> list:
     """Max-norm defects of the three compatibility identities.
 
     Returns tuples (n, i, j, res1, res2, res3) for 0 <= n < rec.max_degree and
     coordinate pairs i < j.  At n = 0 the lowering blocks B_{0,i} are
     empty: their terms vanish, and the last two identities, empty,
-    report 0.
+    report 0.  The products run on one BLAS thread, whose bits do not
+    depend on the environment.
     """
     out = []
     for n in range(rec.max_degree):

@@ -69,15 +69,14 @@ class ExperimentConfig:
     approximate and defaults to 25000 points.  The moment-method Gram
     uses the package-wide ``measures.CHUNK``, serially, in two reused
     (R × ``CHUNK``) buffers; the ``ms`` sweeps and the Gram-error sweep
-    ``measures.STACK_BYTES``, on ``measures.WORKERS`` threads.  For d = 2
-    the Gram-error sweep also takes the Christoffel kernel at every s-th
-    node (s from ``christoffel_stride``), so the Gram error and the
-    kernel come from one node sweep.  The manifest records them as
-    ``config.chunk_size``, ``config.stack_bytes`` and ``config.workers``
-    (the outputs do not depend on the last),
-    ``environment.blas_threads`` the BLAS thread variable that set
-    ``WORKERS``, and ``environment.blas_threads_active`` the thread count
-    OpenBLAS runs."""
+    ``measures.STACK_BYTES``, on ``measures.WORKERS`` threads: the usable
+    cores, at most ``measures.MAX_WORKERS``, where BLAS can be held to one
+    thread whatever BLAS variable is set (``environment.blas_pinned``),
+    else 1.  For d = 2 the Gram-error sweep also takes the Christoffel
+    kernel at every s-th node (s from ``christoffel_stride``), so the Gram
+    error and the kernel come from one node sweep.  The manifest records
+    them as ``config.chunk_size``, ``config.stack_bytes`` and
+    ``config.workers`` (the outputs do not depend on the last)."""
 
     experiment: str
     method: str
@@ -300,10 +299,10 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
 
 def environment() -> dict:
-    """Python and numpy versions, the CPU count, the BLAS thread variable
-    that sets ``measures.WORKERS`` (``measures.blas_thread_setting``), the
-    number of threads the bound OpenBLAS runs (``lapack.active_threads``;
-    the ``mm``/``ml`` bits depend on it) and the LAPACK the package calls
+    """Python and numpy versions, the CPU count, whether node sweeps hold
+    BLAS to one thread (``lapack.thread_pin``), the number of threads
+    OpenBLAS runs outside them (``lapack.active_threads``; the ``mm``/``ml``
+    Gram's bits depend on it) and the LAPACK the package calls
     (``lapack.backend``), for the manifest.
     ``scipy`` holds scipy's version when scipy is already loaded (the
     ``scipy.linalg`` fallback ran), else None: importing it only to read
@@ -312,7 +311,7 @@ def environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": getattr(scipy, "__version__", None),
             "cpu_count": os.cpu_count(),
-            "blas_threads": measures.blas_thread_setting(),
+            "blas_pinned": lapack.thread_pin() is not None,
             "blas_threads_active": lapack.active_threads(),
             "lapack": lapack.backend()}
 

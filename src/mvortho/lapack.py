@@ -10,7 +10,10 @@ with the arguments scipy's wrappers pass it, and scipy's wheels link an
 LP64 build of the same OpenBLAS, so the results are the bits of
 ``scipy.linalg.eigh_tridiagonal`` and ``scipy.linalg.solve_triangular``.
 A ``ctypes`` call also releases the GIL, so solves on the chunk threads
-of ``measures.chunk_map`` run in parallel.
+of ``measures.chunk_map`` run in parallel.  Those threads, the ``ms``
+construction and the commuting residuals run BLAS on one thread whatever
+the environment sets (``one_thread``), by the unprefixed
+``openblas_set_num_threads_local`` (OpenBLAS >= 0.3.27).
 
 Where no loaded library exports both symbols (numpy built against MKL or
 a system BLAS), both functions fall back to ``scipy.linalg``, imported on
@@ -19,6 +22,7 @@ first use.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -27,9 +31,9 @@ from collections import namedtuple
 
 import numpy as np
 
-# The bound routines, then the library's build string and its
-# thread-count getter (each None when the library does not export it).
-_Bound = namedtuple("_Bound", "stevd trtrs config threads")
+# The bound routines, then the library's build string, thread-count getter
+# and thread-count setter (each None when the library does not export it).
+_Bound = namedtuple("_Bound", "stevd trtrs config threads set_threads")
 
 
 def _loaded_openblas_paths():
@@ -73,7 +77,11 @@ def _bound() -> _Bound | None:
         threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
         if threads is not None:
             threads.argtypes, threads.restype = [], ctypes.c_int
-        return _Bound(stevd, trtrs, config, threads)
+        set_threads = getattr(lib, "openblas_set_num_threads_local", None)
+        if set_threads is not None:
+            set_threads.argtypes = [ctypes.c_int]
+            set_threads.restype = ctypes.c_int
+        return _Bound(stevd, trtrs, config, threads, set_threads)
     return None
 
 
@@ -93,6 +101,25 @@ def active_threads() -> int | None:
     if bound is None or bound.threads is None:
         return None
     return bound.threads()
+
+
+def thread_pin():
+    """The bound ``openblas_set_num_threads_local``, or None: given n, it
+    sets the BLAS thread count of the whole process and returns the old."""
+    bound = _bound()
+    return None if bound is None else bound.set_threads
+
+
+@contextlib.contextmanager
+def one_thread():
+    """Run BLAS on one thread inside the block, then on the count before
+    (the whole process's count: blocks may nest but not overlap)."""
+    pin = thread_pin() or (lambda count: None)
+    held = pin(1)
+    try:
+        yield
+    finally:
+        pin(held)
 
 
 def _int(value: int):

@@ -12,6 +12,7 @@ orthogonalize against.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -38,33 +39,14 @@ CHUNK = 65536
 # blocks are half-weighted, so no chunk writes a weighted copy); the
 # Gram-error and Christoffel sweeps count the stacked basis values only.
 STACK_BYTES = 8 << 20
-
-
-# Environment variables that set the BLAS thread count, in the order
-# ``blas_thread_setting`` reads them, and the most threads ``chunk_map``
-# runs when BLAS is held to one thread.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "OMP_NUM_THREADS")
-MAX_WORKERS = 4
-
-
-def blas_thread_setting() -> tuple | None:
-    """The first of ``BLAS_THREAD_VARS`` set to a non-empty value, as
-    (name, value), or None when none is set."""
-    return next(((name, os.environ[name]) for name in BLAS_THREAD_VARS
-                 if os.environ.get(name)), None)
+MAX_WORKERS = 4    # the most threads ``chunk_map`` runs
 
 
 def _default_workers() -> int:
-    """The usable cores, at most ``MAX_WORKERS``, when BLAS is held to
-    one thread by its environment variable (``blas_thread_setting``);
-    otherwise 1.  A multi-threaded BLAS already runs on every core, and
-    chunk threads calling it compete with its own threads: on a 2-core
-    host with BLAS unpinned, ``hol`` ms N=39 M=1e5 took 14.2 s with two
-    chunk threads against 8.7 s with one, and 6.2 s with two and BLAS
-    pinned."""
-    setting = blas_thread_setting()
-    if setting is None or setting[1] != "1":
+    """The usable cores, at most ``MAX_WORKERS``, where ``chunk_map`` can
+    hold BLAS to one thread (``lapack.one_thread``), whatever variable is
+    set; else 1, lest chunk threads compete with a BLAS on every core."""
+    if lapack.thread_pin() is None:
         return 1
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
@@ -105,30 +87,31 @@ def chunk_map(fn, slices):
 
     With ``WORKERS`` > 1 the calls run on a shared thread pool, at most
     ``WORKERS`` + 1 of them submitted at a time, so memory stays bounded
-    whatever the number of slices.  Callers add the yielded partial sums
-    in the order they arrive, which makes every result bit-identical at
-    any worker count.  An exception raised by ``fn`` reaches the caller
-    unchanged; the calls not yet started are cancelled and the running
-    ones finish before it propagates.  ``fn`` must not call
-    ``chunk_map`` itself.
+    whatever the number of slices, all on one BLAS thread
+    (``lapack.one_thread``).  Callers add the yielded partial sums in the
+    order they arrive, so every result is bit-identical at any worker
+    count and whatever BLAS variable is set.  An exception raised by
+    ``fn`` reaches the caller unchanged; the calls not yet started are
+    cancelled and the running ones finish before it propagates.  ``fn``
+    must not call ``chunk_map``.
     """
-    if WORKERS <= 1:
-        for sl in slices:
-            yield fn(sl)
-        return
-    pool = _executor()
-    pending = deque()
-    try:
-        for sl in slices:
-            pending.append(pool.submit(fn, sl))
-            if len(pending) > WORKERS:
+    with lapack.one_thread():
+        if WORKERS <= 1:
+            yield from map(fn, slices)
+            return
+        pool = _executor()
+        pending = deque()
+        try:
+            for sl in slices:
+                pending.append(pool.submit(fn, sl))
+                if len(pending) > WORKERS:
+                    yield pending.popleft().result()
+            while pending:
                 yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for fut in pending:
-            fut.cancel()
-        wait(pending)
+        finally:
+            for fut in pending:
+                fut.cancel()
+            wait(pending)
 
 
 @dataclass(frozen=True)
@@ -320,8 +303,9 @@ def point_cloud_measure(path) -> DiscreteMeasure:
     """Uniform measure over points listed in a CSV file.
 
     Format: UTF-8, one point per line as ``x1,...,xd`` with d >= 1 (the
-    first data row sets d), optional single header line, blank lines
-    ignored.  Weights are 1/M.
+    first data row sets d), blank lines ignored.  An unparsable first line
+    with no number in it (``x,y`` or ``x1,x2``) is skipped as a header.
+    Weights are 1/M.
     """
     rows = []
     d = None
@@ -335,7 +319,9 @@ def point_cloud_measure(path) -> DiscreteMeasure:
             try:
                 vals = [float(p) for p in parts]
             except ValueError:
-                if header_allowed:
+                # A number is a digit not inside a name such as x1.
+                if header_allowed and not re.search(
+                        r"(?<![\w.])[-+]?\.?\d", line):
                     header_allowed = False
                     continue
                 raise PointCloudError(

@@ -42,11 +42,12 @@ stacked centers and lowering matrices times the tail of S for the
 residuals.  As in the classical Stieltjes procedure, p_{-1} = 0: an
 empty block, with d empty lowering matrices B_{0,i}
 (``RecurrenceData.start``), so degree 0 runs the same code as every later
-degree.  A sweep is a sum of
-per-chunk partial sums over slices of at most ``measures.STACK_BYTES``
-of values, computed on ``measures.WORKERS`` threads by
-``measures.chunk_map`` and added in chunk order.  The recurrence therefore depends on ``STACK_BYTES`` (the
-summation order) but is bit-identical at any worker count.
+degree.  A sweep is a sum of per-chunk partial sums over slices of at most
+``measures.STACK_BYTES`` of values, computed on ``measures.WORKERS``
+threads by ``measures.chunk_map`` and added in chunk order, all on one
+BLAS thread (``lapack.one_thread``).  The recurrence therefore depends on
+``STACK_BYTES`` (the summation order), not on the worker count or any
+BLAS variable.
 
 Every moment the algorithm takes is a weighted Gram <f, g> =
 sum_k w_k f(x_k) g(x_k), so the blocks are kept half-weighted: the
@@ -71,6 +72,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lapack
 from .diagnostics import condition_numbers
 from .errors import (ClosureError, DegenerateMeasureError, NumericalFailure,
                      RankDeficiencyError)
@@ -276,6 +278,7 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
     return fix_column_signs(vt[rank:].T)
 
 
+@lapack.one_thread()
 def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
     """Compute canonical recurrence matrices through ``max_degree``.
 

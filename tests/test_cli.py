@@ -1,14 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from mvortho import lapack
 from mvortho.cli import main
 from mvortho.experiments import DEFAULT_DEGREE, ExperimentConfig
-from mvortho.measures import (BLAS_THREAD_VARS, MAX_WORKERS,
-                              point_cloud_measure)
+from mvortho.measures import MAX_WORKERS, point_cloud_measure
 from mvortho.serialization import save_recurrence
 from mvortho.stieltjes import stieltjes_recurrence
 
@@ -111,7 +112,41 @@ class TestHelp:
             main(["run", "--help"])
         assert exit_info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
-        assert f"up to {MAX_WORKERS} threads only when" in text
-        assert all(var in text for var in BLAS_THREAD_VARS)
+        assert f"up to {MAX_WORKERS} threads, each holding BLAS to one" in text
+        assert "openblas_set_num_threads_local" in text
+        assert "no BLAS variable changes their count or outputs" in text
+        assert "NUM_THREADS" not in text
         assert f"default {ExperimentConfig.mc_samples}" in text
         assert all(f"{n} for d={d}" in text for d, n in DEFAULT_DEGREE.items())
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                  "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(lapack.thread_pin() is None,
+                    reason="the bound BLAS cannot be held to one thread")
+@pytest.mark.parametrize("args", [
+    ["--experiment", "tor", "--method", "ms", "--degree", "6"],
+    ["--experiment", "hol", "--method", "ms", "--degree", "12",
+     "--mc-samples", "5000", "--seed", "1"]])
+def test_outputs_and_workers_ignore_blas_variables(tmp_path, args):
+    # A fresh process with BLAS pinned by its variable and one with no
+    # BLAS variable write the same bytes on the same worker count.
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    base["PYTHONPATH"] = os.pathsep.join(sys.path)
+    written, workers = [], []
+    for tag, extra in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}),
+                       ("unset", {})):
+        out = tmp_path / tag
+        subprocess.run([sys.executable, "-m", "mvortho.cli", "run", *args,
+                        "--out", str(out)], env=dict(base, **extra),
+                       check=True, capture_output=True, timeout=300)
+        manifest = json.loads((out / "manifest.json").read_text())
+        workers.append(manifest["config"]["workers"])
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "manifest.json"})
+    assert "recurrence.json" in written[0] and "cond.csv" in written[0]
+    assert written[0] == written[1]
+    cores = min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+    assert workers == [cores, cores]

@@ -199,13 +199,15 @@ class TestRunExperiment:
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         # The environment goes to the manifest only: the recurrence and
-        # the CSVs keep their bytes whatever it holds.
-        from mvortho import lapack, measures
+        # the CSVs keep their bytes whatever it holds, and no BLAS
+        # variable enters the record.
+        from mvortho import lapack
         names = ("recurrence.json", "error_matrix.csv", "cond.csv",
                  "cc_residuals.csv", "christoffel.csv")
         outputs, envs = [], []
         for value in ("1", None):
-            for var in measures.BLAS_THREAD_VARS:
+            for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                        "OMP_NUM_THREADS"):
                 monkeypatch.delenv(var, raising=False)
             if value is not None:
                 monkeypatch.setenv("MKL_NUM_THREADS", value)
@@ -215,16 +217,16 @@ class TestRunExperiment:
                 (out / "manifest.json").read_text())["environment"])
             outputs.append({name: (out / name).read_bytes() for name in names})
         assert set(envs[0]) == {"python", "numpy", "scipy", "cpu_count",
-                                "blas_threads", "blas_threads_active",
+                                "blas_pinned", "blas_threads_active",
                                 "lapack"}
+        assert envs[0]["blas_pinned"] is (lapack.thread_pin() is not None)
         assert envs[0]["blas_threads_active"] == lapack.active_threads()
         assert envs[0]["numpy"] == np.__version__
         loaded = sys.modules.get("scipy")
         assert envs[0]["scipy"] == getattr(loaded, "__version__", None)
         assert envs[0]["lapack"] == lapack.backend()
         assert envs[0]["cpu_count"] == os.cpu_count()
-        assert envs[0]["blas_threads"] == ["MKL_NUM_THREADS", "1"]
-        assert envs[1]["blas_threads"] is None
+        assert envs[0] == envs[1]
         assert outputs[0] == outputs[1]
         assert all(b"environment" not in data for data in outputs[0].values())
 

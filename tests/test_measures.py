@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from mvortho import measures
+from mvortho import lapack, measures
 from mvortho.errors import PointCloudError
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
                               gauss_jacobi_rule, point_cloud_measure,
@@ -155,9 +155,22 @@ class TestPointCloud:
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "cloud.csv"
-        path.write_text("x,y\n0.0,1.0\n2.0,3.0\n")
-        m = point_cloud_measure(path)
-        assert m.n_nodes == 2
+        for header in ("x,y", "x1,x2", " col_a , col_b "):
+            path.write_text(header + "\n0.0,1.0\n2.0,3.0\n")
+            m = point_cloud_measure(path)
+            assert m.n_nodes == 2
+            assert np.array_equal(m.nodes, [[0.0, 1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("first", [
+        "1,2x", "np.float64(-1.0),np.float64(2.0)", "x,.5", "0.0;1.0"])
+    def test_malformed_first_point_names_line_one(self, tmp_path, first):
+        # A first line holding a number is a mistyped point, not a header.
+        path = tmp_path / "cloud.csv"
+        path.write_text(first + "\n0.0,1.0\n2.0,3.0\n")
+        with pytest.raises(PointCloudError) as err:
+            point_cloud_measure(path)
+        assert err.value.line == 1
+        assert "line 1:" in str(err.value)
 
     def test_three_dim_file(self, tmp_path):
         path = tmp_path / "cloud.csv"
@@ -303,21 +316,57 @@ class TestChunkMap:
             [slice(lo, lo + 2) for lo in range(0, 10, 2)]))
         assert names == [threading.current_thread().name] * 5
 
-    @pytest.mark.parametrize("env,pooled", [
+    @pytest.mark.parametrize("env,pinnable", [
         ({"OPENBLAS_NUM_THREADS": "1"}, True),
-        ({"OMP_NUM_THREADS": "1"}, True),
+        ({}, True),
+        ({"OPENBLAS_NUM_THREADS": "1"}, False),
         ({}, False),
-        ({"OMP_NUM_THREADS": "2"}, False),
-        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False)])
+        ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "2"}, True)])
     def test_default_workers_follow_blas_threads(self, monkeypatch, env,
-                                                 pooled):
+                                                 pinnable):
+        # The worker count follows whether BLAS can be held to one thread,
+        # never a BLAS variable: the usable cores, at most MAX_WORKERS,
+        # where the bound OpenBLAS exports the setter; 1 under the scipy
+        # fallback or without the setter.
         for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        cores = min(len(os.sched_getaffinity(0)), 4)
-        assert measures._default_workers() == (cores if pooled else 1)
+        cores = min(len(os.sched_getaffinity(0)), measures.MAX_WORKERS)
+        no_pin = lapack._Bound(None, None, None, None, None)
+        bounds = ([no_pin._replace(set_threads=lambda n: 1)] if pinnable
+                  else [None, no_pin])
+        for bound in bounds:
+            monkeypatch.setattr(lapack, "_bound", lambda: bound)
+            assert measures._default_workers() == (cores if pinnable else 1)
+
+    @pytest.mark.skipif(lapack.thread_pin() is None,
+                        reason="the bound BLAS cannot be held to one thread")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_run_on_one_blas_thread(self, monkeypatch, workers):
+        # Inside chunk_map BLAS runs one thread (the setter returns the
+        # count it replaces); afterwards the caller's two threads are
+        # back, also when a chunk raises.
+        monkeypatch.setattr(measures, "WORKERS", workers)
+        pin = lapack.thread_pin()
+        held = pin(2)
+        try:
+            seen = list(measures.chunk_map(
+                lambda sl: (pin(1), lapack.active_threads()),
+                [slice(lo, lo + 1) for lo in range(6)]))
+            assert seen == [(1, 1)] * 6
+            assert lapack.active_threads() == 2
+
+            def fail(sl):
+                raise ValueError(sl.start)
+
+            with pytest.raises(ValueError):
+                list(measures.chunk_map(fail, [slice(0, 1), slice(1, 2)]))
+            assert lapack.active_threads() == 2
+        finally:
+            pin(held)
 
     def test_import_starts_no_thread(self):
         code = ("import threading, mvortho, mvortho.experiments;"
