@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lapack
 from .errors import NumericalFailure
-from .measures import DiscreteMeasure, chunk_map, node_chunks
+from .measures import DiscreteMeasure, chunk_sum
 from .recurrence import RecurrenceData
 
 
@@ -40,7 +40,7 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
     (m, d) point chunk to the (size, m) stacked basis values.
 
     Chunks hold at most ``measures.STACK_BYTES`` of stacked values, so
-    each one stays in cache, and run through ``measures.chunk_map``.
+    each one stays in cache, and run through ``measures.chunk_sum``.
     Both evaluators release the GIL for their heavy calls (numpy
     products, and the ``dtrtrs`` of ``lapack.solve_lower`` for the
     moment-method bases), so the chunks run in parallel.
@@ -54,31 +54,28 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
     With ``kernel_stride`` s, the same sweep also returns on the report
     the kernel diagonal K (``christoffel_streaming``) at the global node
     indices 0, s, 2s, ..., each chunk taking it from its unweighted
-    values before the scaling; a non-positive K raises
-    NumericalFailure.
+    values before the scaling, into its own slice of the kernel; a K
+    that is not finite and positive raises NumericalFailure.
     """
     root_w = np.sqrt(measure.weights)
+    step = kernel_stride
+    # K at node k = j s goes to kernel[j]; a chunk's nodes j s lie in
+    # [start, stop), so its j run from ceil(start / s) to ceil(stop / s).
+    kernel = None if step is None else np.empty(-(-measure.n_nodes // step))
 
     def chunk(sl):
         vals = evaluate_chunk(measure.nodes[sl])
-        kernel = None
-        if kernel_stride is not None:
-            first = -sl.start % kernel_stride
-            kernel = _kernel_diagonal(vals[:, first::kernel_stride], size)
+        if kernel is not None:
+            kernel[-(-sl.start // step):-(-sl.stop // step)] = \
+                _kernel_diagonal(vals[:, -sl.start % step::step], size)
         vals *= root_w[sl]
-        return vals @ vals.T, kernel
+        return [vals @ vals.T]
 
-    gram = np.zeros((size, size))
-    kernels = []
-    for part, kernel in chunk_map(chunk, node_chunks(measure.n_nodes,
-                                                     rows=size)):
-        gram += part
-        kernels.append(kernel)
+    gram, = chunk_sum(chunk, measure.n_nodes, size, [np.zeros((size, size))])
     err = gram - np.eye(size)
     return ErrorReport(
         error_matrix=err, max_abs=float(np.max(np.abs(err))),
-        kernel=None if kernel_stride is None
-        else _positive(np.concatenate(kernels)))
+        kernel=None if kernel is None else _positive(kernel))
 
 
 @lapack.one_thread()
@@ -156,20 +153,20 @@ def christoffel_streaming(evaluate_chunk, points, size: int):
 
     K(x) = (1/size) sum of squared basis values at x, over point chunks
     of at most ``measures.STACK_BYTES`` of stacked values run through
-    ``measures.chunk_map``; the Christoffel function is its reciprocal.
-    K is a sum of squares, so a non-positive value is a numerical
+    ``measures.chunk_sum``, each writing its own slice of K; the
+    Christoffel function is its reciprocal.  K is a finite sum of
+    squares, so a value that is not finite and positive is a numerical
     breakdown.  At the measure's own nodes, a run takes K from its
     Gram-error sweep instead (``gram_error_streaming``).
     """
     pts = np.asarray(points, dtype=float)
+    kernel = np.empty(pts.shape[0])
 
     def chunk(sl):
-        return _kernel_diagonal(evaluate_chunk(pts[sl]), size)
+        kernel[sl] = _kernel_diagonal(evaluate_chunk(pts[sl]), size)
+        return []
 
-    slices = list(node_chunks(pts.shape[0], rows=size))
-    kernel = np.empty(pts.shape[0])
-    for sl, part in zip(slices, chunk_map(chunk, slices)):
-        kernel[sl] = part
+    chunk_sum(chunk, pts.shape[0], size, [])
     kernel = _positive(kernel)
     return kernel, 1.0 / kernel
 
@@ -181,8 +178,9 @@ def _kernel_diagonal(vals: np.ndarray, size: int) -> np.ndarray:
 
 
 def _positive(kernel: np.ndarray) -> np.ndarray:
-    """``kernel``, after checking that every value is positive."""
-    if np.any(kernel <= 0):
-        raise NumericalFailure("reproducing-kernel diagonal not positive; "
-                               "basis evaluation broke down")
+    """``kernel``, after checking that every value is finite and
+    positive (NaN compares false, so it fails the test)."""
+    if not np.all((kernel > 0) & (kernel < np.inf)):
+        raise NumericalFailure("reproducing-kernel diagonal not finite and "
+                               "positive; basis evaluation broke down")
     return kernel

@@ -68,11 +68,12 @@ class ExperimentConfig:
     4N+5), except the spiral's outer angle which is intrinsically
     approximate and defaults to 25000 points.  The moment-method Gram
     uses the package-wide ``measures.CHUNK``, serially, in two reused
-    (R × ``CHUNK``) buffers; the ``ms`` sweeps and the Gram-error sweep
-    ``measures.STACK_BYTES``, on ``measures.WORKERS`` threads: the usable
-    cores, at most ``measures.MAX_WORKERS``, where BLAS can be held to one
-    thread whatever BLAS variable is set (``environment.blas_pinned``),
-    else 1.  For d = 2 the Gram-error sweep also takes the Christoffel
+    (R × ``CHUNK``) buffers; ``measures.chunk_sum`` cuts the ``ms`` sweeps
+    and the Gram-error sweep by ``measures.STACK_BYTES`` and runs them on
+    ``measures.WORKERS`` threads: the usable cores, at most
+    ``measures.MAX_WORKERS``, where BLAS can be held to one thread
+    whatever BLAS variable is set (``environment.blas_pinned``), else 1.
+    For d = 2 the Gram-error sweep also takes the Christoffel
     kernel at every s-th node (s from ``christoffel_stride``), so the Gram
     error and the kernel come from one node sweep.  The manifest records
     them as ``config.chunk_size``, ``config.stack_bytes`` and

@@ -10,7 +10,7 @@ with the arguments scipy's wrappers pass it, and scipy's wheels link an
 LP64 build of the same OpenBLAS, so the results are the bits of
 ``scipy.linalg.eigh_tridiagonal`` and ``scipy.linalg.solve_triangular``.
 A ``ctypes`` call also releases the GIL, so solves on the chunk threads
-of ``measures.chunk_map`` run in parallel.  Those threads, the ``ms``
+of ``measures.chunk_sum`` run in parallel.  Those threads, the ``ms``
 construction and the commuting residuals run BLAS on one thread whatever
 the environment sets (``one_thread``), by the unprefixed
 ``openblas_set_num_threads_local`` (OpenBLAS >= 0.3.27).
@@ -27,6 +27,7 @@ import ctypes
 import functools
 import glob
 import os
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -110,16 +111,29 @@ def thread_pin():
     return None if bound is None else bound.set_threads
 
 
+_open_blocks = 0     # open ``one_thread`` blocks, in all threads
+_saved_count = None  # the count the first of them replaced
+_blocks_lock = threading.Lock()
+
+
 @contextlib.contextmanager
 def one_thread():
-    """Run BLAS on one thread inside the block, then on the count before
-    (the whole process's count: blocks may nest but not overlap)."""
+    """Run BLAS on one thread inside the block.  The count is the whole
+    process's, so blocks may nest and overlap in any threads: the first
+    block in saves the count and sets 1, the last block out restores it."""
+    global _open_blocks, _saved_count
     pin = thread_pin() or (lambda count: None)
-    held = pin(1)
+    with _blocks_lock:
+        if _open_blocks == 0:
+            _saved_count = pin(1)
+        _open_blocks += 1
     try:
         yield
     finally:
-        pin(held)
+        with _blocks_lock:
+            _open_blocks -= 1
+            if _open_blocks == 0:
+                pin(_saved_count)
 
 
 def _int(value: int):

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,20 +29,21 @@ from .univariate import jacobi_recurrence
 # that assembly's memory: two (R × CHUNK) buffers, the basis values and
 # their weighted copy, held for the whole call (430 MB each at R = 820).
 CHUNK = 65536
-# Bytes of float64 values one chunk of a stacked sweep may hold: small
-# enough that the chunks in flight stay in cache.  Every ``stieltjes``
-# sweep, the Gram-error and the Christoffel sweep are cut this way, so it
-# fixes the summation order of the ``ms`` recurrence and of the Gram error.
-# A ``stieltjes`` sweep counts every buffer its chunk holds (the shifted
-# stack, the residuals or the new block and its coordinate stack; the
-# blocks are half-weighted, so no chunk writes a weighted copy); the
-# Gram-error and Christoffel sweeps count the stacked basis values only.
+# Bytes of float64 values one chunk of a ``chunk_sum`` sweep may hold:
+# small enough that the chunks in flight stay in cache.  Every
+# ``stieltjes`` sweep, the Gram-error and the Christoffel sweep are cut
+# this way, so it fixes the summation order of the ``ms`` recurrence and
+# of the Gram error.  A ``stieltjes`` sweep counts every buffer its chunk
+# holds (the shifted stack, the residuals or the new block and its
+# coordinate stack; the blocks are half-weighted, so no chunk writes a
+# weighted copy); the Gram-error and Christoffel sweeps count the stacked
+# basis values only.
 STACK_BYTES = 8 << 20
-MAX_WORKERS = 4    # the most threads ``chunk_map`` runs
+MAX_WORKERS = 4    # the most threads ``chunk_sum`` runs
 
 
 def _default_workers() -> int:
-    """The usable cores, at most ``MAX_WORKERS``, where ``chunk_map`` can
+    """The usable cores, at most ``MAX_WORKERS``, where ``chunk_sum`` can
     hold BLAS to one thread (``lapack.one_thread``), whatever variable is
     set; else 1, lest chunk threads compete with a BLAS on every core."""
     if lapack.thread_pin() is None:
@@ -53,65 +53,55 @@ def _default_workers() -> int:
     return min(cores, MAX_WORKERS)
 
 
-# Threads that run the chunks of ``chunk_map``; 1 runs them inline.
+# Threads that run the chunks of ``chunk_sum``; 1 runs them inline.
 WORKERS = _default_workers()
 
-_pool: tuple | None = None    # (worker count, executor), made on first use
-_pool_lock = threading.Lock()
 
+def chunk_sum(fn, n_points: int, rows: int, acc: list) -> list:
+    """Add the parts ``fn(sl)`` returns for each node slice into the
+    arrays of ``acc``, in slice order, and return ``acc``.
 
-def node_chunks(n_points: int, rows: int | None = None):
-    """Slices covering ``n_points`` in order: at most ``CHUNK`` points
-    each, or, given the ``rows`` float64 values a sweep holds per point,
-    at most ``STACK_BYTES`` of them (both read at each call)."""
-    size = CHUNK if rows is None else max(1, STACK_BYTES // (8 * rows))
-    for lo in range(0, n_points, size):
-        yield slice(lo, min(lo + size, n_points))
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The process-wide pool of ``WORKERS`` threads, replaced when
-    ``WORKERS`` has changed since it was made."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != WORKERS:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (WORKERS, ThreadPoolExecutor(
-                WORKERS, thread_name_prefix="mvortho-chunk"))
-        return _pool[1]
-
-
-def chunk_map(fn, slices):
-    """Yield ``fn(sl)`` for each slice of ``slices``, in slice order.
-
-    With ``WORKERS`` > 1 the calls run on a shared thread pool, at most
-    ``WORKERS`` + 1 of them submitted at a time, so memory stays bounded
-    whatever the number of slices, all on one BLAS thread
-    (``lapack.one_thread``).  Callers add the yielded partial sums in the
-    order they arrive, so every result is bit-identical at any worker
-    count and whatever BLAS variable is set.  An exception raised by
-    ``fn`` reaches the caller unchanged; the calls not yet started are
-    cancelled and the running ones finish before it propagates.  ``fn``
-    must not call ``chunk_map``.
+    The slices cover ``n_points`` in order, each holding at most
+    ``STACK_BYTES`` of the ``rows`` float64 values a chunk holds per
+    point (both read at each call), so ``rows`` fixes the summation
+    order.  ``fn`` returns one part per array of ``acc``; a per-node
+    output is written by ``fn`` into its own slice instead.  With
+    ``WORKERS`` > 1 the calls run on a pool of ``WORKERS`` threads made
+    for this call, at most ``WORKERS`` + 1 of them submitted at a time,
+    so memory stays bounded whatever the number of slices; all run on
+    one BLAS thread (``lapack.one_thread``).  Each sum is therefore
+    bit-identical at any worker count and whatever BLAS variable is set.
+    An exception raised by ``fn`` reaches the caller unchanged, after
+    the calls not yet started are cancelled and the running ones have
+    finished.  ``fn`` must not call ``chunk_sum``.
     """
+    size = max(1, STACK_BYTES // (8 * rows))
+    slices = (slice(lo, min(lo + size, n_points))
+              for lo in range(0, n_points, size))
+
+    def add(parts):
+        for total, part in zip(acc, parts):
+            total += part
+
     with lapack.one_thread():
         if WORKERS <= 1:
-            yield from map(fn, slices)
-            return
-        pool = _executor()
-        pending = deque()
-        try:
             for sl in slices:
-                pending.append(pool.submit(fn, sl))
-                if len(pending) > WORKERS:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for fut in pending:
-                fut.cancel()
-            wait(pending)
+                add(fn(sl))
+            return acc
+        with ThreadPoolExecutor(WORKERS,
+                                thread_name_prefix="mvortho-chunk") as pool:
+            pending = deque()
+            try:
+                for sl in slices:
+                    pending.append(pool.submit(fn, sl))
+                    if len(pending) > WORKERS:
+                        add(pending.popleft().result())
+                while pending:
+                    add(pending.popleft().result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    return acc
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import measures
 from .errors import ConditioningError
 from .indexing import MultiIndexSet
 from .lapack import solve_lower
-from .measures import DiscreteMeasure, node_chunks
+from .measures import DiscreteMeasure
 from .recurrence import RecurrenceData
 from .univariate import evaluate_univariate, jacobi_recurrence
 
@@ -166,11 +167,11 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     gram = np.zeros((size, size))
     coord = [np.zeros((size, size)) for _ in range(d)]
     nodes, w = measure.nodes, measure.weights
-    slices = list(node_chunks(measure.n_nodes))
-    width = max(sl.stop - sl.start for sl in slices)
+    width = min(measures.CHUNK, measure.n_nodes)
     vbuf, wbuf = np.empty((size, width)), np.empty((size, width))
-    for sl in slices:
-        k = sl.stop - sl.start
+    for lo in range(0, measure.n_nodes, width):
+        sl = slice(lo, min(lo + width, measure.n_nodes))
+        k = sl.stop - lo
         vals = basis.values(nodes[sl], out=vbuf[:, :k])
         work = np.multiply(vals, w[sl], out=wbuf[:, :k])
         gram += work @ vals.T

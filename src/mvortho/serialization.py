@@ -138,19 +138,17 @@ def write_log_error_csv(path, error_matrix) -> None:
 
 
 def write_condition_csv(path, cond_values) -> None:
-    rows = [f"{n},{v:.17g}" for n, v in enumerate(cond_values)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("degree,cond\n")
-        fh.write("\n".join(rows))
-        if rows:
-            fh.write("\n")
+    """One ``degree,cond`` row per degree, from 0."""
+    cond = np.asarray(cond_values, dtype=float)
+    write_matrix_csv(path, np.column_stack([np.arange(cond.size), cond]),
+                     header="degree,cond")
 
 
 def write_cc_csv(path, cc_rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("degree,coord_i,coord_j,res1,res2,res3\n")
-        for n, i, j, r1, r2, r3 in cc_rows:
-            fh.write(f"{n},{i},{j},{r1:.17g},{r2:.17g},{r3:.17g}\n")
+    """One row per ``commuting_residuals`` tuple; the header alone when
+    there are none (d = 1)."""
+    write_matrix_csv(path, np.array(cc_rows, dtype=float).reshape(-1, 6),
+                     header="degree,coord_i,coord_j,res1,res2,res3")
 
 
 def write_christoffel_csv(path, points, kernel, christoffel_vals) -> None:

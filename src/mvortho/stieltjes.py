@@ -44,7 +44,7 @@ empty block, with d empty lowering matrices B_{0,i}
 (``RecurrenceData.start``), so degree 0 runs the same code as every later
 degree.  A sweep is a sum of per-chunk partial sums over slices of at most
 ``measures.STACK_BYTES`` of values, computed on ``measures.WORKERS``
-threads by ``measures.chunk_map`` and added in chunk order, all on one
+threads and added in chunk order by ``measures.chunk_sum``, all on one
 BLAS thread (``lapack.one_thread``).  The recurrence therefore depends on
 ``STACK_BYTES`` (the summation order), not on the worker count or any
 BLAS variable.
@@ -78,7 +78,7 @@ from .errors import (ClosureError, DegenerateMeasureError, NumericalFailure,
                      RankDeficiencyError)
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, shifted_stack, step_matrix)
-from .measures import DiscreteMeasure, chunk_map, node_chunks
+from .measures import DiscreteMeasure, chunk_sum
 from .recurrence import RecurrenceData
 from .wopp import RANK_TOL, scaled_cross, solve_orthogonal_factors
 
@@ -166,8 +166,8 @@ def coordinate_moment(state: StieltjesState) -> list:
 
     r = state.values_cur.shape[0]
     d = state.measure.d
-    moments = _sweep(state, (d + 1) * r, chunk,
-                     _center_accumulators(d, r, state.values_prev.shape[0]))
+    moments = chunk_sum(chunk, state.measure.n_nodes, (d + 1) * r,
+                        _center_accumulators(d, r, state.values_prev.shape[0]))
     return _centers(moments, state.recurrence.B[state.degree])
 
 
@@ -211,20 +211,6 @@ def _centers(moments: list, lowering: list) -> list:
         x = stacked[i * r:(i + 1) * r] - lowering[i].T @ moments[2].T
         out.append(0.5 * (x + x.T))
     return out
-
-
-def _sweep(state: StieltjesState, rows: int, chunk, acc: list) -> list:
-    """Add the partial sums ``chunk(sl)`` returns for each node slice
-    into the arrays of ``acc``, in slice order, and return ``acc``.
-
-    ``rows`` counts the values per node the chunk holds at once; it sets
-    the chunk size (``measures.node_chunks``) and so the summation order.
-    """
-    for parts in chunk_map(chunk, node_chunks(state.measure.n_nodes,
-                                              rows=rows)):
-        for total, part in zip(acc, parts):
-            total += part
-    return acc
 
 
 def symmetric_factor(t_sym: np.ndarray, where: str = ""):
@@ -326,16 +312,18 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
             exc.degree = n + 1
             raise
     diags.t_condition.append(_mean_condition(
-        _moment_pass(state, state.centers, need_pairs=False)))
+        _moment_pass(state, state.centers), state.values_cur.shape[0]))
     return state.recurrence, diags
 
 
-def _mean_condition(t_blocks: list) -> float:
-    """Condition number averaged over the symmetric residual Grams."""
-    return float(np.mean(condition_numbers(t_blocks)))
+def _mean_condition(t: np.ndarray, r: int) -> float:
+    """Condition number averaged over the symmetric residual Grams, the
+    diagonal (r x r) blocks of the residual Gram ``t``."""
+    return float(np.mean(condition_numbers(
+        [t[k:k + r, k:k + r] for k in range(0, t.shape[0], r)])))
 
 
-def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
+def _moment_pass(state: StieltjesState, centers):
     """Accumulate residual Grams in one node sweep.
 
     The coordinate-i residual x_i p_n - A_{n+1,i} p_n - B_{n,i}^T p_{n-1}
@@ -343,10 +331,7 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
     exact arithmetic.  Per chunk, one GEMM forms all d residuals of the
     half-weighted blocks from the shifted stack, and one symmetric
     product gives their whole (d r x d r) Gram T, exactly symmetric;
-    block (i, j) of T is <res_i, res_j>.  Returns T.  When ``need_pairs``
-    is false the mixed blocks are left out: each chunk forms only the d
-    diagonal blocks, one symmetric product of each coordinate's r
-    residual rows, and the list of those d blocks is returned.
+    block (i, j) of T is <res_i, res_j>.  Returns T.
     """
     d = state.measure.d
     r = state.values_cur.shape[0]
@@ -359,15 +344,12 @@ def _moment_pass(state: StieltjesState, centers, *, need_pairs=True):
                               state.values_prev[:, sl])
         resid = shift @ stack[d * r:]
         np.subtract(stack[:d * r], resid, out=resid)
-        if not need_pairs:
-            return [res @ res.T for res in np.split(resid, d)]
         return [resid @ resid.T]
 
     # The shifted stack and the residuals.
     rows = (2 * d + 1) * r + state.values_prev.shape[0]
-    if not need_pairs:
-        return _sweep(state, rows, chunk, [np.zeros((r, r)) for _ in range(d)])
-    return _sweep(state, rows, chunk, [np.zeros((d * r, d * r))])[0]
+    return chunk_sum(chunk, state.measure.n_nodes, rows,
+                     [np.zeros((d * r, d * r))])[0]
 
 
 def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
@@ -386,7 +368,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     def block(i, j):
         return t[i * r_n:(i + 1) * r_n, j * r_n:(j + 1) * r_n]
 
-    diags.t_condition.append(_mean_condition([block(i, i) for i in range(d)]))
+    diags.t_condition.append(_mean_condition(t, r_n))
 
     if n == 0:
         # r_0 = 1: T is the d x d Gram S S^T of the stacked raising rows
@@ -462,7 +444,7 @@ def _evaluate_committed_degree(state: StieltjesState,
     def chunk(sl):
         # ``out`` holds p_{n-1}.  Each chunk copies its own p_{n-1}
         # columns into the shifted stack before the GEMM writes p_{n+1}
-        # over them, chunks own disjoint columns, and ``chunk_map`` lets
+        # over them, chunks own disjoint columns, and ``chunk_sum`` lets
         # no chunk outlive an exception.  Nothing may read
         # ``values_prev[:, sl]`` after the GEMM: it is p_{n+1} by then.
         pts, p_cur = measure.nodes[sl], state.values_cur[:, sl]
@@ -472,7 +454,8 @@ def _evaluate_committed_degree(state: StieltjesState,
 
     # The shifted stack, the new block and its coordinate stack.
     rows = step.shape[1] + (d + 1) * r_next
-    moments = _sweep(state, rows, chunk, _center_accumulators(d, r_next, r))
+    moments = chunk_sum(chunk, measure.n_nodes, rows,
+                        _center_accumulators(d, r_next, r))
     drift = max(float(np.max(np.abs(moments[0] - np.eye(r_next)))),
                 float(np.max(np.abs(moments[2]))))
     diags.gram_drift.append(drift)

@@ -5,8 +5,8 @@ import json
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_triangular
 
+from mvortho import measures
 from mvortho.indexing import MultiIndexSet
-from mvortho.measures import node_chunks
 from mvortho.moment_method import GramData, _blocked_cholesky
 
 
@@ -94,7 +94,8 @@ def build_gram_reference(basis, measure) -> GramData:
     gram = np.zeros((size, size))
     coord = [np.zeros((size, size)) for _ in range(basis.d)]
     nodes, w = measure.nodes, measure.weights
-    for sl in node_chunks(measure.n_nodes):
+    for lo in range(0, measure.n_nodes, measures.CHUNK):
+        sl = slice(lo, lo + measures.CHUNK)
         vals = basis.values(nodes[sl])
         weighted = vals * w[sl][None, :]
         gram += weighted @ vals.T

@@ -150,8 +150,10 @@ class TestConditionNumbers:
     def test_average_over_coordinates(self):
         got = condition_numbers([np.diag([4.0, 1.0]), np.diag([2.0, 1.0])])
         assert np.array_equal(got, [4.0, 2.0])
-        t_blocks = [np.diag([4.0, 1.0]), np.diag([2.0, 1.0])]
-        assert _mean_condition(t_blocks) == pytest.approx(3.0)
+        # The mean over the diagonal (2 x 2) blocks of a residual Gram.
+        t = np.diag([4.0, 1.0, 2.0, 1.0])
+        t[0, 3] = t[3, 0] = 1e3
+        assert _mean_condition(t, 2) == pytest.approx(3.0)
 
     def test_singular_reports_infinity(self):
         got = condition_numbers([np.diag([1.0, 0.0])])
@@ -239,3 +241,21 @@ class TestKernelInGramErrorSweep:
         m = tensor_jacobi(2, 3, (0.0, 0.0), (0.0, 0.0))
         with pytest.raises(NumericalFailure):
             gram_error_streaming(constant(0.0), m, 1, kernel_stride=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_breakdown_on_nonfinite(self, value):
+        m = tensor_jacobi(2, 3, (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(NumericalFailure, match="not finite and positive"):
+            gram_error_streaming(constant(value), m, 1, kernel_stride=2)
+
+    def test_christoffel_rejects_nan_from_overflow(self, monkeypatch):
+        # At 1e30 the degree-20 recurrence overflows, and inf - inf in
+        # its evaluation gives a NaN kernel value, which NaN's false
+        # comparisons would let through a plain ``<= 0`` test.  One
+        # worker: numpy's error state does not reach pool threads.
+        rec, _ = stieltjes_recurrence(square_minus_ball(3000, 1), 20)
+        monkeypatch.setattr(measures, "WORKERS", 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="not finite"):
+                christoffel_streaming(evaluator(rec),
+                                      [[1e30, 0.0], [0.5, 0.9]], 231)

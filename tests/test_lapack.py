@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -147,6 +148,43 @@ class TestEighTridiagonal:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             lapack.eigh_tridiagonal(np.ones(3), np.ones(3))
+
+
+
+@pytest.mark.skipif(lapack.thread_pin() is None,
+                    reason="the bound BLAS cannot be held to one thread")
+def test_overlapping_blocks_restore_the_count():
+    # Block A enters, block B enters in another thread, A leaves: B still
+    # runs one BLAS thread, and once B leaves the caller's two are back.
+    pin = lapack.thread_pin()
+    held = pin(2)
+    a_in, b_in, a_out = (threading.Event() for _ in range(3))
+    inside_b = []
+
+    def block_a():
+        with lapack.one_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def block_b():
+        a_in.wait(10)
+        with lapack.one_thread():
+            b_in.set()
+            a_out.wait(10)
+            inside_b.append(lapack.active_threads())
+
+    try:
+        threads = [threading.Thread(target=f) for f in (block_a, block_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside_b == [1]
+        assert lapack.active_threads() == 2
+    finally:
+        pin(held)
 
 
 OUTPUTS = ("recurrence.json", "error_matrix.csv", "cond.csv",

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -270,50 +271,77 @@ class TestValidation:
         assert min_monomial_norm(m, 12) > 0
 
 
+class Tally:
+    """A ``chunk_sum`` accumulator that counts the parts added to it,
+    slowly, so that unbounded submission would run ahead of it."""
+
+    def __init__(self):
+        self.added = 0
+
+    def __iadd__(self, part):
+        time.sleep(1e-3)
+        self.added += 1
+        return self
+
+
+def chunk_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("mvortho-chunk")]
+
+
 class TestChunkMap:
     def test_results_in_slice_order_under_contention(self, monkeypatch):
         # More workers than cores and a short switch interval: each call
-        # writes its own slice of a shared array, and the results still
-        # arrive in slice order.
+        # writes its own slice of a shared array, and the parts are still
+        # added in slice order.
         monkeypatch.setattr(measures, "WORKERS", 6)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 7)
         filled = np.zeros(5000)
         values = np.arange(5000.0)
+        order = []
+
+        class Order:
+            def __iadd__(self, start):
+                order.append(start)
+                return self
 
         def fill(sl):
             filled[sl] = values[sl]
-            return sl.start, float(values[sl].sum())
+            return sl.start, values[sl].sum()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = list(measures.chunk_map(
-                fill, [slice(lo, lo + 7) for lo in range(0, 5000, 7)]))
+            _, total = measures.chunk_sum(fill, 5000, 1,
+                                          [Order(), np.zeros(())])
         finally:
             sys.setswitchinterval(interval)
-        assert [start for start, _ in got] == list(range(0, 5000, 7))
-        assert sum(total for _, total in got) == values.sum()
+        assert order == list(range(0, 5000, 7))
+        assert total == values.sum()
         assert np.array_equal(filled, values)
 
     def test_in_flight_calls_bounded(self, monkeypatch):
+        # A call starts only once fewer than WORKERS + 1 submitted calls
+        # are still waiting to be added.
         monkeypatch.setattr(measures, "WORKERS", 3)
-        drawn = []
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 4)
+        tally, started = Tally(), []
 
-        def slices():
-            for lo in range(0, 100, 4):
-                drawn.append(lo)
-                yield slice(lo, lo + 4)
+        def record(sl):
+            started.append(len(started) + 1 - tally.added)
+            return [None]
 
-        consumed = 0
-        for _ in measures.chunk_map(lambda sl: sl.start, slices()):
-            consumed += 1
-            assert len(drawn) - consumed <= measures.WORKERS
-        assert consumed == 25
+        measures.chunk_sum(record, 100, 1, [tally])
+        assert tally.added == len(started) == 25
+        assert max(started) <= measures.WORKERS + 1
 
     def test_one_worker_runs_inline(self, monkeypatch):
         monkeypatch.setattr(measures, "WORKERS", 1)
-        names = list(measures.chunk_map(
-            lambda sl: threading.current_thread().name,
-            [slice(lo, lo + 2) for lo in range(0, 10, 2)]))
+        monkeypatch.setattr(measures, "STACK_BYTES", 8 * 2)
+        names = []
+        measures.chunk_sum(
+            lambda sl: names.append(threading.current_thread().name) or [],
+            10, 1, [])
         assert names == [threading.current_thread().name] * 5
 
     @pytest.mark.parametrize("env,pinnable", [
@@ -346,16 +374,18 @@ class TestChunkMap:
                         reason="the bound BLAS cannot be held to one thread")
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_run_on_one_blas_thread(self, monkeypatch, workers):
-        # Inside chunk_map BLAS runs one thread (the setter returns the
+        # Inside chunk_sum BLAS runs one thread (the setter returns the
         # count it replaces); afterwards the caller's two threads are
         # back, also when a chunk raises.
         monkeypatch.setattr(measures, "WORKERS", workers)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8)
         pin = lapack.thread_pin()
         held = pin(2)
+        seen = []
         try:
-            seen = list(measures.chunk_map(
-                lambda sl: (pin(1), lapack.active_threads()),
-                [slice(lo, lo + 1) for lo in range(6)]))
+            measures.chunk_sum(
+                lambda sl: seen.append((pin(1), lapack.active_threads()))
+                or [], 6, 1, [])
             assert seen == [(1, 1)] * 6
             assert lapack.active_threads() == 2
 
@@ -363,18 +393,51 @@ class TestChunkMap:
                 raise ValueError(sl.start)
 
             with pytest.raises(ValueError):
-                list(measures.chunk_map(fail, [slice(0, 1), slice(1, 2)]))
+                measures.chunk_sum(fail, 2, 1, [])
             assert lapack.active_threads() == 2
         finally:
             pin(held)
 
-    def test_import_starts_no_thread(self):
-        code = ("import threading, mvortho, mvortho.experiments;"
+    def test_raise_waits_for_running_chunks(self, monkeypatch):
+        # The first chunk raises while the second still runs: the error
+        # reaches the caller only after the second has finished, the
+        # chunks not yet started never start, and no chunk thread is left.
+        monkeypatch.setattr(measures, "WORKERS", 2)
+        monkeypatch.setattr(measures, "STACK_BYTES", 8)
+        second_started = threading.Event()
+        started, finished = [], []
+
+        def chunk(sl):
+            started.append(sl.start)
+            if sl.start == 0:
+                assert second_started.wait(10)
+                raise ValueError("first chunk")
+            second_started.set()
+            time.sleep(0.05)
+            finished.append(sl.start)
+            return []
+
+        with pytest.raises(ValueError, match="first chunk"):
+            measures.chunk_sum(chunk, 50, 1, [])
+        assert sorted(finished) == sorted(set(started) - {0})
+        assert len(started) <= measures.WORKERS + 1
+        assert chunk_threads() == []
+
+    def test_import_starts_no_thread(self, tmp_path):
+        # Neither the import nor a run leaves a chunk thread alive: each
+        # sweep's pool ends with its call.
+        code = ("import threading, mvortho.experiments as ex;"
                 "from mvortho import measures;"
-                "print(threading.active_count(), measures._pool)")
+                "names = lambda: [t.name for t in threading.enumerate()"
+                " if t.name.startswith('mvortho-chunk')];"
+                "print(len(names()));"
+                "measures.WORKERS = 2;"
+                "ex.run_experiment(ex.ExperimentConfig('jac2', 'ms',"
+                f" degree=6, output_dir={str(tmp_path)!r}));"
+                "print(len(names()))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env=dict(os.environ,
                                       PYTHONPATH=os.pathsep.join(sys.path)),
                              timeout=60)
-        assert out.stdout.split() == ["1", "None"]
+        assert out.stdout.split() == ["0", "0"]

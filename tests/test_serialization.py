@@ -10,7 +10,8 @@ from mvortho.measures import torus_measure
 from mvortho.recurrence import RecurrenceData
 from mvortho.serialization import (load_recurrence, recurrence_from_json,
                                    recurrence_to_json, save_recurrence,
-                                   write_christoffel_csv, write_condition_csv,
+                                   write_cc_csv, write_christoffel_csv,
+                                   write_condition_csv,
                                    write_log_error_csv, write_matrix_csv)
 from mvortho.stieltjes import stieltjes_recurrence
 from mvortho.tensor_product import tensor_recurrence
@@ -154,6 +155,24 @@ class TestCsvEmitters:
         assert "-inf" in rows[0]
         for token in rows[1].split(","):
             float(token)  # parses as a float, including inf literals
+
+    def test_condition_bytes(self, tmp_path):
+        path = tmp_path / "cond.csv"
+        write_condition_csv(path, np.array([1.0, 387.32944843320411, np.inf]))
+        assert path.read_text() == ("degree,cond\n0,1\n"
+                                    "1,387.32944843320411\n2,inf\n")
+
+    @pytest.mark.parametrize("rows,text", [
+        ([], ""),
+        ([(0, 0, 1, 2.5e-16, 0.0, 0.0), (3, 1, 2, 1 / 3, np.inf, 1e-300)],
+         "0,0,1,2.5000000000000002e-16,0,0\n"
+         "3,1,2,0.33333333333333331,inf,1e-300\n")])
+    def test_cc_bytes(self, tmp_path, rows, text):
+        # d = 1 has no coordinate pairs: the header alone.
+        path = tmp_path / "cc.csv"
+        write_cc_csv(path, rows)
+        assert path.read_text() == ("degree,coord_i,coord_j,res1,res2,res3\n"
+                                    + text)
 
     def test_condition_rows(self, tmp_path):
         path = tmp_path / "cond.csv"
