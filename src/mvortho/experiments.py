@@ -50,11 +50,26 @@ from .stieltjes import stieltjes_recurrence
 from .tensor_product import tensor_recurrence
 from .univariate import jacobi_recurrence
 
-EXPERIMENTS = ("jac2", "jac3", "ann", "cur", "tor", "hol", "cloud")
-
 JACOBI_PARAMS = {
     "jac2": ((3.80, 0.78), (7.34, 8.26)),
     "jac3": ((1.61, 0.32, 3.01), (-0.89, 9.83, 7.67)),
+}
+
+# Each experiment's dimension (None: read from the cloud file) and the
+# builder of its measure from a resolved config.  A builder looks its
+# constructor up in this module when it runs, so a constructor patched
+# here is the one called.
+EXPERIMENTS = {
+    "jac2": (2, lambda c: tensor_jacobi(2, c.n_points, *JACOBI_PARAMS["jac2"],
+                                        label="jac2")),
+    "jac3": (3, lambda c: tensor_jacobi(3, c.n_points, *JACOBI_PARAMS["jac3"],
+                                        label="jac3")),
+    "ann": (2, lambda c: annulus_measure(c.n_radial, c.n_angular)),
+    "cur": (2, lambda c: spiral_measure(c.n_radial, c.n_angular)),
+    "tor": (3, lambda c: torus_measure(c.n_radial, c.n_angular,
+                                       c.n_azimuthal)),
+    "hol": (2, lambda c: square_minus_ball(c.mc_samples, c.seed)),
+    "cloud": (None, lambda c: point_cloud_measure(c.cloud_path)),
 }
 DEFAULT_DEGREE = {2: 39, 3: 15}
 CHRISTOFFEL_MAX_ROWS = 20000
@@ -145,18 +160,6 @@ def default_degree(d: int) -> int:
     return DEFAULT_DEGREE[d]
 
 
-def experiment_dimension(experiment: str, cloud_path=None) -> int:
-    if experiment in ("jac2", "ann", "cur", "hol"):
-        return 2
-    if experiment in ("jac3", "tor"):
-        return 3
-    if experiment == "cloud":
-        if cloud_path is None:
-            raise ValueError("cloud experiment requires --cloud PATH")
-        return point_cloud_measure(cloud_path).d
-    raise ValueError(f"unknown experiment {experiment!r}")
-
-
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
     """Validate tags and fill size defaults; raises ValueError on misuse."""
     if config.experiment not in EXPERIMENTS:
@@ -172,7 +175,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ValueError("cloud experiment requires --cloud PATH")
     out = dataclasses.replace(config)
     if out.degree is None:
-        d = experiment_dimension(out.experiment, out.cloud_path)
+        d = (EXPERIMENTS[out.experiment][0]
+             or point_cloud_measure(out.cloud_path).d)
         out.degree = default_degree(d)
     if out.degree < 1:
         raise ValueError("degree must be >= 1")
@@ -189,21 +193,8 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
 
 
 def build_measure(config: ExperimentConfig):
-    tag = config.experiment
-    if tag in JACOBI_PARAMS:
-        alphas, betas = JACOBI_PARAMS[tag]
-        return tensor_jacobi(len(alphas), config.n_points, alphas, betas, label=tag)
-    if tag == "ann":
-        return annulus_measure(config.n_radial, config.n_angular)
-    if tag == "cur":
-        return spiral_measure(config.n_radial, config.n_angular)
-    if tag == "tor":
-        return torus_measure(config.n_radial, config.n_angular, config.n_azimuthal)
-    if tag == "hol":
-        return square_minus_ball(config.mc_samples, config.seed)
-    if tag == "cloud":
-        return point_cloud_measure(config.cloud_path)
-    raise ValueError(f"unknown experiment {tag!r}")
+    """The measure of a resolved config's experiment."""
+    return EXPERIMENTS[config.experiment][1](config)
 
 
 def _run_exact(config, measure, index_set) -> Construction:

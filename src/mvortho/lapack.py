@@ -1,23 +1,23 @@
-"""The two LAPACK routines the package calls outside numpy, bound through
-``ctypes`` to the OpenBLAS that numpy has already loaded.
+"""The one LAPACK routine the package calls outside numpy, ``dtrtrs``,
+and the OpenBLAS thread controls, bound through ``ctypes`` to the
+OpenBLAS that numpy has already loaded.
 
 numpy's wheels ship an ILP64 OpenBLAS (``scipy-openblas64``) whose
 LAPACK symbols carry the prefix ``scipy_`` and the suffix ``_64_``.
-Binding ``dstevd`` (the Golub-Welsch eigensolve) and ``dtrtrs`` (the
-moment method's triangular solves) there spares every process the import
-of ``scipy.linalg``, about 0.25 s and 22-28 MB.  Each routine is called
-with the arguments scipy's wrappers pass it, and scipy's wheels link an
-LP64 build of the same OpenBLAS, so the results are the bits of
-``scipy.linalg.eigh_tridiagonal`` and ``scipy.linalg.solve_triangular``.
-A ``ctypes`` call also releases the GIL, so solves on the chunk threads
-of ``measures.chunk_sum`` run in parallel.  Those threads, the ``ms``
+Binding ``dtrtrs`` (the moment method's triangular solves) there spares
+every process the import of ``scipy.linalg``, about 0.25 s and 22-28 MB.
+It is called with the arguments scipy's wrapper passes it, and scipy's
+wheels link an LP64 build of the same OpenBLAS, so the results are the
+bits of ``scipy.linalg.solve_triangular``.  A ``ctypes`` call also
+releases the GIL, so solves on the chunk threads of
+``measures.chunk_sum`` run in parallel.  Those threads, the ``ms``
 construction and the commuting residuals run BLAS on one thread whatever
 the environment sets (``one_thread``), by the unprefixed
 ``openblas_set_num_threads_local`` (OpenBLAS >= 0.3.27).
 
-Where no loaded library exports both symbols (numpy built against MKL or
-a system BLAS), both functions fall back to ``scipy.linalg``, imported on
-first use.
+Where no loaded library exports ``dtrtrs`` (numpy built against MKL or a
+system BLAS), ``solve_lower`` falls back to ``scipy.linalg``, imported
+on first use, and the thread controls are absent.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from collections import namedtuple
 
 import numpy as np
 
-# The bound routines, then the library's build string, thread-count getter
+# The bound routine, then the library's build string, thread-count getter
 # and thread-count setter (each None when the library does not export it).
-_Bound = namedtuple("_Bound", "stevd trtrs config threads set_threads")
+_Bound = namedtuple("_Bound", "trtrs config threads set_threads")
 
 
 def _loaded_openblas_paths():
@@ -55,22 +55,21 @@ def _loaded_openblas_paths():
 
 @functools.cache
 def _bound() -> _Bound | None:
-    """The routines of the first library that exports both, or None."""
+    """``dtrtrs`` and the thread controls of the first library that
+    exports ``dtrtrs``, or None."""
     for path in _loaded_openblas_paths():
         try:
             lib = ctypes.CDLL(path)
-            stevd, trtrs = lib.scipy_dstevd_64_, lib.scipy_dtrtrs_64_
+            trtrs = lib.scipy_dtrtrs_64_
         except (OSError, AttributeError):
             continue
-        # ILP64: every integer is passed as a pointer to int64; a
+        # ILP64: every integer is passed as a pointer to int64; each
         # character argument's hidden length trails the list.
         i64, buf, char = (ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p,
                           ctypes.c_char_p)
-        stevd.argtypes = [char, i64, buf, buf, buf, i64, buf, i64, buf, i64,
-                          i64, ctypes.c_size_t]
         trtrs.argtypes = [char, char, char, i64, i64, buf, i64, buf, i64,
                           i64] + [ctypes.c_size_t] * 3
-        stevd.restype = trtrs.restype = None
+        trtrs.restype = None
         config = getattr(lib, "scipy_openblas_get_config64_", None)
         if config is not None:
             config.argtypes, config.restype = [], ctypes.c_char_p
@@ -82,13 +81,13 @@ def _bound() -> _Bound | None:
         if set_threads is not None:
             set_threads.argtypes = [ctypes.c_int]
             set_threads.restype = ctypes.c_int
-        return _Bound(stevd, trtrs, config, threads, set_threads)
+        return _Bound(trtrs, config, threads, set_threads)
     return None
 
 
 def backend() -> str:
     """The OpenBLAS build string of the bound library, or
-    ``"scipy.linalg"`` when the functions fall back to scipy."""
+    ``"scipy.linalg"`` when ``solve_lower`` falls back to scipy."""
     bound = _bound()
     if bound is None:
         return "scipy.linalg"
@@ -97,7 +96,7 @@ def backend() -> str:
 
 def active_threads() -> int | None:
     """The number of threads the bound OpenBLAS runs, or None when the
-    functions fall back to scipy or the library does not report it."""
+    binding is absent or the library does not report it."""
     bound = _bound()
     if bound is None or bound.threads is None:
         return None
@@ -140,45 +139,6 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def _ptr(array: np.ndarray) -> int:
-    return array.ctypes.data
-
-
-def eigh_tridiagonal(d, e):
-    """Eigenvalues (ascending) and orthonormal eigenvectors (columns) of
-    the symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal
-    ``e``, by LAPACK ``dstevd``: what ``scipy.linalg.eigh_tridiagonal``
-    computes for the full spectrum, bit for bit."""
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    bound = _bound()
-    if bound is None:
-        from scipy.linalg import eigh_tridiagonal as scipy_eigh
-        return scipy_eigh(d, e)
-    if d.ndim != 1 or e.shape != (d.size - 1,):
-        raise ValueError(f"d {d.shape} must have one more element than e "
-                         f"{e.shape}")
-    n = d.size
-    w = d.copy()
-    off = e.copy()
-    z = np.empty((n, n), order="F")
-    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    work = np.empty(lwork)
-    iwork = np.empty(liwork, dtype=np.int64)
-    info = ctypes.c_int64(0)
-    bound.stevd(b"V", _int(n), _ptr(w), _ptr(off), _ptr(z), _int(n),
-                _ptr(work), _int(lwork), _ptr(iwork), _int(liwork),
-                ctypes.byref(info), 1)
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of "
-                         "internal stevd (eigh_tridiagonal)")
-    if info.value > 0:
-        raise np.linalg.LinAlgError(
-            f"stevd (eigh_tridiagonal) did not converge "
-            f"(LAPACK info={info.value})")
-    return w, z
-
-
 def solve_lower(factor, rhs):
     """X with ``factor @ X = rhs`` for a lower triangular ``factor``, by
     LAPACK ``dtrtrs``, as ``scipy.linalg.solve_triangular(factor, rhs,
@@ -207,8 +167,8 @@ def solve_lower(factor, rhs):
         a, uplo, trans = np.ascontiguousarray(a), b"U", b"T"
     n = a.shape[0]
     info = ctypes.c_int64(0)
-    bound.trtrs(uplo, trans, b"N", _int(n), _int(x.shape[1]), _ptr(a),
-                _int(n), _ptr(x), _int(n), ctypes.byref(info), 1, 1, 1)
+    bound.trtrs(uplo, trans, b"N", _int(n), _int(x.shape[1]), a.ctypes.data,
+                _int(n), x.ctypes.data, _int(n), ctypes.byref(info), 1, 1, 1)
     if info.value > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info.value - 1}")

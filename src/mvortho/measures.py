@@ -11,6 +11,7 @@ orthogonalize against.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import re
 from collections import deque
@@ -69,8 +70,10 @@ def chunk_sum(fn, n_points: int, rows: int, acc: list) -> list:
     ``WORKERS`` > 1 the calls run on a pool of ``WORKERS`` threads made
     for this call, at most ``WORKERS`` + 1 of them submitted at a time,
     so memory stays bounded whatever the number of slices; all run on
-    one BLAS thread (``lapack.one_thread``).  Each sum is therefore
-    bit-identical at any worker count and whatever BLAS variable is set.
+    one BLAS thread (``lapack.one_thread``), so each sum is bit-identical
+    at any worker count and whatever BLAS variable is set.  Each call
+    runs in a copy of the caller's context, so numpy's error state
+    (``np.errstate``) holds on the pool threads too.
     An exception raised by ``fn`` reaches the caller unchanged, after
     the calls not yet started are cancelled and the running ones have
     finished.  ``fn`` must not call ``chunk_sum``.
@@ -93,7 +96,8 @@ def chunk_sum(fn, n_points: int, rows: int, acc: list) -> list:
             pending = deque()
             try:
                 for sl in slices:
-                    pending.append(pool.submit(fn, sl))
+                    pending.append(pool.submit(
+                        contextvars.copy_context().run, fn, sl))
                     if len(pending) > WORKERS:
                         add(pending.popleft().result())
                 while pending:
@@ -124,6 +128,8 @@ class DiscreteMeasure:
         nodes = np.ascontiguousarray(np.asarray(self.nodes, dtype=float))
         if nodes.ndim == 1:
             nodes = nodes[:, None]
+        if nodes.ndim != 2:
+            raise ValueError(f"nodes must be (M,) or (M, d), not {nodes.shape}")
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float).reshape(-1))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -157,20 +163,20 @@ def _normalized(nodes, weights, label) -> DiscreteMeasure:
 def gauss_jacobi_rule(n_points: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes and unit-mass weights on [-1, 1].
 
-    Computed by Golub-Welsch: eigen-decomposition of the symmetric
-    tridiagonal matrix built from the closed-form Jacobi recurrence
-    coefficients, by LAPACK ``dstevd`` in the OpenBLAS numpy loads
-    (``lapack.eigh_tridiagonal``), or by ``scipy.linalg`` when numpy's
-    BLAS exports no such routine.  Exact for polynomials of degree
-    <= 2 n_points - 1 against the probability-normalized weight
+    Computed by Golub-Welsch: ``np.linalg.eigh`` of the dense Jacobi
+    matrix of the closed-form recurrence coefficients.  ``dsyevd``
+    reduces a tridiagonal matrix to itself, so its ``dstedc`` returns the
+    bits of ``dstevd`` (``scipy.linalg.eigh_tridiagonal``).  Exact for
+    polynomials of degree <= 2 n_points - 1 against the
+    probability-normalized weight
     (1-x)^alpha (1+x)^beta / (2^(alpha+beta+1) B(alpha+1, beta+1)).
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
     rec = jacobi_recurrence(n_points, alpha, beta)
-    if n_points == 1:
-        return np.array([rec.a[0]]), np.array([1.0])
-    nodes, vecs = lapack.eigh_tridiagonal(rec.a, rec.b[1:n_points])
+    off = rec.b[1:n_points]
+    nodes, vecs = np.linalg.eigh(np.diag(rec.a) + np.diag(off, 1)
+                                 + np.diag(off, -1))
     weights = vecs[0, :] ** 2
     return nodes, weights / weights.sum()
 

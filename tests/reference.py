@@ -111,7 +111,7 @@ def build_gram_reference(basis, measure) -> GramData:
 
 def scipy_eigh_tridiagonal(d, e):
     """scipy's Golub-Welsch eigensolve (``dstevd`` for the full
-    spectrum): ``lapack.eigh_tridiagonal`` must match it bit for bit."""
+    spectrum): ``measures.gauss_jacobi_rule`` must give its bits."""
     return eigh_tridiagonal(d, e)
 
 

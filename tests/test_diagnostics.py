@@ -251,11 +251,13 @@ class TestKernelInGramErrorSweep:
     def test_christoffel_rejects_nan_from_overflow(self, monkeypatch):
         # At 1e30 the degree-20 recurrence overflows, and inf - inf in
         # its evaluation gives a NaN kernel value, which NaN's false
-        # comparisons would let through a plain ``<= 0`` test.  One
-        # worker: numpy's error state does not reach pool threads.
+        # comparisons would let through a plain ``<= 0`` test.  The
+        # caller's error state holds on the pool threads too, where an
+        # overflow warning would otherwise be raised as an error.
         rec, _ = stieltjes_recurrence(square_minus_ball(3000, 1), 20)
-        monkeypatch.setattr(measures, "WORKERS", 1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailure, match="not finite"):
-                christoffel_streaming(evaluator(rec),
-                                      [[1e30, 0.0], [0.5, 0.9]], 231)
+        for workers in (1, 2):
+            monkeypatch.setattr(measures, "WORKERS", workers)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(NumericalFailure, match="not finite"):
+                    christoffel_streaming(evaluator(rec),
+                                          [[1e30, 0.0], [0.5, 0.9]], 231)

@@ -7,8 +7,9 @@ import types
 import numpy as np
 import pytest
 
-from mvortho.experiments import (ExperimentConfig, build_measure,
-                                 experiment_dimension, resolve_config,
+from mvortho import experiments
+from mvortho.experiments import (EXPERIMENTS, ExperimentConfig,
+                                 build_measure, resolve_config,
                                  run_experiment)
 
 
@@ -42,8 +43,9 @@ class TestConfigResolution:
             resolve_config(ExperimentConfig("cloud", "ms"))
 
     def test_dimensions(self):
-        assert experiment_dimension("jac2") == 2
-        assert experiment_dimension("tor") == 3
+        assert EXPERIMENTS["jac2"][0] == 2
+        assert EXPERIMENTS["tor"][0] == 3
+        assert EXPERIMENTS["cloud"][0] is None
 
 
 class TestMeasureConstruction:
@@ -61,6 +63,23 @@ class TestMeasureConstruction:
         assert m.n_nodes == 500
         again = build_measure(cfg)
         assert np.array_equal(m.nodes, again.nodes)
+
+    def test_builders_call_the_constructor_bound_at_call_time(
+            self, monkeypatch):
+        # The benchmark's layer probes patch the constructors in this
+        # module after the table is built.
+        calls = []
+        original = experiments.square_minus_ball
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "square_minus_ball", counting)
+        cfg = resolve_config(ExperimentConfig("hol", "ms", degree=3,
+                                              mc_samples=500, seed=9))
+        assert build_measure(cfg).n_nodes == 500
+        assert calls == [(500, 9)]
 
 
 class TestRunExperiment:
@@ -168,7 +187,6 @@ class TestRunExperiment:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_cloud_read_once(self, tmp_path, monkeypatch):
-        from mvortho import experiments
         cloud = tmp_path / "cloud.csv"
         pts = np.random.default_rng(2).uniform(-1, 1, size=(500, 2))
         cloud.write_text("\n".join(f"{x},{y}" for x, y in pts) + "\n")

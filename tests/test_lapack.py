@@ -8,6 +8,7 @@ import pytest
 
 from mvortho import lapack
 from mvortho.experiments import JACOBI_PARAMS, ExperimentConfig, run_experiment
+from mvortho.measures import gauss_jacobi_rule
 from mvortho.univariate import jacobi_recurrence
 
 from reference import scipy_eigh_tridiagonal, scipy_solve_lower
@@ -129,26 +130,30 @@ JACOBI_PAIRS = sorted({(0.0, 0.0)} | {
     for alpha, beta in zip(alphas, betas)})
 
 
+@scipy_openblas_only
 class TestEighTridiagonal:
+    """``gauss_jacobi_rule`` takes ``np.linalg.eigh`` of the dense Jacobi
+    matrix: its nodes and weights are the bits of the tridiagonal solve
+    (``dstevd``) on the same OpenBLAS, below and above the 32 rows where
+    ``dsytrd`` turns to its blocked reduction."""
+
+    @staticmethod
+    def assert_golub_welsch(n, alpha, beta):
+        rec = jacobi_recurrence(n, alpha, beta)
+        nodes, vecs = scipy_eigh_tridiagonal(rec.a[:n], rec.b[1:n])
+        weights = vecs[0, :] ** 2
+        x, w = gauss_jacobi_rule(n, alpha, beta)
+        assert_same(x, nodes)
+        assert_same(w, weights / weights.sum())
+
     @pytest.mark.parametrize("alpha,beta", JACOBI_PAIRS)
     def test_jacobi_matrices_match_scipy(self, alpha, beta):
-        rec = jacobi_recurrence(60, alpha, beta)
         for n in range(2, 61):
-            w, v = lapack.eigh_tridiagonal(rec.a[:n], rec.b[1:n])
-            ref_w, ref_v = scipy_eigh_tridiagonal(rec.a[:n], rec.b[1:n])
-            assert_same(w, ref_w)
-            assert_same(v, ref_v)
+            self.assert_golub_welsch(n, alpha, beta)
 
     def test_one_by_one(self):
-        w, v = lapack.eigh_tridiagonal(np.array([0.25]), np.array([]))
-        ref_w, ref_v = scipy_eigh_tridiagonal(np.array([0.25]), np.array([]))
-        assert_same(w, ref_w)
-        assert_same(v, ref_v)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lapack.eigh_tridiagonal(np.ones(3), np.ones(3))
-
+        for alpha, beta in JACOBI_PAIRS:
+            self.assert_golub_welsch(1, alpha, beta)
 
 
 @pytest.mark.skipif(lapack.thread_pin() is None,
@@ -191,8 +196,8 @@ OUTPUTS = ("recurrence.json", "error_matrix.csv", "cond.csv",
            "cc_residuals.csv", "christoffel.csv")
 
 
-# tor's radial Gauss rule goes through eigh_tridiagonal, hol mm through
-# solve_lower.
+# hol mm goes through solve_lower; tor ms calls no bound routine, so
+# nothing in it may move.
 @pytest.mark.parametrize("fields", [
     dict(experiment="tor", method="ms", degree=5),
     dict(experiment="hol", method="mm", degree=12, mc_samples=3000, seed=3)])
@@ -232,6 +237,25 @@ print("scipy.linalg" in sys.modules)
                                   PYTHONPATH=os.pathsep.join(sys.path)),
                          timeout=120)
     assert out.stdout.split() == ["False"]
+
+
+def test_unbound_gauss_rules_never_import_scipy_linalg(tmp_path):
+    # Without the binding, Gauss rules still come from numpy's own LAPACK.
+    code = f"""
+import sys
+from mvortho import lapack
+lapack._bound = lambda: None
+import mvortho.experiments as ex
+ex.run_experiment(ex.ExperimentConfig(experiment="tor", method="ms",
+                                      degree=3, output_dir={str(tmp_path)!r}))
+print(lapack.backend(), "scipy.linalg" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ,
+                                  PYTHONPATH=os.pathsep.join(sys.path)),
+                         timeout=120)
+    assert out.stdout.split() == ["scipy.linalg", "False"]
 
 
 @scipy_openblas_only

@@ -257,6 +257,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteMeasure(nodes=np.array([[np.inf, 0.0]]), weights=np.array([1.0]))
 
+    def test_nodes_beyond_two_axes_rejected(self):
+        # A (M, 2, 1) array would otherwise pass as d = 2 and fail later
+        # inside a node sweep.
+        with pytest.raises(ValueError, match=r"\(500, 2, 1\)"):
+            DiscreteMeasure(nodes=np.zeros((500, 2, 1)),
+                            weights=np.full(500, 1 / 500))
+
     @pytest.mark.parametrize("make", [
         lambda: tensor_jacobi(2, 8, (3.8, 0.78), (7.34, 8.26)),
         lambda: annulus_measure(8, 29),
@@ -363,7 +370,7 @@ class TestChunkMap:
         for var, value in env.items():
             monkeypatch.setenv(var, value)
         cores = min(len(os.sched_getaffinity(0)), measures.MAX_WORKERS)
-        no_pin = lapack._Bound(None, None, None, None, None)
+        no_pin = lapack._Bound(None, None, None, None)
         bounds = ([no_pin._replace(set_threads=lambda n: 1)] if pinnable
                   else [None, no_pin])
         for bound in bounds:
