@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+RANK_TOL = 1e-5           # smallest singular-value ratio of a full-rank matrix
+
 
 class NumericalFailure(RuntimeError):
     """Base class for numerical breakdowns that callers may want to report
@@ -17,7 +19,7 @@ class DegenerateMeasureError(NumericalFailure):
 
 
 class RankDeficiencyError(NumericalFailure):
-    """A matrix that must be full rank is rank-deficient within tolerance."""
+    """A matrix that must be full rank fails ``require_rank``."""
 
 
 class ConditioningError(NumericalFailure):
@@ -25,7 +27,7 @@ class ConditioningError(NumericalFailure):
 
 
 class ClosureError(NumericalFailure):
-    """Orthonormality completion failed, signalling corrupted upstream moments."""
+    """A weight block's square has an eigenvalue below ``stieltjes.PSD_CLIP``."""
 
 
 class NonConvergenceError(NumericalFailure):
@@ -38,6 +40,18 @@ class NonConvergenceError(NumericalFailure):
         super().__init__(message)
         self.best = best
         self.residual = residual
+
+
+def require_rank(smallest, largest, what: str, degree=None) -> None:
+    """The one rank test: RankDeficiencyError naming ``what`` and ``degree``
+    unless the extreme singular values satisfy smallest > RANK_TOL * largest
+    (so NaN fails); a PSD Gram passes its clipped eigenvalues' roots."""
+    if not smallest > RANK_TOL * largest:
+        ratio = smallest / largest if 0 < largest < float("inf") else 0.0
+        at = "" if degree is None else f" at degree {degree}"
+        raise RankDeficiencyError(
+            f"{what} rank-deficient{at} (singular-value ratio {ratio:.3e}, "
+            f"bound {RANK_TOL:.0e})", degree=degree)
 
 
 class PointCloudError(ValueError):

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import require_rank
 from .recurrence import RecurrenceData
-
-COND_TOL = 1e-12
 
 
 def fix_column_signs(mat: np.ndarray) -> np.ndarray:
@@ -66,14 +64,11 @@ def descending_eigh(mat: np.ndarray):
 
 def canonical_rotation(gram: np.ndarray, degree: int):
     """Canonical diagonal and rotation (``descending_eigh``) of a
-    degree's stacked raising Gram; RankDeficiencyError when the Gram is
-    not positive definite within ``COND_TOL``."""
+    degree's stacked raising Gram; RankDeficiencyError when the stacked
+    raising matrix fails ``require_rank``."""
     evals, vecs = descending_eigh(gram)
-    if evals[-1] <= COND_TOL * evals[0]:
-        ratio = evals[-1] / evals[0] if evals[0] > 0 else 0.0
-        raise RankDeficiencyError(
-            f"stacked raising Gram rank-deficient at degree {degree} "
-            f"(eigenvalue ratio {ratio:.3e})", degree=degree)
+    roots = np.sqrt(np.clip(evals, 0.0, None))
+    require_rank(roots[-1], roots[0], "stacked raising Gram", degree)
     return evals, vecs
 
 
@@ -175,13 +170,12 @@ def step_matrix(rec: RecurrenceData, n: int) -> np.ndarray:
          -sum_i B_{n+1,i}^T B_{n,i}^T] / lam_{n+1}
 
     (empty at n = 0, as p_{-1} is), the canonical three-term identity
-    solved for p_{n+1}.  Raises RankDeficiencyError when the canonical
-    diagonal lam_{n+1} is singular within ``COND_TOL``.
+    solved for p_{n+1}.  Raises RankDeficiencyError when the stacked
+    raising matrix (singular values sqrt(lam_{n+1})) fails ``require_rank``.
     """
     lam = rec.lam[n + 1]
-    if np.min(lam) <= COND_TOL * np.max(lam):
-        raise RankDeficiencyError(
-            f"canonical diagonal nearly singular at degree {n + 1}", degree=n + 1)
+    roots = np.sqrt(np.clip(lam, 0.0, None))
+    require_rank(np.min(roots), np.max(roots), "canonical diagonal", n + 1)
     raising_t = [mat.T for mat in rec.B[n + 1]]
     columns = raising_t + [
         -sum(bt @ a for bt, a in zip(raising_t, rec.A[n + 1])),

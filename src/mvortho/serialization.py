@@ -3,7 +3,7 @@
 The JSON layout is diff-friendly: matrices as row-major nested lists,
 degrees 1..N, with the ordering conventions declared up front.  Floats
 serialize via Python's shortest round-trip repr, so load(dump(x))
-reproduces x bit for bit.
+reproduces x bit for bit; the loader rejects NaN and infinite entries.
 """
 
 from __future__ import annotations
@@ -107,6 +107,10 @@ def recurrence_from_json(text: str) -> RecurrenceData:
         for n in range(1, n_max + 1):
             if rec.lam[n].shape != (rec.r(n),):
                 raise SchemaError(f"lambda[{n}] has wrong length")
+    for key, values in (("A", rec.A), ("B", rec.B), ("lambda", rec.lam or [])):
+        for n in range(1, len(values)):
+            if not all(np.isfinite(v).all() for v in values[n]):
+                raise SchemaError(f"non-finite entry in {key} at degree {n}")
     return rec
 
 

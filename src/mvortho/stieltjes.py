@@ -75,12 +75,12 @@ import numpy as np
 from . import lapack
 from .diagnostics import condition_numbers
 from .errors import (ClosureError, DegenerateMeasureError, NumericalFailure,
-                     RankDeficiencyError)
+                     RankDeficiencyError, require_rank)
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, shifted_stack, step_matrix)
 from .measures import DiscreteMeasure, chunk_sum
 from .recurrence import RecurrenceData
-from .wopp import RANK_TOL, scaled_cross, solve_orthogonal_factors
+from .wopp import scaled_cross, solve_orthogonal_factors
 
 PSD_CLIP = -1e-10         # most negative admissible eigenvalue of a PSD residual
 
@@ -218,17 +218,14 @@ def symmetric_factor(t_sym: np.ndarray, where: str = ""):
     symmetric residual Gram T = B B^T.
 
     Returns (U, s) with eigenvalues sorted non-increasing, s their square
-    roots, and U sign-fixed.  Raises RankDeficiencyError when the
-    smallest eigenvalue falls below ``RANK_TOL`` times the largest (on s
-    the test would sit under its roundoff floor, near 1e-8 relative).
+    roots (negative eigenvalues clipped to 0), and U sign-fixed.  Raises
+    RankDeficiencyError when s fails ``errors.require_rank``, that is when
+    lam_min <= ``RANK_TOL``**2 * lam_max for the eigenvalues lam.
     """
     evals, vecs = descending_eigh(t_sym)
-    if evals[-1] <= RANK_TOL * evals[0]:
-        ratio = evals[-1] / evals[0] if evals[0] > 0 else 0.0
-        raise RankDeficiencyError(
-            f"residual Gram rank-deficient{where} "
-            f"(eigenvalue ratio {ratio:.3e})")
-    return vecs, np.sqrt(evals)
+    s = np.sqrt(np.clip(evals, 0.0, None))
+    require_rank(s[-1], s[0], f"residual Gram{where}")
+    return vecs, s
 
 
 def psd_sqrt(mat: np.ndarray, what: str) -> np.ndarray:
@@ -250,18 +247,18 @@ def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
                             where: str = "") -> np.ndarray:
     """Orthonormal kernel basis constraining the unknown right-factor rows.
 
-    The commuting conditions force those rows into the kernel of
-    K = B_{n,1} U_j Sigma_j.  Raises RankDeficiencyError when the kernel
-    dimension differs from ``expected_dim``.
+    The commuting conditions force those rows into the kernel of the wide
+    K = B_{n,1} U_j Sigma_j.  Raises RankDeficiencyError when K fails
+    ``require_rank`` or its kernel dimension differs from ``expected_dim``.
     """
     k_mat = raising_prev_first @ (u_j * s_j[None, :])
     _, svals, vt = np.linalg.svd(k_mat, full_matrices=True)
-    rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0
-    if k_mat.shape[1] - rank != expected_dim:
+    if k_mat.shape[1] - svals.size != expected_dim:
         raise RankDeficiencyError(
-            f"kernel dimension {k_mat.shape[1] - rank} != expected "
+            f"kernel dimension {k_mat.shape[1] - svals.size} != expected "
             f"{expected_dim}{where}")
-    return fix_column_signs(vt[rank:].T)
+    require_rank(svals[-1], svals[0], f"kernel map{where}")
+    return fix_column_signs(vt[svals.size:].T)
 
 
 @lapack.one_thread()

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClosureError, NonConvergenceError
+from .errors import NonConvergenceError, require_rank
 
-RANK_TOL = 1e-10          # singular values below RANK_TOL * max treated as zero
 TOL = 1e-10               # largest coupling residual the solve may return
 
 
@@ -59,13 +58,9 @@ def coupling_residual(E: dict, H: dict, W: dict) -> float:
 
 
 def _reduce(block: np.ndarray, coord) -> tuple:
-    """(X, Y, Z) of block = X (Y 0) Z^T; ClosureError below ``RANK_TOL``."""
+    """(X, Y, Z) of block = X (Y 0) Z^T, the block full rank (``require_rank``)."""
     x, y, zt = np.linalg.svd(block, full_matrices=True)
-    if y[-1] <= RANK_TOL * y[0]:
-        ratio = y[-1] / y[0] if y[0] > 0 else 0.0
-        raise ClosureError(
-            f"weight block of coordinate {coord} rank-deficient "
-            f"(singular-value ratio {ratio:.3e})")
+    require_rank(y[-1], y[0], f"weight block of coordinate {coord}")
     return x, y, zt.T
 
 
@@ -119,9 +114,8 @@ def solve_orthogonal_factors(E: dict, H: dict) -> OrthogonalFactors:
 
     Raises
     ------
-    ClosureError
-        A weight block with singular-value ratio at most ``RANK_TOL``
-        (naming its coordinate).
+    RankDeficiencyError
+        A weight block that fails ``require_rank``, naming its coordinate.
     NonConvergenceError
         The factors leave a coupling residual above ``TOL``; carries them
         and their residual.

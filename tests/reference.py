@@ -19,6 +19,20 @@ def moment(measure, f_values, g_values) -> float:
     return float(np.sum(measure.weights * f * g))
 
 
+def circle_nodes(sigma: float, scale: float = 1.0, shift: float = 0.0,
+                 n_nodes: int = 2000) -> np.ndarray:
+    """Nodes near the unit circle: angles and radii 1 + sigma N(0, 1) from
+    ``default_rng(0)``, rotated by the orthogonal factor of
+    ``default_rng(3)``'s 2 x 2 normal matrix, then scaled and shifted by
+    (shift, shift)."""
+    rng = np.random.default_rng(0)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n_nodes)
+    radii = 1.0 + sigma * rng.standard_normal(n_nodes)
+    rotation, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))
+    circle = radii[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    return scale * (circle @ rotation.T) + shift
+
+
 def min_monomial_norm(measure, degree: int) -> float:
     """min over |alpha| <= degree of <x^alpha, x^alpha>.
 

@@ -13,6 +13,8 @@ from mvortho.measures import MAX_WORKERS, point_cloud_measure
 from mvortho.serialization import save_recurrence
 from mvortho.stieltjes import stieltjes_recurrence
 
+import reference
+
 
 def run_cli(args):
     return subprocess.run([sys.executable, "-m", "mvortho.cli", *args],
@@ -51,6 +53,19 @@ class TestExitCodes:
         code = main(["run", "--experiment", "cloud", "--method", "ms",
                      "--cloud", str(cloud), "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_rank_deficient_cloud_is_exit_two(self, tmp_path):
+        # Radii within 1e-6 of 1: the degree-2 rank test fires.
+        cloud = tmp_path / "circle.csv"
+        np.savetxt(cloud, reference.circle_nodes(1e-6), fmt="%.17g",
+                   delimiter=",")
+        code = main(["run", "--experiment", "cloud", "--method", "ms",
+                     "--degree", "5", "--cloud", str(cloud),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["breakdown_degree"] == 2
+        assert "singular-value ratio" in manifest["failure_message"]
 
     def test_numerical_failure_is_exit_two(self, tmp_path):
         code = main(["run", "--experiment", "jac2", "--method", "mm",

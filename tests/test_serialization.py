@@ -100,19 +100,26 @@ def degree_zero():
 class TestByteIdentity:
     """The writer reproduces the indented ``json`` encoder byte for byte."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: stieltjes_recurrence(torus_measure(7, 25, 25), 5)[0],
-        lambda: tensor_recurrence([jacobi_recurrence(3, 0.0, 0.0)] * 2,
-                                  MultiIndexSet.build(2, 3), 3),
-        lambda: with_non_finite(oracle()),
-        degree_zero,
-        univariate,
+    @pytest.mark.parametrize("make,loads", [
+        (lambda: stieltjes_recurrence(torus_measure(7, 25, 25), 5)[0], True),
+        (lambda: tensor_recurrence([jacobi_recurrence(3, 0.0, 0.0)] * 2,
+                                   MultiIndexSet.build(2, 3), 3), True),
+        (lambda: with_non_finite(oracle()), False),
+        (degree_zero, True),
+        (univariate, True),
     ], ids=["tor", "lam-none", "non-finite", "degree-zero", "one-by-one"])
-    def test_matches_indented_encoder(self, make):
+    def test_matches_indented_encoder(self, make, loads):
+        # Non-finite entries are written as the encoder spells them, but
+        # the loader refuses them.
         rec = make()
         text = recurrence_to_json(rec)
         assert text == reference.recurrence_to_json(rec)
-        assert_same_arrays(recurrence_from_json(text), rec)
+        if loads:
+            assert_same_arrays(recurrence_from_json(text), rec)
+        else:
+            with pytest.raises(SchemaError, match="non-finite entry in A "
+                               "at degree 1"):
+                recurrence_from_json(text)
 
 
 class TestSchemaValidation:
@@ -143,6 +150,20 @@ class TestSchemaValidation:
     def test_garbage_rejected(self):
         with pytest.raises(SchemaError):
             recurrence_from_json("not json at all")
+
+    @pytest.mark.parametrize("key,n,value", [("lambda", 2, np.nan),
+                                             ("A", 3, np.inf),
+                                             ("B", 1, -np.inf)])
+    def test_non_finite_rejected(self, tmp_path, key, n, value):
+        # Loaded, such a file would make evaluate return NaN silently.
+        rec = oracle()
+        arrays = {"A": rec.A[n], "B": rec.B[n], "lambda": [rec.lam[n]]}[key]
+        arrays[-1].flat[-1] = value
+        path = tmp_path / "rec.json"
+        save_recurrence(rec, path)
+        with pytest.raises(SchemaError, match=f"non-finite entry in {key} "
+                           f"at degree {n}"):
+            load_recurrence(path)
 
 
 class TestCsvEmitters:

@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvortho import measures, stieltjes
+from mvortho import errors, measures, stieltjes, wopp
 from mvortho.diagnostics import (condition_numbers, gram_error_streaming,
                                  max_commuting_residual)
 from mvortho.errors import (ClosureError, DegenerateMeasureError,
                             NonConvergenceError, RankDeficiencyError)
-from mvortho.evaluation import evaluate, evaluator, to_canonical
+from mvortho.evaluation import (canonical_rotation, evaluate, evaluator,
+                                step_matrix, to_canonical)
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
                               square_minus_ball, tensor_jacobi, torus_measure)
@@ -19,6 +20,8 @@ from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                stieltjes_recurrence, symmetric_factor)
 from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
+
+import reference
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
 JAC3 = ((1.61, 0.32, 3.01), (-0.89, 9.83, 7.67))
@@ -336,6 +339,63 @@ class TestClosureFailuresNameCoordinate:
                            match=r"!= expected 3 \(coordinate 1\)") as err:
             stieltjes_recurrence(m, 3)
         assert err.value.degree == 2
+
+
+def rank_sites(oracle):
+    """Each of the five rank tests, called on degree-3 and degree-4
+    matrices of a tensor-product oracle."""
+    u, s = symmetric_factor(oracle.B[4][1] @ oracle.B[4][1].T)
+    return {
+        "symmetric_factor":
+            lambda: symmetric_factor(oracle.B[4][1] @ oracle.B[4][1].T),
+        "kernel_completion_basis":
+            lambda: kernel_completion_basis(oracle.B[3][0], u, s,
+                                            oracle.r(3) - oracle.r(2)),
+        "weight_block": lambda: wopp._reduce(oracle.B[3][1], 1),
+        "canonical_rotation":
+            lambda: canonical_rotation(oracle.raising_gram(3), 3),
+        "step_matrix": lambda: step_matrix(oracle, 2),
+    }
+
+
+def circle(*args):
+    """Equal-weight measure on ``reference.circle_nodes(*args)``."""
+    nodes = reference.circle_nodes(*args)
+    return DiscreteMeasure(nodes=nodes,
+                           weights=np.full(len(nodes), 1 / len(nodes)))
+
+
+class TestOneRankRule:
+    """Every rank test reads the one bound ``errors.RANK_TOL``."""
+
+    @pytest.mark.parametrize("site", ["symmetric_factor",
+                                      "kernel_completion_basis",
+                                      "weight_block", "canonical_rotation",
+                                      "step_matrix"])
+    @pytest.mark.parametrize("d,params", [(2, JAC2), (3, JAC3)])
+    def test_every_site_reads_the_one_bound(self, monkeypatch, d, params,
+                                            site):
+        _, oracle = jacobi_oracle(d, params, 4)
+        call = rank_sites(oracle)[site]
+        call()
+        monkeypatch.setattr(errors, "RANK_TOL", 0.999)
+        with pytest.raises(RankDeficiencyError, match="singular-value ratio"):
+            call()
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0, 100.0])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-6])
+    def test_degenerate_circle_fails_at_degree_two(self, sigma, scale, shift):
+        # Radii within 1e-6 of 1 put the stacked raising matrix of degree
+        # 2 at a singular-value ratio of 2.8e-6 wherever the circle sits;
+        # admitted, it gives max |E| near 0.9 at degree 5.
+        with pytest.raises(RankDeficiencyError) as err:
+            stieltjes_recurrence(circle(sigma, scale, shift), 5)
+        assert err.value.degree == 2
+
+    def test_noisier_circle_completes(self):
+        rec, _ = stieltjes_recurrence(circle(1e-4), 5)
+        assert rec.max_degree == 5
 
 
 def degree_one(measure):

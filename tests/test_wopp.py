@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvortho.errors import ClosureError, NonConvergenceError
+from mvortho.errors import NonConvergenceError, RankDeficiencyError
 from mvortho.wopp import coupling_residual, solve_orthogonal_factors
 
 
@@ -92,15 +92,15 @@ class TestRefinementAndFailure:
         # solution exists, but no frame can be read off the block.
         weights, _, truth = recoverable_instance(0)
         weights[2][2, 2] = 0.0
-        with pytest.raises(ClosureError, match="coordinate 2"):
+        with pytest.raises(RankDeficiencyError, match="coordinate 2"):
             solve_orthogonal_factors(weights, consistent_targets(weights, truth))
 
     def test_near_singular_weight_block_raises(self):
-        # Singular-value ratio 1e-11 sits below RANK_TOL, so the block is
-        # rejected although its frame could still be read off.
+        # Singular-value ratio 1e-11 sits below errors.RANK_TOL (1e-5), so
+        # the block is rejected although its frame could still be read off.
         weights, _, truth = recoverable_instance(0)
         weights[2][2, 2] = 1e-11 * np.max(weights[2])
-        with pytest.raises(ClosureError, match="coordinate 2"):
+        with pytest.raises(RankDeficiencyError, match="coordinate 2"):
             solve_orthogonal_factors(weights, consistent_targets(weights, truth))
 
     def test_input_validation(self):
@@ -139,5 +139,5 @@ class TestTwoCoordinates:
     def test_rank_deficient_weight_block_raises(self):
         weights, targets, _ = recoverable_instance(0, m=3, q=4, d=3)
         weights[2][2, 2] = 0.0
-        with pytest.raises(ClosureError):
+        with pytest.raises(RankDeficiencyError):
             solve_orthogonal_factors(weights, targets)
