@@ -113,24 +113,6 @@ def max_commuting_residual(rec: RecurrenceData) -> float:
     return max(max(row[3:]) for row in rows)
 
 
-def rank_margins(rec: RecurrenceData):
-    """Smallest relative singular values certifying the rank conditions.
-
-    Returns (per-coordinate margin, stacked margin): the minimum over
-    degrees of sigma_min/sigma_max for each raising matrix and for the
-    vertically stacked raising matrix.
-    """
-    per_coord = np.inf
-    stacked = np.inf
-    for n in range(1, rec.max_degree + 1):
-        for mat in rec.B[n]:
-            svals = np.linalg.svd(mat, compute_uv=False)
-            per_coord = min(per_coord, float(svals[-1] / svals[0]))
-        svals = np.linalg.svd(rec.stacked_raising(n), compute_uv=False)
-        stacked = min(stacked, float(svals[-1] / svals[0]))
-    return per_coord, stacked
-
-
 def condition_numbers(matrices) -> np.ndarray:
     """2-norm condition number of each matrix in ``matrices``.
 

@@ -7,11 +7,18 @@ RANK_TOL = 1e-5           # smallest singular-value ratio of a full-rank matrix
 
 class NumericalFailure(RuntimeError):
     """Base class for numerical breakdowns that callers may want to report
-    rather than treat as bugs (maps to CLI exit code 2)."""
+    rather than treat as bugs (maps to CLI exit code 2).
+
+    The message ends with ``at degree n`` whenever ``degree`` is set, also
+    when a caller sets it after the raise."""
 
     def __init__(self, message, degree=None):
         super().__init__(message)
         self.degree = degree
+
+    def __str__(self):
+        at = "" if self.degree is None else f" at degree {self.degree}"
+        return super().__str__() + at
 
 
 class DegenerateMeasureError(NumericalFailure):
@@ -43,14 +50,14 @@ class NonConvergenceError(NumericalFailure):
 
 
 def require_rank(smallest, largest, what: str, degree=None) -> None:
-    """The one rank test: RankDeficiencyError naming ``what`` and ``degree``
-    unless the extreme singular values satisfy smallest > RANK_TOL * largest
-    (so NaN fails); a PSD Gram passes its clipped eigenvalues' roots."""
+    """The one rank test: RankDeficiencyError naming ``what`` and carrying
+    ``degree`` unless the extreme singular values satisfy
+    smallest > RANK_TOL * largest (so NaN fails); a PSD Gram passes its
+    clipped eigenvalues' roots."""
     if not smallest > RANK_TOL * largest:
         ratio = smallest / largest if 0 < largest < float("inf") else 0.0
-        at = "" if degree is None else f" at degree {degree}"
         raise RankDeficiencyError(
-            f"{what} rank-deficient{at} (singular-value ratio {ratio:.3e}, "
+            f"{what} rank-deficient (singular-value ratio {ratio:.3e}, "
             f"bound {RANK_TOL:.0e})", degree=degree)
 
 

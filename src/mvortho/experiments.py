@@ -27,7 +27,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -111,14 +111,15 @@ class ExperimentConfig:
 class Construction:
     """What a construction method returns: its basis evaluator through
     ``usable_degree`` (None when no degree is usable) and recurrence
-    (None below degree 1), plus diagnostics."""
+    (None below degree 1), the condition number of each degree, and,
+    from ``ms`` only, one ``stieltjes.DegreeHealth`` per degree
+    (``health``, None for the other methods and for a failed run)."""
 
     recurrence: RecurrenceData | None
     evaluate_chunk: object | None
     cond: np.ndarray | None
     usable_degree: int
-    gram_drift: list | None = None
-    diagnostics_counters: dict = field(default_factory=dict)
+    health: list | None = None
     breakdown_degree: int | None = None
 
 
@@ -208,15 +209,10 @@ def _run_exact(config, measure, index_set) -> Construction:
 
 
 def _run_ms(config, measure, index_set) -> Construction:
-    rec, diags = stieltjes_recurrence(measure, config.degree)
-    counters = {
-        "closure_residual": diags.closure_residual,
-        "completion_defect": diags.completion_defect,
-    }
+    rec, health = stieltjes_recurrence(measure, config.degree)
     return Construction(rec, recurrence_evaluator(rec),
-                        np.array(diags.t_condition), config.degree,
-                        gram_drift=diags.gram_drift,
-                        diagnostics_counters=counters)
+                        np.array([h.condition for h in health]),
+                        config.degree, health=health)
 
 
 def _run_moment(config, measure, index_set) -> Construction:
@@ -312,7 +308,8 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
     """Write manifest, recurrence JSON, and plot-ready CSVs to the
     configured output directory.  Identical configurations produce
     byte-identical recurrence/CSV files; the manifest also records the
-    run's ``environment``.  ``christoffel.csv`` holds the kernel that
+    run's ``environment`` and ``health``, one object per degree (null
+    but for ``ms``).  ``christoffel.csv`` holds the kernel that
     the Gram-error sweep took (``ErrorReport.kernel``), written when
     that sweep was asked for it (d = 2 runs that write outputs)."""
     out = Path(result.config.output_dir)
@@ -333,8 +330,8 @@ def write_outputs(result: ExperimentResult, measure) -> dict:
         "failure_message": result.failure_message,
         "error_max": None if result.error is None else result.error.max_abs,
         "christoffel_mass": result.christoffel_mass,
-        "gram_drift": result.gram_drift,
-        "diagnostics_counters": result.diagnostics_counters,
+        "health": (None if result.health is None
+                   else [dataclasses.asdict(h) for h in result.health]),
         "environment": environment(),
     }
     paths["manifest"] = out / "manifest.json"

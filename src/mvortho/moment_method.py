@@ -223,9 +223,8 @@ def _factored_degree(gram: GramData, max_degree: int | None) -> int:
     the expected high-degree outcome for ill-conditioned Grams."""
     n_max = gram.max_degree if max_degree is None else max_degree
     if n_max > gram.chol_degree:
-        raise ConditioningError(
-            f"Gram matrix not positive definite at degree {gram.failure_degree}",
-            degree=gram.failure_degree)
+        raise ConditioningError("Gram matrix not positive definite",
+                                degree=gram.failure_degree)
     return n_max
 
 

@@ -49,6 +49,13 @@ BLAS thread (``lapack.one_thread``).  The recurrence therefore depends on
 ``STACK_BYTES`` (the summation order), not on the worker count or any
 BLAS variable.
 
+One loop body serves every degree n = 0..N: the residual pass, then
+degree n's ``DegreeHealth`` record (its condition number, plus the
+drift, completion defect and closure residual the previous iteration
+returned), then, unless n = N, the closure and block evaluation of
+degree n + 1 (``_advance``).  Degree N's conditioning is the loop's last
+iteration, and a run reports one health record per degree.
+
 Every moment the algorithm takes is a weighted Gram <f, g> =
 sum_k w_k f(x_k) g(x_k), so the blocks are kept half-weighted: the
 buffers hold q_n = sqrt(w) * p_n, node by node.  The shifted stack and
@@ -68,7 +75,7 @@ reaches are never written, so resident memory grows with the degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,25 +137,25 @@ class StieltjesState:
                    values_prev=buffers[1][:0], degree=0, buffers=buffers)
 
 
-@dataclass
-class StieltjesDiagnostics:
-    """Per-run health metrics.
+@dataclass(frozen=True)
+class DegreeHealth:
+    """Health of degree n of a run.
 
-    ``t_condition[n]`` averages the condition numbers of the symmetric
-    residual Grams formed at degree n; ``gram_drift[k]`` bounds the
-    orthonormality defect of the block committed at degree k+1;
-    ``completion_defect`` holds, per degree whose right factors are
-    completed, max |R^T R - I| over the assembled right factors R;
-    ``closure_residual`` holds, per degree the orthogonal-factor solve
-    closes, the coupling residual of its factors.  Degree 1, factored
-    from the whole residual Gram, adds to neither, so for every d both
-    lists hold one entry per degree 2..N.
+    ``condition`` averages the condition numbers of the symmetric
+    residual Grams formed at degree n; ``drift`` bounds the
+    orthonormality defect of the block p_n; ``completion_defect`` is
+    max |R^T R - I| over the assembled right factors R of degree n, and
+    ``closure_residual`` the coupling residual of the orthogonal-factor
+    solve that closed it.  Degree 0 has no drift, and degrees 0 and 1
+    (factored from the whole residual Gram) neither defect nor residual:
+    those fields are None.
     """
 
-    t_condition: list = field(default_factory=list)
-    gram_drift: list = field(default_factory=list)
-    completion_defect: list = field(default_factory=list)
-    closure_residual: list = field(default_factory=list)
+    degree: int
+    condition: float
+    drift: float | None = None
+    completion_defect: float | None = None
+    closure_residual: float | None = None
 
 
 def coordinate_moment(state: StieltjesState) -> list:
@@ -277,9 +284,11 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
 
     Returns
     -------
-    (RecurrenceData, StieltjesDiagnostics)
-        The diagnostics' residual-Gram condition numbers cover degrees
-        0..max_degree.
+    (RecurrenceData, list of DegreeHealth)
+        One health record per degree 0..max_degree, each from the same
+        loop body: the residual pass of degree n gives its condition
+        number, and, below max_degree, the closure and block evaluation
+        of degree n + 1 give the next record's other fields.
 
     Raises
     ------
@@ -296,21 +305,24 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
              if math.comb(n + measure.d, n) > measure.n_nodes]
     if short:
         raise DegenerateMeasureError(
-            f"{measure.n_nodes} nodes carry no orthonormal basis through "
-            f"degree {short[0]}", degree=short[0])
+            f"{measure.n_nodes} nodes carry no orthonormal basis",
+            degree=short[0])
 
     state = StieltjesState.start(measure, max_degree)
     state.centers = coordinate_moment(state)
-    diags = StieltjesDiagnostics()
-    for n in range(max_degree):
+    health, found = [], ()
+    for n in range(max_degree + 1):
         try:
-            _advance(state, diags)
+            t = _moment_pass(state, state.centers)
+            health.append(DegreeHealth(
+                n, _mean_condition(t, state.values_cur.shape[0]), *found))
+            if n < max_degree:
+                found = _advance(state, t)
+            del t  # not held while the next pass forms its successor
         except NumericalFailure as exc:
             exc.degree = n + 1
             raise
-    diags.t_condition.append(_mean_condition(
-        _moment_pass(state, state.centers), state.values_cur.shape[0]))
-    return state.recurrence, diags
+    return state.recurrence, health
 
 
 def _mean_condition(t: np.ndarray, r: int) -> float:
@@ -349,9 +361,11 @@ def _moment_pass(state: StieltjesState, centers):
                      [np.zeros((d * r, d * r))])[0]
 
 
-def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
+def _advance(state: StieltjesState, t: np.ndarray) -> tuple:
     """Compute, canonicalize, and commit the matrices of degree n+1,
-    every closure from the residual Grams of one ``_moment_pass``."""
+    every closure from the residual Gram ``t`` of degree n's
+    ``_moment_pass``.  Returns degree n+1's drift, completion defect and
+    closure residual (None, None at degree 1)."""
     rec = state.recurrence
     d, n = state.measure.d, state.degree
     r_n = state.values_cur.shape[0]
@@ -360,13 +374,11 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
     dr_next = r_next - r_n
 
     centers = state.centers
-    t = _moment_pass(state, centers)
 
     def block(i, j):
         return t[i * r_n:(i + 1) * r_n, j * r_n:(j + 1) * r_n]
 
-    diags.t_condition.append(_mean_condition(t, r_n))
-
+    defect = residual = None
     if n == 0:
         # r_0 = 1: T is the d x d Gram S S^T of the stacked raising rows
         # S = [B_{1,1}; ...; B_{1,d}], so S = U Sigma from its factors.
@@ -398,7 +410,7 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
                                  left[j], sing[j])
                     - vhat[i].T @ vhat[j]) @ psi[j]
         solved = solve_orthogonal_factors(weight_blocks, targets)
-        diags.closure_residual.append(solved.residual)
+        residual = solved.residual
 
         raisings = [np.hstack([left[0] * sing[0][None, :],
                                np.zeros((r_n, dr_next))])]
@@ -409,10 +421,9 @@ def _advance(state: StieltjesState, diags: StieltjesDiagnostics):
             defect = max(defect,
                          float(np.max(np.abs(right.T @ right - np.eye(r_n)))))
             raisings.append((left[j] * sing[j][None, :]) @ right.T)
-        diags.completion_defect.append(defect)
 
     _commit_degree(state, centers, raisings)
-    _evaluate_committed_degree(state, diags)
+    return _evaluate_committed_degree(state), defect, residual
 
 
 def _commit_degree(state: StieltjesState, centers, raisings):
@@ -426,11 +437,10 @@ def _commit_degree(state: StieltjesState, centers, raisings):
     rec.max_degree = n + 1
 
 
-def _evaluate_committed_degree(state: StieltjesState,
-                               diags: StieltjesDiagnostics):
+def _evaluate_committed_degree(state: StieltjesState) -> float:
     """Evaluate the committed half-weighted block over all nodes in one
-    sweep, over the buffer rows of p_{n-1}, tracking Gram drift and
-    forming the centers of the next degree from the same moments."""
+    sweep, over the buffer rows of p_{n-1}, forming the centers of the
+    next degree from the same moments.  Returns the block's Gram drift."""
     measure = state.measure
     d, n = measure.d, state.degree
     r = state.values_cur.shape[0]
@@ -455,8 +465,8 @@ def _evaluate_committed_degree(state: StieltjesState,
                         _center_accumulators(d, r_next, r))
     drift = max(float(np.max(np.abs(moments[0] - np.eye(r_next)))),
                 float(np.max(np.abs(moments[2]))))
-    diags.gram_drift.append(drift)
     state.centers = _centers(moments, state.recurrence.B[n + 1])
     state.values_prev = state.values_cur
     state.values_cur = out
     state.degree = n + 1
+    return drift

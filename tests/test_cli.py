@@ -54,18 +54,27 @@ class TestExitCodes:
                      "--cloud", str(cloud), "--out", str(tmp_path / "out")])
         assert code == 1
 
-    def test_rank_deficient_cloud_is_exit_two(self, tmp_path):
-        # Radii within 1e-6 of 1: the degree-2 rank test fires.
-        cloud = tmp_path / "circle.csv"
-        np.savetxt(cloud, reference.circle_nodes(1e-6), fmt="%.17g",
-                   delimiter=",")
-        code = main(["run", "--experiment", "cloud", "--method", "ms",
-                     "--degree", "5", "--cloud", str(cloud),
-                     "--out", str(tmp_path / "out")])
-        assert code == 2
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["breakdown_degree"] == 2
-        assert "singular-value ratio" in manifest["failure_message"]
+    def test_rank_deficient_cloud_is_exit_two(self, tmp_path, capsys):
+        # Radii within 1e-6 of 1, or exactly 1 around (100, 100): the
+        # degree-2 rank test fires, in the stacked raising Gram (which
+        # knows its degree) or in a weight block (which does not), and
+        # both messages name the degree.
+        for name, args in (("noisy", (1e-6,)), ("shifted", (0.0, 1.0, 100.0))):
+            cloud = tmp_path / f"{name}.csv"
+            np.savetxt(cloud, reference.circle_nodes(*args), fmt="%.17g",
+                       delimiter=",")
+            out = tmp_path / name
+            code = main(["run", "--experiment", "cloud", "--method", "ms",
+                         "--degree", "5", "--cloud", str(cloud),
+                         "--out", str(out)])
+            assert code == 2
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["breakdown_degree"] == 2
+            message = manifest["failure_message"]
+            assert "singular-value ratio" in message
+            assert message.endswith(" at degree 2")
+            assert message.count("degree") == 1
+            assert f"numerical failure: {message} (" in capsys.readouterr().err
 
     def test_numerical_failure_is_exit_two(self, tmp_path):
         code = main(["run", "--experiment", "jac2", "--method", "mm",

@@ -152,7 +152,8 @@ class TestRunExperiment:
             "cloud", "ms", degree=3, cloud_path=str(cloud)), write=False)
         assert res.d == 4 and not res.failed
         assert res.error.max_abs < 1e-10
-        residuals = res.diagnostics_counters["closure_residual"]
+        residuals = [h.closure_residual for h in res.health
+                     if h.closure_residual is not None]
         assert len(residuals) == 2 and max(residuals) <= 1e-10
 
     def test_cloud_without_default_degree_names_flag(self, tmp_path):
@@ -162,17 +163,17 @@ class TestRunExperiment:
             run_experiment(ExperimentConfig("cloud", "ms",
                                             cloud_path=str(cloud)), write=False)
 
-    def test_manifest_records_completion_defect(self, tmp_path):
-        run_experiment(small_config(method="ms", output_dir=str(tmp_path)))
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        counters = manifest["diagnostics_counters"]
-        defects = counters["completion_defect"]
-        residuals = counters["closure_residual"]
-        # Degree 1 comes from the whole residual Gram; the solve closes
-        # every degree 2..5, as for d >= 3.
-        assert len(defects) == len(residuals) == 4
-        assert max(defects) < 1e-8
-        assert residuals == [0.0] * 4  # one coordinate: the gauge alone
+    def test_manifest_records_health_per_degree(self, tmp_path):
+        res = run_experiment(small_config(method="ms",
+                                          output_dir=str(tmp_path / "ms")))
+        manifest = json.loads((tmp_path / "ms" / "manifest.json").read_text())
+        assert manifest["health"] == [dataclasses.asdict(h)
+                                      for h in res.health]
+        assert [h["degree"] for h in manifest["health"]] == list(range(6))
+        run_experiment(small_config(method="mm",
+                                    output_dir=str(tmp_path / "mm")))
+        manifest = json.loads((tmp_path / "mm" / "manifest.json").read_text())
+        assert manifest["health"] is None
 
     def test_determinism_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

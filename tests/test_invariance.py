@@ -6,7 +6,8 @@ transform per degree, so the canonical diagonals lam_n (the spectra of
 sum_i B_{n,i}^T B_{n,i}) stay the same.  Scaling the coordinates by s
 scales every raising matrix by s, so lam_n scales by s^2.  A cloud that
 cannot carry the requested degree fails with a typed error naming a
-degree.
+degree, and a cloud on an algebraic curve or surface fails at the same
+degree with the same type wherever it is moved.
 """
 
 import numpy as np
@@ -18,6 +19,8 @@ from mvortho.errors import DegenerateMeasureError, RankDeficiencyError
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import DiscreteMeasure
 from mvortho.stieltjes import stieltjes_recurrence
+
+import reference
 
 RTOL = 1e-10
 CASES = dict(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([2, 3]),
@@ -144,3 +147,39 @@ def test_node_count_names_first_short_degree(seed, d, n_max, data):
                  if iset.cumulative(n) > n_nodes)
     assert failing_degree(nodes, weights, n_max,
                           DegenerateMeasureError) == first
+
+
+def unit_sphere_nodes(n_nodes=3000):
+    """Nodes on the unit sphere in R^3: normalized ``default_rng(0)``
+    Gaussians."""
+    x = np.random.default_rng(0).standard_normal((n_nodes, 3))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def moved(nodes, seed, exponent):
+    """``nodes`` rotated by a random orthogonal matrix, scaled by
+    10**``exponent`` and shifted by a point of [-100, 100]^d."""
+    rng = np.random.default_rng(seed)
+    d = nodes.shape[1]
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    rotation = q * np.sign(np.diag(r))[None, :]
+    return (10.0 ** exponent) * nodes @ rotation.T + rng.uniform(-100, 100, d)
+
+
+MOVES = dict(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sigma=st.sampled_from([0.0, 1e-6]), **MOVES)
+def test_moved_circle_fails_at_degree_two(sigma, seed, exponent):
+    # x^2 + y^2 - 1 (nearly) vanishes on the nodes wherever the circle is
+    # moved, so the degree-2 rank test fires with the same type.
+    nodes = moved(reference.circle_nodes(sigma), seed, exponent)
+    assert failing_degree(nodes, np.ones(len(nodes)), 5) == 2
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(**MOVES)
+def test_moved_sphere_fails_at_degree_two(seed, exponent):
+    nodes = moved(unit_sphere_nodes(), seed, exponent)
+    assert failing_degree(nodes, np.ones(len(nodes)), 4) == 2

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from mvortho import measures
-from mvortho.diagnostics import (gram_error_streaming, max_commuting_residual,
-                                 rank_margins)
+from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
 from mvortho.errors import ConditioningError
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
@@ -17,7 +16,8 @@ from mvortho.moment_method import (SpanningBasis, build_gram,
 from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
-from reference import build_gram_reference, monomial_values, symmetry_defect
+from reference import (build_gram_reference, monomial_values, rank_margins,
+                       symmetry_defect)
 
 
 def uniform_square(n_points=12):
@@ -182,6 +182,8 @@ class TestOrthonormalize:
         with pytest.raises(ConditioningError) as err:
             orthonormal_evaluator(gram)
         assert err.value.degree == gram.failure_degree
+        assert str(err.value) == ("Gram matrix not positive definite at "
+                                  f"degree {gram.failure_degree}")
         # partial orthonormalization up to the last good degree still
         # works; it evaluates only the spanning functions up to that
         # degree, bit for bit the leading rows of the full basis

@@ -46,6 +46,11 @@ def fresh_state(measure, n_max):
     return StieltjesState.start(measure, n_max)
 
 
+def advance(state):
+    """Commit the next degree, from the current degree's residual pass."""
+    return stieltjes._advance(state, _moment_pass(state, state.centers))
+
+
 def half_weighted(measure, block):
     """sqrt(w) * ``block``: the form the state keeps its blocks in."""
     return np.sqrt(measure.weights)[None, :] * block
@@ -135,20 +140,19 @@ class TestMomentBlocks:
         # Degree N's conditioning, the one residual pass no closure
         # follows, averages the diagonal blocks of the whole Gram T, as
         # every earlier degree does.
-        import mvortho.stieltjes as st
         # At N = 6 on jac2, products of each block alone give other bits.
         monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
         n_max = 6
-        _, diags = stieltjes_recurrence(measure, n_max)
+        _, health = stieltjes_recurrence(measure, n_max)
         state = fresh_state(measure, n_max)
         state.centers = coordinate_moment(state)
         for _ in range(n_max):
-            st._advance(state, st.StieltjesDiagnostics())
+            advance(state)
         t = _moment_pass(state, state.centers)
         r = state.values_cur.shape[0]
         blocks = [gram_block(t, r, i, i) for i in range(measure.d)]
-        assert len(diags.t_condition) == n_max + 1
-        assert diags.t_condition[-1] == np.mean(condition_numbers(blocks))
+        assert len(health) == n_max + 1
+        assert health[-1].condition == np.mean(condition_numbers(blocks))
 
 
 class TestSweeps:
@@ -175,13 +179,11 @@ class TestSweeps:
     def test_fused_centers_match_standalone_sweep(self, monkeypatch, measure,
                                                   n_max):
         # Small chunks, cut differently for the two sweeps.
-        import mvortho.stieltjes as st
         monkeypatch.setattr(measures, "STACK_BYTES", 8 * 44 * 5)
         state = fresh_state(measure, n_max)
         state.centers = coordinate_moment(state)
-        diags = st.StieltjesDiagnostics()
         for _ in range(n_max):
-            st._advance(state, diags)
+            advance(state)
             standalone = coordinate_moment(state)
             for fused, alone in zip(state.centers, standalone):
                 assert np.max(np.abs(fused - alone)) <= 1e-13
@@ -199,12 +201,10 @@ class TestBlockBuffers:
         (tensor_jacobi(3, 6, *JAC3), 5), (annulus_measure(8, 30), 7)])
     def test_resident_blocks_are_half_weighted(self, measure, n_max):
         # Non-uniform weights: the buffers hold sqrt(w) * p, not p.
-        import mvortho.stieltjes as st
         state = fresh_state(measure, n_max)
         state.centers = coordinate_moment(state)
-        diags = st.StieltjesDiagnostics()
         for _ in range(n_max):
-            st._advance(state, diags)
+            advance(state)
         assert np.ptp(measure.weights) > 0.1 * np.max(measure.weights)
         ev = evaluate(state.recurrence, measure.nodes, n_max)
         for got, n in ((state.values_cur, n_max),
@@ -436,11 +436,11 @@ class TestFullRuns:
     def test_matches_oracle_spectra(self, d, params, n_max, rtol):
         measure = tensor_jacobi(d, n_max + 2, *params)
         _, oracle = jacobi_oracle(d, params, n_max)
-        rec, diags = stieltjes_recurrence(measure, n_max)
+        rec, health = stieltjes_recurrence(measure, n_max)
         for n in range(1, n_max + 1):
             assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
                                rtol=rtol)
-        assert max(diags.gram_drift) < 1e-10
+        assert max(h.drift for h in health[1:]) < 1e-10
 
     @pytest.mark.parametrize("params,n_max", [((3.8, 0.78), 39),
                                               ((-0.5, -0.5), 60),
@@ -462,16 +462,30 @@ class TestFullRuns:
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             stieltjes_recurrence(tensor_jacobi(2, 4, *JAC2), -1)
 
-    def test_degree_zero_run(self):
-        # Only the last residual pass runs: one condition number, that of
-        # degree 0's residual Grams, and no matrices beyond degree 0.
-        rec, diags = stieltjes_recurrence(tensor_jacobi(2, 4, *JAC2), 0)
-        assert rec.max_degree == 0 and len(diags.t_condition) == 1
-
-    def test_d3_control_flow_counters(self):
-        m = tensor_jacobi(3, 8, *JAC3)
-        _, diags = stieltjes_recurrence(m, 6)
-        assert len(diags.closure_residual) == 5  # every degree n = 1..5
+    @pytest.mark.parametrize("d,n_max", [(1, 6), (2, 5), (3, 6), (4, 4)])
+    def test_one_health_record_per_degree(self, d, n_max):
+        # Degree 0 has only its condition number, degree 1 (factored from
+        # the whole residual Gram) adds the drift, and every later degree
+        # the completion defect and closure residual.  A degree-0 run is
+        # the last residual pass alone.
+        params = ((3.80, 1.61, 0.5, 2.0)[:d], (0.78, -0.89, 3.0, 1.0)[:d])
+        m = tensor_jacobi(d, n_max + 2, *params)
+        for top in (0, n_max):
+            rec, health = stieltjes_recurrence(m, top)
+            assert rec.max_degree == top
+            assert [h.degree for h in health] == list(range(top + 1))
+            for h in health:
+                assert 1.0 <= h.condition < np.inf
+                present = [field is not None for field in
+                           (h.drift, h.completion_defect, h.closure_residual)]
+                assert present == [h.degree >= 1] + [h.degree >= 2] * 2
+        assert max(h.drift for h in health[1:]) < 1e-10
+        assert max(h.completion_defect for h in health[2:]) < 1e-8
+        residuals = [h.closure_residual for h in health[2:]]
+        if d <= 2:
+            assert residuals == [0.0] * (n_max - 1)  # the gauge alone
+        else:
+            assert max(residuals) <= wopp.TOL
 
     def test_annulus_beats_moment_method(self):
         n_max = 16
@@ -516,7 +530,7 @@ class TestFullRuns:
                                               mc_samples=20_000, seed=seed),
                              write=False)
         assert res.error.max_abs <= 1e-10
-        assert max(res.gram_drift) <= 1e-12
+        assert max(h.drift for h in res.health[1:]) <= 1e-12
 
     def test_failure_in_worker_chunk_keeps_degree(self, monkeypatch):
         # Many chunks per sweep on two threads; every chunk of the degree-3
@@ -571,12 +585,14 @@ class TestFullRuns:
                       (0.0, 0.5, 3.0, 1.0, 2.5)[:d])
             m = tensor_jacobi(d, 6, *params)
             _, oracle = jacobi_oracle(d, params, 4)
-            rec, diags = stieltjes_recurrence(m, 4)
+            rec, health = stieltjes_recurrence(m, 4)
             for n in range(1, 5):
                 assert np.allclose(np.sort(rec.lam[n]), np.sort(oracle.lam[n]),
                                    rtol=1e-9), (d, n)
             assert max_commuting_residual(rec) < 1e-10, d
-            assert len(diags.closure_residual) == 3, d  # every degree n = 2..4
+            # The solve closes every degree n = 2..4.
+            assert [h.closure_residual is not None for h in health] == \
+                [False, False, True, True, True], d
 
     def test_high_dim_failure_carries_degree(self, monkeypatch):
         def stall(*args, **kwargs):
@@ -605,8 +621,3 @@ class TestFullRuns:
         with pytest.raises(DegenerateMeasureError) as err:
             stieltjes_recurrence(square_minus_ball(n_nodes, 1), 39)
         assert err.value.degree == degree
-
-    def test_t_condition_length_covers_all_degrees(self):
-        m = tensor_jacobi(2, 8, *JAC2)
-        _, diags = stieltjes_recurrence(m, 5)
-        assert len(diags.t_condition) == 6

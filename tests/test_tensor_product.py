@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from mvortho.diagnostics import max_commuting_residual, rank_margins
+from mvortho.diagnostics import max_commuting_residual
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import tensor_jacobi
 from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import evaluate_univariate, jacobi_recurrence
 
-from reference import symmetry_defect
+from reference import rank_margins, symmetry_defect
 
 JAC2 = ((3.80, 0.78), (7.34, 8.26))
 JAC3 = ((1.61, 0.32, 3.01), (-0.89, 9.83, 7.67))
