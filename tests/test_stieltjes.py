@@ -462,6 +462,20 @@ class TestFullRuns:
         with pytest.raises(ValueError, match="max_degree must be >= 0"):
             stieltjes_recurrence(tensor_jacobi(2, 4, *JAC2), -1)
 
+    def test_degree_zero_run(self):
+        # Only the last residual pass runs: one health record, carrying
+        # degree 0's condition number, and no matrices beyond degree 0.
+        rec, health = stieltjes_recurrence(tensor_jacobi(2, 4, *JAC2), 0)
+        assert rec.max_degree == 0 and len(health) == 1
+        assert health[0].degree == 0 and 1.0 <= health[0].condition < np.inf
+
+    def test_t_condition_length_covers_all_degrees(self):
+        m = tensor_jacobi(2, 8, *JAC2)
+        _, health = stieltjes_recurrence(m, 5)
+        conditions = [h.condition for h in health]
+        assert len(conditions) == 6
+        assert all(1.0 <= c < np.inf for c in conditions)
+
     @pytest.mark.parametrize("d,n_max", [(1, 6), (2, 5), (3, 6), (4, 4)])
     def test_one_health_record_per_degree(self, d, n_max):
         # Degree 0 has only its condition number, degree 1 (factored from
