@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure (outputs are
-still written with the breakdown degree recorded).
+Exit codes: 0 success, 1 usage error, 2 numerical failure (the outputs of
+the degrees carried are still written, the breakdown in the manifest).
 """
 
 from __future__ import annotations
@@ -82,10 +82,8 @@ def main(argv=None) -> int:
         return 2
 
     if result.failed:
-        what = result.failure_message or \
-            f"Gram factorization broke down at degree {result.breakdown_degree}"
-        print(f"mvortho: numerical failure: {what} (outputs written to "
-              f"{result.config.output_dir})", file=sys.stderr)
+        print(f"mvortho: numerical failure: {result.failure_message} (outputs "
+              f"written to {result.config.output_dir})", file=sys.stderr)
         return 2
     print(f"{result.config.experiment}/{result.config.method}: degree "
           f"{result.degree}, {result.size} basis functions over "

@@ -10,11 +10,14 @@ class NumericalFailure(RuntimeError):
     rather than treat as bugs (maps to CLI exit code 2).
 
     The message ends with ``at degree n`` whenever ``degree`` is set, also
-    when a caller sets it after the raise."""
+    when a caller sets it after the raise.  A failure at degree n in the
+    loop of ``stieltjes_recurrence`` carries the ``recurrence`` and
+    ``health`` it committed through degree n - 1; others carry None, []."""
 
     def __init__(self, message, degree=None):
         super().__init__(message)
         self.degree = degree
+        self.recurrence, self.health = None, []
 
     def __str__(self):
         at = "" if self.degree is None else f" at degree {self.degree}"

@@ -37,7 +37,7 @@ from .diagnostics import (ErrorReport, commuting_residuals,
                           gram_condition_numbers, gram_error_streaming)
 # Unused here; bound for the layer probe of ``benchmarks/spans.py``.
 from .diagnostics import christoffel_streaming  # noqa: F401
-from .errors import NumericalFailure
+from .errors import ConditioningError, NumericalFailure
 from .evaluation import evaluator as recurrence_evaluator, to_canonical
 from .indexing import MultiIndexSet
 from .measures import (annulus_measure, point_cloud_measure, spiral_measure,
@@ -109,11 +109,11 @@ class ExperimentConfig:
 
 @dataclass
 class Construction:
-    """What a construction method returns: its basis evaluator through
-    ``usable_degree`` (None when no degree is usable) and recurrence
-    (None below degree 1), the condition number of each degree, and,
-    from ``ms`` only, one ``stieltjes.DegreeHealth`` per degree
-    (``health``, None for the other methods and for a failed run)."""
+    """What a construction method returns for the degrees it carried: its
+    basis evaluator through ``usable_degree`` and recurrence (None when
+    no degree is usable; ``mm``/``ml``: below degree 1), the condition
+    number and, from ``ms`` only, the ``DegreeHealth`` of each, and, for
+    a breakdown, the degree that failed and the failure's text."""
 
     recurrence: RecurrenceData | None
     evaluate_chunk: object | None
@@ -121,6 +121,7 @@ class Construction:
     usable_degree: int
     health: list | None = None
     breakdown_degree: int | None = None
+    failure_message: str | None = None
 
 
 @dataclass(kw_only=True)
@@ -134,12 +135,11 @@ class ExperimentResult(Construction):
     size: int
     error: ErrorReport | None
     cc_rows: list | None
-    failure_message: str | None
     christoffel_mass: float | None
 
     @property
     def failed(self) -> bool:
-        return self.breakdown_degree is not None or self.failure_message is not None
+        return self.breakdown_degree is not None
 
     @property
     def effective_error_max(self) -> float:
@@ -209,10 +209,17 @@ def _run_exact(config, measure, index_set) -> Construction:
 
 
 def _run_ms(config, measure, index_set) -> Construction:
-    rec, health = stieltjes_recurrence(measure, config.degree)
-    return Construction(rec, recurrence_evaluator(rec),
-                        np.array([h.condition for h in health]),
-                        config.degree, health=health)
+    breakdown = message = None
+    try:
+        rec, health = stieltjes_recurrence(measure, config.degree)
+    except NumericalFailure as exc:
+        # Keep no ``exc``: its traceback holds the two (r_N x M) buffers.
+        breakdown, message = exc.degree, str(exc)
+        rec, health = exc.recurrence, exc.health
+    return Construction(
+        rec, recurrence_evaluator(rec) if health else None,
+        np.array([h.condition for h in health]) if health else None,
+        len(health) - 1, health or None, breakdown, message)
 
 
 def _run_moment(config, measure, index_set) -> Construction:
@@ -227,7 +234,10 @@ def _run_moment(config, measure, index_set) -> Construction:
         evaluate_chunk=(orthonormal_evaluator(gram, usable) if usable >= 0
                         else None),
         cond=cond, usable_degree=usable,
-        breakdown_degree=gram.failure_degree)
+        breakdown_degree=gram.failure_degree,
+        failure_message=None if gram.failure_degree is None else str(
+            ConditioningError("Gram matrix not positive definite",
+                              degree=gram.failure_degree)))
 
 
 CONSTRUCTIONS = {"exact": _run_exact, "ms": _run_ms,
@@ -238,9 +248,10 @@ METHODS = tuple(CONSTRUCTIONS)
 def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentResult:
     """Run one (experiment, method) pair end to end.
 
-    Numerical breakdowns (ill-conditioned Gram factorizations, rank
-    failures mid-run) are captured in the result rather than raised;
-    usage errors raise ValueError before any computation starts.
+    Every method returns a numerical breakdown in its ``Construction``
+    rather than raising it, and the degrees it carried are written as a
+    complete run writes them; usage errors raise ValueError before any
+    computation starts.
     """
     cloud = None
     if config.experiment == "cloud" and config.cloud_path is not None:
@@ -250,26 +261,16 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
             config = dataclasses.replace(config, degree=default_degree(cloud.d))
     config = resolve_config(config)
     measure = build_measure(config) if cloud is None else cloud
-    d = measure.d
-    degree = config.degree
-    index_set = MultiIndexSet.build(d, degree)
-    size = index_set.cumulative(degree)
+    index_set = MultiIndexSet.build(measure.d, config.degree)
+    size = index_set.cumulative(config.degree)
 
-    failure_message = None
-    try:
-        built = CONSTRUCTIONS[config.method](config, measure, index_set)
-    except NumericalFailure as exc:
-        failure_message = str(exc)
-        built = Construction(recurrence=None, evaluate_chunk=None, cond=None,
-                             usable_degree=-1, breakdown_degree=exc.degree)
+    built = CONSTRUCTIONS[config.method](config, measure, index_set)
 
-    error = None
-    cc_rows = None
-    christoffel_mass = None
+    error = cc_rows = christoffel_mass = None
     if built.evaluate_chunk is not None:
         usable_size = index_set.cumulative(built.usable_degree)
-        stride = (christoffel_stride(measure.n_nodes) if write and d == 2
-                  else None)
+        stride = (christoffel_stride(measure.n_nodes)
+                  if write and measure.d == 2 else None)
         error = gram_error_streaming(built.evaluate_chunk, measure,
                                      usable_size, kernel_stride=stride)
         christoffel_mass = float(
@@ -278,9 +279,9 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
             cc_rows = commuting_residuals(built.recurrence)
 
     result = ExperimentResult(
-        **vars(built), config=config, d=d, degree=degree,
+        **vars(built), config=config, d=measure.d, degree=config.degree,
         n_nodes=measure.n_nodes, size=size, error=error, cc_rows=cc_rows,
-        failure_message=failure_message, christoffel_mass=christoffel_mass)
+        christoffel_mass=christoffel_mass)
     if write:
         write_outputs(result, measure)
     return result

@@ -47,11 +47,6 @@ class RecurrenceData:
     def is_canonical(self) -> bool:
         return self.lam is not None
 
-    def stacked_raising(self, n: int) -> np.ndarray:
-        """Vertical stack of the d raising matrices at degree n, shape
-        (d * r_{n-1}, r_n)."""
-        return np.vstack(self.B[n])
-
     def raising_gram(self, n: int) -> np.ndarray:
         """sum_i B[n][i]^T B[n][i], the (r_n, r_n) stacked raising Gram."""
         out = np.zeros((self.r(n), self.r(n)))

@@ -297,7 +297,8 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
     DegenerateMeasureError
         For M < R_N, carrying the first degree n with R_n > M.
     NumericalFailure
-        Carrying the degree being computed when it failed.
+        Carrying the degree n being computed when it failed, and the
+        ``recurrence`` and ``health`` committed through degree n - 1.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -321,6 +322,7 @@ def stieltjes_recurrence(measure: DiscreteMeasure, max_degree: int):
             del t  # not held while the next pass forms its successor
         except NumericalFailure as exc:
             exc.degree = n + 1
+            exc.recurrence, exc.health = state.recurrence, health
             raise
     return state.recurrence, health
 

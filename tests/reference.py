@@ -46,7 +46,7 @@ def rank_margins(rec):
         for mat in rec.B[n]:
             svals = np.linalg.svd(mat, compute_uv=False)
             per_coord = min(per_coord, float(svals[-1] / svals[0]))
-        svals = np.linalg.svd(rec.stacked_raising(n), compute_uv=False)
+        svals = np.linalg.svd(np.vstack(rec.B[n]), compute_uv=False)
         stacked = min(stacked, float(svals[-1] / svals[0]))
     return per_coord, stacked
 

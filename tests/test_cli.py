@@ -1,3 +1,4 @@
+import filecmp
 import json
 import os
 import subprocess
@@ -58,12 +59,13 @@ class TestExitCodes:
         # Radii within 1e-6 of 1, or exactly 1 around (100, 100): the
         # degree-2 rank test fires, in the stacked raising Gram (which
         # knows its degree) or in a weight block (which does not), and
-        # both messages name the degree.
+        # both messages name the degree.  The degrees 0 and 1 committed
+        # before it are written as a run to degree 1 writes them.
         for name, args in (("noisy", (1e-6,)), ("shifted", (0.0, 1.0, 100.0))):
             cloud = tmp_path / f"{name}.csv"
             np.savetxt(cloud, reference.circle_nodes(*args), fmt="%.17g",
                        delimiter=",")
-            out = tmp_path / name
+            out, out_1 = tmp_path / name, tmp_path / f"{name}-1"
             code = main(["run", "--experiment", "cloud", "--method", "ms",
                          "--degree", "5", "--cloud", str(cloud),
                          "--out", str(out)])
@@ -75,6 +77,14 @@ class TestExitCodes:
             assert message.endswith(" at degree 2")
             assert message.count("degree") == 1
             assert f"numerical failure: {message} (" in capsys.readouterr().err
+            assert [h["degree"] for h in manifest["health"]] == [0, 1]
+            assert main(["run", "--experiment", "cloud", "--method", "ms",
+                         "--degree", "1", "--cloud", str(cloud),
+                         "--out", str(out_1)]) == 0
+            for kept in ("recurrence.json", "error_matrix.csv", "cond.csv",
+                         "cc_residuals.csv", "christoffel.csv"):
+                assert filecmp.cmp(out / kept, out_1 / kept,
+                                   shallow=False), (name, kept)
 
     def test_numerical_failure_is_exit_two(self, tmp_path):
         code = main(["run", "--experiment", "jac2", "--method", "mm",

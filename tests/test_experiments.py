@@ -1,16 +1,22 @@
 import dataclasses
+import gc
 import json
 import os
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
 
-from mvortho import experiments
+from mvortho import experiments, stieltjes
 from mvortho.experiments import (EXPERIMENTS, ExperimentConfig,
                                  build_measure, resolve_config,
                                  run_experiment)
+from mvortho.indexing import MultiIndexSet
+from mvortho.measures import DiscreteMeasure
+
+import reference
 
 
 def small_config(**kw):
@@ -112,15 +118,77 @@ class TestRunExperiment:
         assert not (tmp_path / "christoffel.csv").exists()
 
     def test_mm_breakdown_reported_not_raised(self, tmp_path):
-        res = run_experiment(ExperimentConfig("jac2", "mm", degree=39,
-                                              output_dir=str(tmp_path)))
-        assert res.failed and res.breakdown_degree is not None
-        assert res.effective_error_max == np.inf
+        # The same for mm on jac2 and for ms on the sigma = 1e-6 circle,
+        # which breaks down at degree 2.
+        cloud = tmp_path / "circle.csv"
+        np.savetxt(cloud, reference.circle_nodes(1e-6), fmt="%.17g",
+                   delimiter=",")
+        for cfg, text in (
+                (ExperimentConfig("jac2", "mm", degree=39),
+                 "Gram matrix not positive definite"),
+                (ExperimentConfig("cloud", "ms", degree=5,
+                                  cloud_path=str(cloud)),
+                 "stacked raising Gram rank-deficient")):
+            out = tmp_path / cfg.method
+            res = run_experiment(dataclasses.replace(cfg,
+                                                     output_dir=str(out)))
+            assert res.failed and res.breakdown_degree is not None
+            assert res.usable_degree == res.breakdown_degree - 1
+            assert res.failure_message.startswith(text)
+            assert res.failure_message.endswith(
+                f" at degree {res.breakdown_degree}")
+            assert res.effective_error_max == np.inf
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["breakdown_degree"] == res.breakdown_degree
+            assert manifest["failure_message"] == res.failure_message
+            # outputs for the achievable degrees still exist
+            assert (out / "error_matrix.csv").exists()
+            assert (out / "cond.csv").exists()
+        assert res.breakdown_degree == 2  # ms on the circle, run last
+
+    def test_refused_ms_run_writes_only_the_manifest(self, tmp_path):
+        # 300 nodes carry no degree-24 basis, and the run is refused
+        # before any sweep: nothing is committed, so nothing but the
+        # manifest is written.
+        res = run_experiment(ExperimentConfig(
+            "hol", "ms", degree=39, mc_samples=300, seed=1,
+            output_dir=str(tmp_path)))
+        assert res.failed and res.usable_degree == -1
+        assert res.recurrence is None and res.error is None
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["breakdown_degree"] == res.breakdown_degree
-        # outputs for the achievable degrees still exist
-        assert (tmp_path / "error_matrix.csv").exists()
-        assert (tmp_path / "cond.csv").exists()
+        assert manifest["breakdown_degree"] == 24
+        assert manifest["health"] is None and manifest["error_max"] is None
+        assert manifest["failure_message"] == (
+            "300 nodes carry no orthonormal basis at degree 24")
+
+    def test_failed_ms_run_keeps_no_buffer(self, monkeypatch):
+        # The failure's traceback reaches the loop's frame, which holds
+        # the two (r_N x M) buffers; the construction keeps only the
+        # committed degrees, so the buffers go as soon as the run
+        # returns, without waiting for a garbage collection.
+        blocks = []
+        start = stieltjes.StieltjesState.start
+
+        def recording_start(measure, max_degree):
+            state = start(measure, max_degree)
+            blocks.extend(weakref.ref(b) for b in state.buffers)
+            return state
+
+        monkeypatch.setattr(stieltjes.StieltjesState, "start",
+                            staticmethod(recording_start))
+        measure = DiscreteMeasure(nodes=reference.circle_nodes(1e-6),
+                                  weights=np.full(2000, 1 / 2000))
+        config = ExperimentConfig("cloud", "ms", degree=5)
+        gc.disable()
+        try:
+            built = experiments._run_ms(config, measure,
+                                        MultiIndexSet.build(2, 5))
+            assert len(blocks) == 2
+            assert all(ref() is None for ref in blocks)
+        finally:
+            gc.enable()
+        assert built.breakdown_degree == 2 and built.usable_degree == 1
 
     def test_manifest_embeds_full_config(self, tmp_path):
         cfg = small_config(method="ms", seed=7, output_dir=str(tmp_path))

@@ -89,9 +89,18 @@ def test_scaling_scales_spectra_by_square(exponent, seed, d, n_max):
 
 
 def failing_degree(nodes, weights, n_max, error=RankDeficiencyError):
+    """The degree of the ``error`` a run raises, after checking that it
+    carries every degree below it, or, for the node-count refusal before
+    any sweep, none."""
     with pytest.raises(error) as err:
         spectra(nodes, weights, n_max)
-    return err.value.degree
+    exc = err.value
+    if error is DegenerateMeasureError:
+        assert exc.recurrence is None and exc.health == []
+    else:
+        assert exc.recurrence.max_degree == exc.degree - 1
+        assert [h.degree for h in exc.health] == list(range(exc.degree))
+    return exc.degree
 
 
 @settings(max_examples=10, deadline=None, database=None)

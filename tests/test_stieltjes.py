@@ -15,6 +15,7 @@ from mvortho.evaluation import (canonical_rotation, evaluate, evaluator,
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import (DiscreteMeasure, annulus_measure,
                               square_minus_ball, tensor_jacobi, torus_measure)
+from mvortho.serialization import recurrence_to_json
 from mvortho.stieltjes import (StieltjesState, _moment_pass, coordinate_moment,
                                kernel_completion_basis, psd_sqrt, scaled_cross,
                                stieltjes_recurrence, symmetric_factor)
@@ -617,6 +618,14 @@ class TestFullRuns:
         with pytest.raises(NonConvergenceError) as err:
             stieltjes_recurrence(m, 4)
         assert err.value.degree == 2
+        # It carries the degrees committed before it, as a run to degree 1
+        # returns them.
+        rec, health = err.value.recurrence, err.value.health
+        assert rec.max_degree == err.value.degree - 1
+        assert [h.degree for h in health] == list(range(err.value.degree))
+        rec_1, health_1 = stieltjes_recurrence(m, 1)
+        assert health == health_1
+        assert recurrence_to_json(rec) == recurrence_to_json(rec_1)
 
     def test_degenerate_measure_fails_with_degree(self):
         # 5 nodes cannot support the 6-dimensional quadratic space.
@@ -626,6 +635,8 @@ class TestFullRuns:
         with pytest.raises(DegenerateMeasureError) as err:
             stieltjes_recurrence(m, 3)
         assert err.value.degree == 2
+        # Refused before any sweep: nothing was committed.
+        assert err.value.recurrence is None and err.value.health == []
 
     @pytest.mark.parametrize("n_nodes,degree", [(300, 24), (819, 39)])
     def test_short_monte_carlo_cloud_fails_with_degree(self, n_nodes, degree):
