@@ -15,11 +15,11 @@ from .experiments import (DEFAULT_DEGREE, EXPERIMENTS, METHODS,
 from .measures import MAX_WORKERS
 
 RUN_EPILOG = (
-    "Node sweeps (the ms construction, the Gram error and the Christoffel "
-    f"kernel) run on up to {MAX_WORKERS} threads, each holding BLAS to one "
-    "thread, where numpy's OpenBLAS exports openblas_set_num_threads_local "
-    "(0.3.27 or later), else on one; no BLAS variable changes their count "
-    "or outputs.")
+    "Node sweeps (the ms construction, the moment-method Gram, the Gram "
+    f"error and the Christoffel kernel) run on up to {MAX_WORKERS} threads, "
+    "each holding BLAS to one thread, where numpy's OpenBLAS exports "
+    "openblas_set_num_threads_local (0.3.27 or later), else on one; no BLAS "
+    "variable changes their count or outputs.")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import lapack
 from .errors import NumericalFailure
-from .measures import DiscreteMeasure, chunk_sum
+from .measures import DiscreteMeasure, chunk_sum, node_slices
 from .recurrence import RecurrenceData
 
 
@@ -71,7 +71,8 @@ def gram_error_streaming(evaluate_chunk, measure: DiscreteMeasure,
         vals *= root_w[sl]
         return [vals @ vals.T]
 
-    gram, = chunk_sum(chunk, measure.n_nodes, size, [np.zeros((size, size))])
+    gram, = chunk_sum(chunk, node_slices(measure.n_nodes, size),
+                      [np.zeros((size, size))])
     err = gram - np.eye(size)
     return ErrorReport(
         error_matrix=err, max_abs=float(np.max(np.abs(err))),
@@ -148,7 +149,7 @@ def christoffel_streaming(evaluate_chunk, points, size: int):
         kernel[sl] = _kernel_diagonal(evaluate_chunk(pts[sl]), size)
         return []
 
-    chunk_sum(chunk, pts.shape[0], size, [])
+    chunk_sum(chunk, node_slices(pts.shape[0], size), [])
     kernel = _positive(kernel)
     return kernel, 1.0 / kernel
 

@@ -82,12 +82,15 @@ class ExperimentConfig:
     exactness is claimed (Gauss counts N+2 per axis, angular counts
     4N+5), except the spiral's outer angle which is intrinsically
     approximate and defaults to 25000 points.  The moment-method Gram
-    uses the package-wide ``measures.CHUNK``, serially, in two reused
-    (R × ``CHUNK``) buffers; ``measures.chunk_sum`` cuts the ``ms`` sweeps
-    and the Gram-error sweep by ``measures.STACK_BYTES`` and runs them on
-    ``measures.WORKERS`` threads: the usable cores, at most
-    ``measures.MAX_WORKERS``, where BLAS can be held to one thread
-    whatever BLAS variable is set (``environment.blas_pinned``), else 1.
+    takes the package-wide ``measures.CHUNK`` of nodes at a time, in two
+    reused (R × ``CHUNK``) buffers, and cuts its rows into two panels
+    by R alone; the ``ms`` sweeps and the Gram-error sweep are cut by
+    ``measures.STACK_BYTES``.  ``measures.chunk_sum`` runs the panels and
+    the sweeps' chunks on ``measures.WORKERS`` threads: the usable cores,
+    at most ``measures.MAX_WORKERS``, where BLAS can be held to one
+    thread whatever BLAS variable is set (``environment.blas_pinned``),
+    else 1.  Where BLAS can be held, every method runs it on one thread,
+    so no output depends on a BLAS variable.
     For d = 2 the Gram-error sweep also takes the Christoffel
     kernel at every s-th node (s from ``christoffel_stride``), so the Gram
     error and the kernel come from one node sweep.  The manifest records
@@ -222,6 +225,7 @@ def _run_ms(config, measure, index_set) -> Construction:
         len(health) - 1, health or None, breakdown, message)
 
 
+@lapack.one_thread()
 def _run_moment(config, measure, index_set) -> Construction:
     basis = (monomial_basis(index_set) if config.method == "mm"
              else legendre_box_basis(index_set, measure))
@@ -288,10 +292,11 @@ def run_experiment(config: ExperimentConfig, write: bool = True) -> ExperimentRe
 
 
 def environment() -> dict:
-    """Python and numpy versions, the CPU count, whether node sweeps hold
+    """Python and numpy versions, the CPU count, whether the package holds
     BLAS to one thread (``lapack.thread_pin``), the number of threads
-    OpenBLAS runs outside them (``lapack.active_threads``; the ``mm``/``ml``
-    Gram's bits depend on it) and the LAPACK the package calls
+    OpenBLAS runs outside those blocks (``lapack.active_threads``; where
+    ``blas_pinned`` holds, no output depends on it, since every method's
+    products run on one thread) and the LAPACK the package calls
     (``lapack.backend``), for the manifest.
     ``scipy`` holds scipy's version when scipy is already loaded (the
     ``scipy.linalg`` fallback ran), else None: importing it only to read

@@ -10,9 +10,9 @@ It is called with the arguments scipy's wrapper passes it, and scipy's
 wheels link an LP64 build of the same OpenBLAS, so the results are the
 bits of ``scipy.linalg.solve_triangular``.  A ``ctypes`` call also
 releases the GIL, so solves on the chunk threads of
-``measures.chunk_sum`` run in parallel.  Those threads, the ``ms``
-construction and the commuting residuals run BLAS on one thread whatever
-the environment sets (``one_thread``), by the unprefixed
+``measures.chunk_sum`` run in parallel.  Those threads, the ``ms`` and
+moment-method constructions and the commuting residuals run BLAS on one
+thread whatever the environment sets (``one_thread``), by the unprefixed
 ``openblas_set_num_threads_local`` (OpenBLAS >= 0.3.27).
 
 Where no loaded library exports ``dtrtrs`` (numpy built against MKL or a

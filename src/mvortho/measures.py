@@ -30,8 +30,8 @@ from .univariate import jacobi_recurrence
 # that assembly's memory: two (R × CHUNK) buffers, the basis values and
 # their weighted copy, held for the whole call (430 MB each at R = 820).
 CHUNK = 65536
-# Bytes of float64 values one chunk of a ``chunk_sum`` sweep may hold:
-# small enough that the chunks in flight stay in cache.  Every
+# Bytes of float64 values one slice of a node sweep (``node_slices``) may
+# hold: small enough that the chunks in flight stay in cache.  Every
 # ``stieltjes`` sweep, the Gram-error and the Christoffel sweep are cut
 # this way, so it fixes the summation order of the ``ms`` recurrence and
 # of the Gram error.  A ``stieltjes`` sweep counts every buffer its chunk
@@ -58,29 +58,34 @@ def _default_workers() -> int:
 WORKERS = _default_workers()
 
 
-def chunk_sum(fn, n_points: int, rows: int, acc: list) -> list:
-    """Add the parts ``fn(sl)`` returns for each node slice into the
+def node_slices(n_points: int, rows: int) -> list:
+    """The node slices of a sweep that holds ``rows`` float64 values per
+    point: they cover ``n_points`` in order, each holding at most
+    ``STACK_BYTES`` of values (both read at each call), so ``rows`` fixes
+    the sweep's summation order."""
+    size = max(1, STACK_BYTES // (8 * rows))
+    return [slice(lo, min(lo + size, n_points))
+            for lo in range(0, n_points, size)]
+
+
+def chunk_sum(fn, slices, acc: list) -> list:
+    """Add the parts ``fn(sl)`` returns for each of ``slices`` into the
     arrays of ``acc``, in slice order, and return ``acc``.
 
-    The slices cover ``n_points`` in order, each holding at most
-    ``STACK_BYTES`` of the ``rows`` float64 values a chunk holds per
-    point (both read at each call), so ``rows`` fixes the summation
-    order.  ``fn`` returns one part per array of ``acc``; a per-node
-    output is written by ``fn`` into its own slice instead.  With
-    ``WORKERS`` > 1 the calls run on a pool of ``WORKERS`` threads made
-    for this call, at most ``WORKERS`` + 1 of them submitted at a time,
-    so memory stays bounded whatever the number of slices; all run on
-    one BLAS thread (``lapack.one_thread``), so each sum is bit-identical
-    at any worker count and whatever BLAS variable is set.  Each call
-    runs in a copy of the caller's context, so numpy's error state
-    (``np.errstate``) holds on the pool threads too.
+    A node sweep takes its slices from ``node_slices``; the moment-method
+    Gram passes its row panels.  ``fn`` returns one part per array of
+    ``acc``; an output of its own slice is written by ``fn`` instead.
+    With ``WORKERS`` > 1 the calls run on a pool of ``WORKERS`` threads
+    made for this call, at most ``WORKERS`` + 1 of them submitted at a
+    time, so memory stays bounded whatever the number of slices; all run
+    on one BLAS thread (``lapack.one_thread``), so each sum is
+    bit-identical at any worker count and whatever BLAS variable is set.
+    Each call runs in a copy of the caller's context, so numpy's error
+    state (``np.errstate``) holds on the pool threads too.
     An exception raised by ``fn`` reaches the caller unchanged, after
     the calls not yet started are cancelled and the running ones have
     finished.  ``fn`` must not call ``chunk_sum``.
     """
-    size = max(1, STACK_BYTES // (8 * rows))
-    slices = (slice(lo, min(lo + size, n_points))
-              for lo in range(0, n_points, size))
 
     def add(parts):
         for total, part in zip(acc, parts):

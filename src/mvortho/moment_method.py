@@ -18,13 +18,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import measures
+from . import lapack, measures
 from .errors import ConditioningError
 from .indexing import MultiIndexSet
 from .lapack import solve_lower
 from .measures import DiscreteMeasure
 from .recurrence import RecurrenceData
 from .univariate import evaluate_univariate, jacobi_recurrence
+
+# ``build_gram`` cuts its Gram rows into two panels at a multiple of this.
+PANEL_ROWS = 24
 
 
 @dataclass(frozen=True)
@@ -142,25 +145,41 @@ class GramData:
         return self.basis.max_degree
 
 
+@lapack.one_thread()
 def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     """Assemble the Gram and coordinate-weighted Gram matrices and factor
-    the Gram degree block by degree block.
+    the Gram degree block by degree block, all on one BLAS thread, so
+    the result depends on the basis and the measure alone.
 
     The Cholesky factorization stops at the first degree whose block is
     not numerically positive definite; that degree is recorded rather
     than raised here, since partial factorizations are a reported
     outcome of the experiments.
 
-    The nodes are taken in chunks of ``measures.CHUNK``, serially, and
+    The nodes are taken in chunks of ``measures.CHUNK`` in order, and
     the call holds two (size × chunk) buffers throughout: ``vals``, the
     basis values of a chunk, and ``work``, the weighted values w·v and
-    then (w·v)·x_i.  Each of the d + 1 products is one GEMM
-    ``work @ vals.T`` added in chunk order, and ``work`` is formed again
-    for each coordinate rather than kept: the baselines' breakdown is
-    what the experiments measure, so the bits must not move, and
-    stacking the products into one GEMM or splitting one by rows changes
-    the bits BLAS returns.  The last, narrower chunk uses column views
-    of the buffers.
+    then (w·v)·x_i.  The Gram rows are cut into two row panels, which
+    ``measures.chunk_sum`` runs on its worker threads for each chunk: a
+    panel forms its rows of ``work`` and adds each of the d + 1 products
+    ``work[rows] @ vals.T`` into its rows of the Gram, in chunk order,
+    forming ``work`` again for each coordinate rather than keeping it.
+    Both panels read the shared ``vals``, and the last, narrower chunk
+    uses column views of the buffers.
+
+    The baselines' breakdown is what the experiments measure, so the
+    bits must not move.  Stacking the products into one GEMM changes the
+    bits BLAS returns, and so may cutting a product's rows: numpy's
+    OpenBLAS (0.3.31) with its SkylakeX kernel returns a one-thread
+    product cut into row blocks at multiples of 12 bit for bit as the
+    uncut one, but not one cut at rows 64 or 116 of 231 (measured at
+    sizes 171 to 820 and chunks of 97 to 65536 nodes; its Haswell, Zen
+    and Sandybridge kernels kept the bits at every even cut tried).  So
+    the cut is the multiple of ``PANEL_ROWS`` = 24 (a multiple of both
+    12 and 8) nearest size / 2: it depends on the size alone, never on
+    ``measures.WORKERS``.  There are two panels because each one packs
+    ``vals`` for BLAS again: on ``hol`` mm N=20, M=1e5, four panels were
+    slower than two on one worker and no faster on two.
     """
     d = basis.d
     size = basis.size
@@ -169,17 +188,25 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     nodes, w = measure.nodes, measure.weights
     width = min(measures.CHUNK, measure.n_nodes)
     vbuf, wbuf = np.empty((size, width)), np.empty((size, width))
+    cut = PANEL_ROWS * ((size + PANEL_ROWS) // (2 * PANEL_ROWS))
+    panels = [slice(0, cut), slice(cut, size)]
+
+    # Each panel reads the chunk's ``sl``, ``k`` and ``vals`` set below.
+    def panel(rows):
+        work = np.multiply(vals[rows], w[sl], out=wbuf[rows, :k])
+        gram[rows] += work @ vals.T
+        for i in range(d):
+            if i:
+                np.multiply(vals[rows], w[sl], out=work)
+            work *= nodes[sl, i]
+            coord[i][rows] += work @ vals.T
+        return []
+
     for lo in range(0, measure.n_nodes, width):
         sl = slice(lo, min(lo + width, measure.n_nodes))
         k = sl.stop - lo
         vals = basis.values(nodes[sl], out=vbuf[:, :k])
-        work = np.multiply(vals, w[sl], out=wbuf[:, :k])
-        gram += work @ vals.T
-        for i in range(d):
-            if i:
-                np.multiply(vals, w[sl], out=work)
-            work *= nodes[sl, i]
-            coord[i] += work @ vals.T
+        measures.chunk_sum(panel, panels, [])
     gram = 0.5 * (gram + gram.T)
     coord = [0.5 * (c + c.T) for c in coord]
     if not np.all(np.isfinite(gram)):

@@ -85,7 +85,7 @@ from .errors import (ClosureError, DegenerateMeasureError, NumericalFailure,
                      RankDeficiencyError, require_rank)
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, shifted_stack, step_matrix)
-from .measures import DiscreteMeasure, chunk_sum
+from .measures import DiscreteMeasure, chunk_sum, node_slices
 from .recurrence import RecurrenceData
 from .wopp import scaled_cross, solve_orthogonal_factors
 
@@ -173,7 +173,8 @@ def coordinate_moment(state: StieltjesState) -> list:
 
     r = state.values_cur.shape[0]
     d = state.measure.d
-    moments = chunk_sum(chunk, state.measure.n_nodes, (d + 1) * r,
+    slices = node_slices(state.measure.n_nodes, (d + 1) * r)
+    moments = chunk_sum(chunk, slices,
                         _center_accumulators(d, r, state.values_prev.shape[0]))
     return _centers(moments, state.recurrence.B[state.degree])
 
@@ -359,7 +360,7 @@ def _moment_pass(state: StieltjesState, centers):
 
     # The shifted stack and the residuals.
     rows = (2 * d + 1) * r + state.values_prev.shape[0]
-    return chunk_sum(chunk, state.measure.n_nodes, rows,
+    return chunk_sum(chunk, node_slices(state.measure.n_nodes, rows),
                      [np.zeros((d * r, d * r))])[0]
 
 
@@ -463,7 +464,7 @@ def _evaluate_committed_degree(state: StieltjesState) -> float:
 
     # The shifted stack, the new block and its coordinate stack.
     rows = step.shape[1] + (d + 1) * r_next
-    moments = chunk_sum(chunk, measure.n_nodes, rows,
+    moments = chunk_sum(chunk, node_slices(measure.n_nodes, rows),
                         _center_accumulators(d, r_next, r))
     drift = max(float(np.max(np.abs(moments[0] - np.eye(r_next)))),
                 float(np.max(np.abs(moments[2]))))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_triangular
 
-from mvortho import measures
+from mvortho import lapack, measures
 from mvortho.indexing import MultiIndexSet
 from mvortho.moment_method import GramData, _blocked_cholesky
 
@@ -118,10 +118,12 @@ def recurrence_to_json(rec) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+@lapack.one_thread()
 def build_gram_reference(basis, measure) -> GramData:
-    """``moment_method.build_gram`` with fresh arrays per chunk: the
-    weighted values and each coordinate product are new temporaries.
-    The two-buffer assembly must match it bit for bit."""
+    """``moment_method.build_gram`` with fresh arrays per chunk and
+    uncut products: the weighted values and each coordinate product are
+    new temporaries, each multiplied whole on one BLAS thread.  The
+    two-buffer assembly in row panels must match it bit for bit."""
     size = basis.size
     gram = np.zeros((size, size))
     coord = [np.zeros((size, size)) for _ in range(basis.d)]

@@ -146,6 +146,8 @@ class TestHelp:
             main(["run", "--help"])
         assert exit_info.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
+        assert ("(the ms construction, the moment-method Gram, the Gram "
+                "error and the Christoffel kernel)") in text
         assert f"up to {MAX_WORKERS} threads, each holding BLAS to one" in text
         assert "openblas_set_num_threads_local" in text
         assert "no BLAS variable changes their count or outputs" in text
@@ -163,23 +165,34 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 @pytest.mark.parametrize("args", [
     ["--experiment", "tor", "--method", "ms", "--degree", "6"],
     ["--experiment", "hol", "--method", "ms", "--degree", "12",
-     "--mc-samples", "5000", "--seed", "1"]])
+     "--mc-samples", "5000", "--seed", "1"],
+    ["--experiment", "jac2", "--method", "mm"],
+    ["--experiment", "hol", "--method", "ml", "--degree", "20",
+     "--mc-samples", "20000", "--seed", "1"]])
 def test_outputs_and_workers_ignore_blas_variables(tmp_path, args):
     # A fresh process with BLAS pinned by its variable and one with no
-    # BLAS variable write the same bytes on the same worker count.
+    # BLAS variable write the same bytes on the same worker count, for
+    # the moment-method baselines too.  jac2 mm breaks down (exit 2) at
+    # its one-thread degree, 19, both ways; while its Gram ran at the
+    # caller's BLAS count, it broke down at 20 on two threads.
     base = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
     base["PYTHONPATH"] = os.pathsep.join(sys.path)
-    written, workers = [], []
+    written, workers, breakdowns = [], [], []
     for tag, extra in (("pinned", {"OPENBLAS_NUM_THREADS": "1"}),
                        ("unset", {})):
         out = tmp_path / tag
-        subprocess.run([sys.executable, "-m", "mvortho.cli", "run", *args,
-                        "--out", str(out)], env=dict(base, **extra),
-                       check=True, capture_output=True, timeout=300)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mvortho.cli", "run", *args, "--out",
+             str(out)], env=dict(base, **extra), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode in (0, 2), proc.stderr
         manifest = json.loads((out / "manifest.json").read_text())
+        breakdowns.append(manifest["breakdown_degree"])
+        assert proc.returncode == (0 if breakdowns[-1] is None else 2)
         workers.append(manifest["config"]["workers"])
         written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                         if p.name != "manifest.json"})
+    assert breakdowns == ([19, 19] if "jac2" in args else [None, None])
     assert "recurrence.json" in written[0] and "cond.csv" in written[0]
     assert written[0] == written[1]
     cores = min(len(os.sched_getaffinity(0)), MAX_WORKERS)

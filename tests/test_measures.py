@@ -319,8 +319,8 @@ class TestChunkMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _, total = measures.chunk_sum(fill, 5000, 1,
-                                          [Order(), np.zeros(())])
+            _, total = measures.chunk_sum(
+                fill, measures.node_slices(5000, 1), [Order(), np.zeros(())])
         finally:
             sys.setswitchinterval(interval)
         assert order == list(range(0, 5000, 7))
@@ -338,7 +338,7 @@ class TestChunkMap:
             started.append(len(started) + 1 - tally.added)
             return [None]
 
-        measures.chunk_sum(record, 100, 1, [tally])
+        measures.chunk_sum(record, measures.node_slices(100, 1), [tally])
         assert tally.added == len(started) == 25
         assert max(started) <= measures.WORKERS + 1
 
@@ -348,7 +348,7 @@ class TestChunkMap:
         names = []
         measures.chunk_sum(
             lambda sl: names.append(threading.current_thread().name) or [],
-            10, 1, [])
+            measures.node_slices(10, 1), [])
         assert names == [threading.current_thread().name] * 5
 
     @pytest.mark.parametrize("env,pinnable", [
@@ -392,7 +392,7 @@ class TestChunkMap:
         try:
             measures.chunk_sum(
                 lambda sl: seen.append((pin(1), lapack.active_threads()))
-                or [], 6, 1, [])
+                or [], measures.node_slices(6, 1), [])
             assert seen == [(1, 1)] * 6
             assert lapack.active_threads() == 2
 
@@ -400,7 +400,7 @@ class TestChunkMap:
                 raise ValueError(sl.start)
 
             with pytest.raises(ValueError):
-                measures.chunk_sum(fail, 2, 1, [])
+                measures.chunk_sum(fail, measures.node_slices(2, 1), [])
             assert lapack.active_threads() == 2
         finally:
             pin(held)
@@ -425,7 +425,7 @@ class TestChunkMap:
             return []
 
         with pytest.raises(ValueError, match="first chunk"):
-            measures.chunk_sum(chunk, 50, 1, [])
+            measures.chunk_sum(chunk, measures.node_slices(50, 1), [])
         assert sorted(finished) == sorted(set(started) - {0})
         assert len(started) <= measures.WORKERS + 1
         assert chunk_threads() == []

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -92,6 +93,31 @@ class TestGramBuffers:
             assert got.failure_degree == want.failure_degree
             failures.append(want.failure_degree)
         assert failures == [16 if measure.d == 2 else None, None]
+
+    @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
+    def test_same_bits_at_every_worker_count(self, measure, n_max,
+                                             monkeypatch):
+        # The row panels are cut by the basis size alone, so the worker
+        # count that runs them changes no bit; a short switch interval
+        # interleaves the panels, which write disjoint rows.
+        monkeypatch.setattr(measures, "CHUNK", 97)
+        for basis in both_bases(measure, n_max):
+            built = []
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for workers in (1, 2, 4):
+                    monkeypatch.setattr(measures, "WORKERS", workers)
+                    built.append(build_gram(basis, measure))
+            finally:
+                sys.setswitchinterval(interval)
+            for got in built[1:]:
+                assert np.array_equal(got.gram, built[0].gram)
+                for g, w in zip(got.coordinate_grams,
+                                built[0].coordinate_grams, strict=True):
+                    assert np.array_equal(g, w)
+                assert np.array_equal(got.chol, built[0].chol)
+                assert got.failure_degree == built[0].failure_degree
 
     @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
     def test_values_into_column_view(self, measure, n_max):
