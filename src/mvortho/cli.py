@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (the outputs of
-the degrees carried are still written, the breakdown in the manifest).
+the degrees carried are still written, the breakdown in the manifest),
+also for a moment-method Gram that overflows.
 """
 
 from __future__ import annotations

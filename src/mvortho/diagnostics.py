@@ -117,11 +117,14 @@ def max_commuting_residual(rec: RecurrenceData) -> float:
 def condition_numbers(matrices) -> np.ndarray:
     """2-norm condition number of each matrix in ``matrices``.
 
-    Singular-to-precision matrices give +inf, not an error.
+    Singular-to-precision matrices give +inf, not an error, and so do
+    matrices with an entry that is not finite (an overflowing Gram).
     """
     out = []
     for mat in matrices:
-        svals = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
+        mat = np.atleast_2d(mat)
+        svals = (np.linalg.svd(mat, compute_uv=False)
+                 if np.all(np.isfinite(mat)) else [0.0])
         out.append(float(svals[0] / svals[-1]) if svals[-1] > 0 else np.inf)
     return np.array(out)
 

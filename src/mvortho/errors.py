@@ -9,6 +9,10 @@ class NumericalFailure(RuntimeError):
     """Base class for numerical breakdowns that callers may want to report
     rather than treat as bugs (maps to CLI exit code 2).
 
+    A block that cannot be factored fails this way in both constructions:
+    a rank test in ``ms``, a Gram block not finite or not positive definite
+    in the moment method.
+
     The message ends with ``at degree n`` whenever ``degree`` is set, also
     when a caller sets it after the raise.  A failure at degree n in the
     loop of ``stieltjes_recurrence`` carries the ``recurrence`` and
@@ -34,10 +38,6 @@ class RankDeficiencyError(NumericalFailure):
 
 class ConditioningError(NumericalFailure):
     """Cholesky breakdown of a Gram matrix (expected at high degree)."""
-
-
-class ClosureError(NumericalFailure):
-    """A weight block's square has an eigenvalue below ``stieltjes.PSD_CLIP``."""
 
 
 class NonConvergenceError(NumericalFailure):

@@ -161,8 +161,11 @@ class DiscreteMeasure:
 
 
 def _normalized(nodes, weights, label) -> DiscreteMeasure:
+    """Measure with ``weights`` scaled to unit mass, in place: callers pass
+    an array of their own, and no second M-length array is made."""
     w = np.asarray(weights, dtype=float).reshape(-1)
-    return DiscreteMeasure(nodes=nodes, weights=w / w.sum(), label=label)
+    w /= w.sum()
+    return DiscreteMeasure(nodes=nodes, weights=w, label=label)
 
 
 def gauss_jacobi_rule(n_points: int, alpha: float, beta: float):
@@ -254,22 +257,21 @@ def spiral_measure(n_radial: int, n_angular: int) -> DiscreteMeasure:
     return _normalized(nodes, w.reshape(-1), "cur")
 
 
-def torus_measure(n_radial: int, n_angular: int, n_azimuthal: int,
-                  minor_radius: float = 1.0, major_radius: float = 2.0) -> DiscreteMeasure:
+def torus_measure(n_radial: int, n_angular: int, n_azimuthal: int) -> DiscreteMeasure:
     """Uniform measure inside the solid torus
-    (sqrt(x1^2 + x2^2) - major)^2 + x3^2 < minor^2.
+    (sqrt(x1^2 + x2^2) - 2)^2 + x3^2 < 1 (major radius 2, minor radius 1).
 
     Tensor rule in tube coordinates (rho, theta, phi) with the volume
-    Jacobian rho (major + rho cos theta) folded into the weights.
+    Jacobian rho (2 + rho cos theta) folded into the weights.
     """
     if min(n_radial, n_angular, n_azimuthal) < 1:
         raise ValueError("point counts must be >= 1")
     xi, wr = gauss_jacobi_rule(n_radial, 0.0, 0.0)
-    rho = 0.5 * minor_radius * (xi + 1.0)
+    rho = 0.5 * (xi + 1.0)
     theta = 2 * np.pi * np.arange(n_angular) / n_angular
     phi = 2 * np.pi * np.arange(n_azimuthal) / n_azimuthal
     rg, tg, pg = np.meshgrid(rho, theta, phi, indexing="ij")
-    ring = major_radius + rg * np.cos(tg)
+    ring = 2.0 + rg * np.cos(tg)
     nodes = np.stack([(ring * np.cos(pg)).reshape(-1),
                       (ring * np.sin(pg)).reshape(-1),
                       (rg * np.sin(tg)).reshape(-1)], axis=1)
@@ -296,8 +298,7 @@ def square_minus_ball(n_samples: int, seed: int) -> DiscreteMeasure:
         kept.append(accept)
         count += accept.shape[0]
     nodes = np.concatenate(kept, axis=0)[:n_samples]
-    weights = np.full(n_samples, 1.0 / n_samples)
-    return DiscreteMeasure(nodes=nodes, weights=weights, label="hol")
+    return _normalized(nodes, np.ones(n_samples), "hol")
 
 
 def point_cloud_measure(path) -> DiscreteMeasure:
@@ -342,5 +343,4 @@ def point_cloud_measure(path) -> DiscreteMeasure:
     if not rows:
         raise PointCloudError("no data rows in point-cloud file", line=None)
     nodes = np.asarray(rows, dtype=float)
-    weights = np.full(nodes.shape[0], 1.0 / nodes.shape[0])
-    return DiscreteMeasure(nodes=nodes, weights=weights, label="cloud")
+    return _normalized(nodes, np.ones(nodes.shape[0]), "cloud")

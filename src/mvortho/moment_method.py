@@ -128,9 +128,9 @@ class GramData:
 
     ``gram`` is (R_N, R_N); ``coordinate_grams[i]`` weights the product by
     x_i.  ``chol`` holds the lower factor of the largest leading block
-    that is numerically positive definite; ``chol_degree`` is that block's
-    degree (N when factorization ran to completion) and ``failure_degree``
-    the first degree whose block failed, or None.
+    that is finite and numerically positive definite; ``chol_degree`` is
+    that block's degree (N when factorization ran to completion) and
+    ``failure_degree`` the first degree whose block failed, or None.
     """
 
     basis: SpanningBasis
@@ -152,9 +152,9 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     the result depends on the basis and the measure alone.
 
     The Cholesky factorization stops at the first degree whose block is
-    not numerically positive definite; that degree is recorded rather
-    than raised here, since partial factorizations are a reported
-    outcome of the experiments.
+    not finite (an overflowing Gram) or not numerically positive
+    definite; that degree is recorded rather than raised here, since
+    partial factorizations are a reported outcome of the experiments.
 
     The nodes are taken in chunks of ``measures.CHUNK`` in order, and
     the call holds two (size × chunk) buffers throughout: ``vals``, the
@@ -209,8 +209,6 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
         measures.chunk_sum(panel, panels, [])
     gram = 0.5 * (gram + gram.T)
     coord = [0.5 * (c + c.T) for c in coord]
-    if not np.all(np.isfinite(gram)):
-        raise ValueError("non-finite Gram entries")
     chol, chol_degree, failure_degree = _blocked_cholesky(gram, basis.index_set)
     return GramData(basis=basis, gram=gram, coordinate_grams=coord,
                     chol=chol, chol_degree=chol_degree,
@@ -218,7 +216,8 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
 
 
 def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
-    """Lower Cholesky factor built one degree block at a time.
+    """Lower Cholesky factor built one degree block at a time, up to the
+    first degree whose Schur block is not finite or not positive definite.
 
     Returns (L, last_ok_degree, failure_degree).  Leading blocks of L are
     the factors of the corresponding leading blocks of the Gram matrix.
@@ -235,6 +234,9 @@ def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
         else:
             schur = gram[lo:hi, lo:hi]
         try:
+            # np.linalg.cholesky returns [[nan]] and [[inf]] unraised.
+            if not np.all(np.isfinite(schur)):
+                raise np.linalg.LinAlgError("Schur block not finite")
             block = np.linalg.cholesky(0.5 * (schur + schur.T))
         except np.linalg.LinAlgError:
             chol[lo:, :] = 0.0

@@ -81,15 +81,12 @@ import numpy as np
 
 from . import lapack
 from .diagnostics import condition_numbers
-from .errors import (ClosureError, DegenerateMeasureError, NumericalFailure,
-                     RankDeficiencyError, require_rank)
+from .errors import DegenerateMeasureError, NumericalFailure, require_rank
 from .evaluation import (_next_block, canonical_rotation, descending_eigh,
                          fix_column_signs, shifted_stack, step_matrix)
 from .measures import DiscreteMeasure, chunk_sum, node_slices
 from .recurrence import RecurrenceData
 from .wopp import scaled_cross, solve_orthogonal_factors
-
-PSD_CLIP = -1e-10         # most negative admissible eigenvalue of a PSD residual
 
 
 @dataclass
@@ -236,35 +233,29 @@ def symmetric_factor(t_sym: np.ndarray, where: str = ""):
     return vecs, s
 
 
-def psd_sqrt(mat: np.ndarray, what: str) -> np.ndarray:
-    """Symmetric PSD square root of the symmetrized ``mat``, clipping
-    roundoff-negative eigenvalues.
+def psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root of the PSD part of the symmetrized ``mat``:
+    negative eigenvalues are clipped to 0.
 
-    Raises ClosureError, naming ``what``, for an eigenvalue below
-    ``PSD_CLIP``.
+    An indefinite ``mat`` is not an error here: its square root is
+    singular, and the rank test of the solve it feeds (``wopp._reduce``)
+    fails at its degree.
     """
     evals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    if evals[0] < PSD_CLIP:
-        raise ClosureError(f"{what} not positive semi-definite "
-                           f"(min eigenvalue {evals[0]:.3e})")
     return (vecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]) @ vecs.T
 
 
 def kernel_completion_basis(raising_prev_first: np.ndarray, u_j: np.ndarray,
-                            s_j: np.ndarray, expected_dim: int,
-                            where: str = "") -> np.ndarray:
+                            s_j: np.ndarray, where: str = "") -> np.ndarray:
     """Orthonormal kernel basis constraining the unknown right-factor rows.
 
     The commuting conditions force those rows into the kernel of the wide
-    K = B_{n,1} U_j Sigma_j.  Raises RankDeficiencyError when K fails
-    ``require_rank`` or its kernel dimension differs from ``expected_dim``.
+    K = B_{n,1} U_j Sigma_j, r_{n-1} x r_n with r_{n-1} <= r_n, whose full
+    SVD leaves r_n - r_{n-1} kernel vectors.  Raises RankDeficiencyError
+    when K fails ``require_rank``.
     """
     k_mat = raising_prev_first @ (u_j * s_j[None, :])
     _, svals, vt = np.linalg.svd(k_mat, full_matrices=True)
-    if k_mat.shape[1] - svals.size != expected_dim:
-        raise RankDeficiencyError(
-            f"kernel dimension {k_mat.shape[1] - svals.size} != expected "
-            f"{expected_dim}{where}")
     require_rank(svals[-1], svals[0], f"kernel map{where}")
     return fix_column_signs(vt[svals.size:].T)
 
@@ -399,13 +390,11 @@ def _advance(state: StieltjesState, t: np.ndarray) -> tuple:
                 for j in range(1, d)}
         psi, weight_blocks, targets = {}, {}, {}
         for j in range(1, d):
-            psi[j] = kernel_completion_basis(rec.B[n][0],
-                                             left[j], sing[j], dr_n,
+            psi[j] = kernel_completion_basis(rec.B[n][0], left[j], sing[j],
                                              where=f" (coordinate {j})")
             squared = np.eye(dr_n) - psi[j].T @ vhat[j].T @ vhat[j] @ psi[j]
             weight_blocks[j] = np.hstack(
-                [psd_sqrt(squared, f"weight block of coordinate {j}"),
-                 np.zeros((dr_n, dr_next - dr_n))])
+                [psd_sqrt(squared), np.zeros((dr_n, dr_next - dr_n))])
         for i in range(1, d):
             for j in range(i + 1, d):
                 targets[(i, j)] = psi[i].T @ (

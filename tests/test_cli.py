@@ -11,7 +11,7 @@ from mvortho import lapack
 from mvortho.cli import main
 from mvortho.experiments import DEFAULT_DEGREE, ExperimentConfig
 from mvortho.measures import MAX_WORKERS, point_cloud_measure
-from mvortho.serialization import save_recurrence
+from mvortho.serialization import load_recurrence, save_recurrence
 from mvortho.stieltjes import stieltjes_recurrence
 
 import reference
@@ -85,6 +85,35 @@ class TestExitCodes:
                          "cc_residuals.csv", "christoffel.csv"):
                 assert filecmp.cmp(out / kept, out_1 / kept,
                                    shallow=False), (name, kept)
+
+    def test_overflowing_gram_is_exit_two(self, tmp_path):
+        # At coordinates near 1e9 the degree-20 monomial Gram overflows.
+        # The first degree whose Schur block is not finite is the
+        # breakdown, the degrees before it are written, and ms runs.
+        cloud = tmp_path / "big.csv"
+        np.savetxt(cloud, np.random.default_rng(1).uniform(-1, 1, (3000, 2))
+                   * 1e9, fmt="%.17g", delimiter=",")
+        runs = {}
+        for method in ("mm", "ms"):
+            out = tmp_path / method
+            proc = run_cli(["run", "--experiment", "cloud", "--method",
+                            method, "--degree", "20", "--cloud", str(cloud),
+                            "--out", str(out)])
+            runs[method] = proc.returncode, out
+        code, out = runs["mm"]
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        breakdown = manifest["breakdown_degree"]
+        assert manifest["failure_message"].endswith(f" at degree {breakdown}")
+        rec = load_recurrence(out / "recurrence.json")
+        assert rec.max_degree == breakdown - 1
+        size = (breakdown + 1) * breakdown // 2
+        assert np.loadtxt(out / "error_matrix.csv", delimiter=",").shape == \
+            (size, size)
+        cond = np.loadtxt(out / "cond.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isposinf(cond[breakdown:, 1]))
+        assert np.all(np.isfinite(cond[:breakdown, 1]))
+        assert runs["ms"][0] == 0
 
     def test_numerical_failure_is_exit_two(self, tmp_path):
         code = main(["run", "--experiment", "jac2", "--method", "mm",

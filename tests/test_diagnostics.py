@@ -159,6 +159,15 @@ class TestConditionNumbers:
         got = condition_numbers([np.diag([1.0, 0.0])])
         assert np.isinf(got[0])
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_non_finite_reports_infinity(self, entry):
+        # An overflowing Gram: numpy's SVD returns NaN for inf entries and
+        # raises LinAlgError for NaN ones.
+        mat = np.eye(3)
+        mat[1, 2] = entry
+        got = condition_numbers([np.eye(2), mat, np.array([[entry]])])
+        assert got[0] == 1.0 and np.all(np.isposinf(got[1:]))
+
     def test_monomial_gram_growth_is_monotone(self):
         from mvortho.moment_method import build_gram, monomial_basis
         n_max = 10

@@ -11,9 +11,10 @@ from mvortho.errors import ConditioningError
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import square_minus_ball, tensor_jacobi
-from mvortho.moment_method import (SpanningBasis, build_gram,
-                                   extract_recurrence, legendre_box_basis,
-                                   monomial_basis, orthonormal_evaluator)
+from mvortho.moment_method import (SpanningBasis, _blocked_cholesky,
+                                   build_gram, extract_recurrence,
+                                   legendre_box_basis, monomial_basis,
+                                   orthonormal_evaluator)
 from mvortho.tensor_product import tensor_recurrence
 from mvortho.univariate import jacobi_recurrence
 
@@ -220,6 +221,19 @@ class TestOrthonormalize:
                                 lower=True, check_finite=False)
         assert size < gram.basis.size
         assert np.array_equal(vals, full)
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    @pytest.mark.parametrize("where,degree", [((1, 1), 1), ((0, 2), 2)])
+    def test_non_finite_block_is_a_breakdown(self, entry, where, degree):
+        # d = 1: 1 x 1 blocks, on which ``np.linalg.cholesky`` does not
+        # raise.  An entry above the diagonal reaches its Schur block
+        # through the off-diagonal solve.
+        gram = np.eye(3)
+        gram[where] = gram[where[::-1]] = entry
+        chol, ok, failed = _blocked_cholesky(gram, MultiIndexSet.build(1, 2))
+        assert (ok, failed) == (degree - 1, degree)
+        assert np.array_equal(chol[:degree, :degree], np.eye(degree))
+        assert not np.any(chol[degree:])
 
 
 class TestExtractRecurrence:

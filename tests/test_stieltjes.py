@@ -8,8 +8,8 @@ import pytest
 from mvortho import errors, measures, stieltjes, wopp
 from mvortho.diagnostics import (condition_numbers, gram_error_streaming,
                                  max_commuting_residual)
-from mvortho.errors import (ClosureError, DegenerateMeasureError,
-                            NonConvergenceError, RankDeficiencyError)
+from mvortho.errors import (DegenerateMeasureError, NonConvergenceError,
+                            RankDeficiencyError)
 from mvortho.evaluation import (canonical_rotation, evaluate, evaluator,
                                 step_matrix, to_canonical)
 from mvortho.indexing import MultiIndexSet
@@ -284,35 +284,34 @@ class TestCompletions:
         rng = np.random.default_rng(8)
         root = rng.standard_normal((4, 4))
         mat = root @ root.T
-        s = psd_sqrt(mat, "block")
+        s = psd_sqrt(mat)
         assert np.max(np.abs(s @ s - mat)) < 1e-12
 
     def test_psd_sqrt_clips_roundoff(self):
         mat = np.diag([1.0, -1e-12])
-        s = psd_sqrt(mat, "block")
+        s = psd_sqrt(mat)
         assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-13)
 
     def test_psd_sqrt_rejects_indefinite(self):
+        # An indefinite matrix is not an error: its negative part is
+        # clipped away, leaving a singular root for the rank test.
         vhat = np.array([[1.2, 0.0], [0.0, 0.3]])  # I - vhat^T vhat indefinite
-        with pytest.raises(ClosureError, match="^block not positive"):
-            psd_sqrt(np.eye(2) - vhat.T @ vhat, "block")
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        s = psd_sqrt(q @ (np.eye(2) - vhat.T @ vhat) @ q.T)
+        assert np.max(np.abs(s - q @ np.diag([0.0, np.sqrt(0.91)]) @ q.T)) \
+            < 1e-14
 
     def test_kernel_completion_shapes_and_nullity(self):
         iset, oracle = jacobi_oracle(3, JAC3, 4)
         n = 2
         u, s = symmetric_factor(oracle.B[n + 1][1] @ oracle.B[n + 1][1].T)
         dr = oracle.r(n) - oracle.r(n - 1)
-        psi = kernel_completion_basis(oracle.B[n][0], u, s, dr)
+        psi = kernel_completion_basis(oracle.B[n][0], u, s)
         k_mat = oracle.B[n][0] @ (u * s[None, :])
         assert psi.shape == (oracle.r(n), dr)
         assert np.max(np.abs(k_mat @ psi)) < 1e-11
         assert np.max(np.abs(psi.T @ psi - np.eye(dr))) < 1e-12
-
-    def test_kernel_dimension_mismatch_raises(self):
-        iset, oracle = jacobi_oracle(3, JAC3, 4)
-        u, s = symmetric_factor(oracle.B[3][1] @ oracle.B[3][1].T)
-        with pytest.raises(RankDeficiencyError):
-            kernel_completion_basis(oracle.B[2][0], u, s, expected_dim=1)
 
 
 class TestClosureFailuresNameCoordinate:
@@ -320,26 +319,16 @@ class TestClosureFailuresNameCoordinate:
 
     def test_indefinite_weight_block(self, monkeypatch):
         # Negating the squared weight block makes it indefinite at the
-        # first degree the solve closes.
+        # first degree the solve closes: its clipped root is singular, and
+        # the solve's rank test fails there.
         sqrt = stieltjes.psd_sqrt
-        monkeypatch.setattr(stieltjes, "psd_sqrt",
-                            lambda mat, what: sqrt(-mat, what))
-        m = tensor_jacobi(2, 8, *JAC2)
-        with pytest.raises(ClosureError, match="weight block of coordinate 1 "
-                           "not positive semi-definite") as err:
-            stieltjes_recurrence(m, 4)
-        assert err.value.degree == 2
-
-    def test_kernel_dimension(self, monkeypatch):
-        basis = stieltjes.kernel_completion_basis
-        monkeypatch.setattr(
-            stieltjes, "kernel_completion_basis",
-            lambda raising, u, s, dim, **kw: basis(raising, u, s, dim + 1, **kw))
-        m = tensor_jacobi(3, 6, *JAC3)
-        with pytest.raises(RankDeficiencyError,
-                           match=r"!= expected 3 \(coordinate 1\)") as err:
-            stieltjes_recurrence(m, 3)
-        assert err.value.degree == 2
+        monkeypatch.setattr(stieltjes, "psd_sqrt", lambda mat: sqrt(-mat))
+        for m in [tensor_jacobi(2, 8, *JAC2), tensor_jacobi(3, 6, *JAC3)]:
+            with pytest.raises(RankDeficiencyError,
+                               match="weight block of coordinate 1 "
+                                     "rank-deficient") as err:
+                stieltjes_recurrence(m, 4)
+            assert err.value.degree == 2
 
 
 def rank_sites(oracle):
@@ -350,8 +339,7 @@ def rank_sites(oracle):
         "symmetric_factor":
             lambda: symmetric_factor(oracle.B[4][1] @ oracle.B[4][1].T),
         "kernel_completion_basis":
-            lambda: kernel_completion_basis(oracle.B[3][0], u, s,
-                                            oracle.r(3) - oracle.r(2)),
+            lambda: kernel_completion_basis(oracle.B[3][0], u, s),
         "weight_block": lambda: wopp._reduce(oracle.B[3][1], 1),
         "canonical_rotation":
             lambda: canonical_rotation(oracle.raising_gram(3), 3),
@@ -420,7 +408,7 @@ class TestDegreeOneFallback:
     def test_collinear_cloud_is_rank_deficient_at_any_scale(self, scale):
         # The rank test is relative to the largest singular value; a PSD
         # check with an absolute clip would reject the rounding-negative
-        # eigenvalue of a large flat Gram as a ClosureError instead.
+        # eigenvalue of a large flat Gram instead.
         for seed in range(5):
             rng = np.random.default_rng(seed)
             line = rng.standard_normal(3)[None, :] + (
