@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (the outputs of
 the degrees carried are still written, the breakdown in the manifest),
-also for a moment-method Gram that overflows.
+also for a moment-method Gram that overflows, which prints no warning.
+Each ``run`` option is stored under the name of its ``ExperimentConfig``
+field.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import NumericalFailure, PointCloudError
+from .errors import NumericalFailure
 from .experiments import (DEFAULT_DEGREE, EXPERIMENTS, METHODS,
                           ExperimentConfig, run_experiment)
 from .measures import MAX_WORKERS
@@ -45,37 +47,28 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mc-samples", type=int,
                      default=ExperimentConfig.mc_samples,
                      help="Monte Carlo sample count for hol (default %(default)s)")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--cloud", default=None, help="point-cloud CSV path")
-    run.add_argument("--out", default=".", help="output directory")
+    run.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    run.add_argument("--cloud", dest="cloud_path", default=None,
+                     help="point-cloud CSV path")
+    run.add_argument("--out", dest="output_dir",
+                     default=ExperimentConfig.output_dir,
+                     help="output directory")
     run.add_argument("--n-points", type=int, default=None,
                      help="per-axis Gauss points for jac experiments")
     run.add_argument("--n-radial", type=int, default=None)
-    run.add_argument("--n-theta", type=int, default=None,
+    run.add_argument("--n-theta", dest="n_angular", type=int, default=None,
                      help="angular points (ann/cur/tor)")
-    run.add_argument("--n-phi", type=int, default=None,
+    run.add_argument("--n-phi", dest="n_azimuthal", type=int, default=None,
                      help="azimuthal points (tor)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ExperimentConfig(
-        experiment=args.experiment,
-        method=args.method,
-        degree=args.degree,
-        n_points=args.n_points,
-        n_radial=args.n_radial,
-        n_angular=args.n_theta,
-        n_azimuthal=args.n_phi,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-        cloud_path=args.cloud,
-        output_dir=args.out,
-    )
+    fields = vars(build_parser().parse_args(argv))
+    del fields["command"]
     try:
-        result = run_experiment(config)
-    except (ValueError, PointCloudError, FileNotFoundError) as exc:
+        result = run_experiment(ExperimentConfig(**fields))
+    except (ValueError, FileNotFoundError) as exc:
         print(f"mvortho: error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

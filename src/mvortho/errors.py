@@ -9,9 +9,11 @@ class NumericalFailure(RuntimeError):
     """Base class for numerical breakdowns that callers may want to report
     rather than treat as bugs (maps to CLI exit code 2).
 
-    A block that cannot be factored fails this way in both constructions:
-    a rank test in ``ms``, a Gram block not finite or not positive definite
-    in the moment method.
+    A block that cannot be factored is a breakdown in both constructions:
+    ``ms`` raises one from a rank test; the moment method raises none but
+    records the first Gram block not finite or not positive definite
+    (``GramData.failure_degree``) and reports it in the same form,
+    ``Gram matrix not positive definite at degree n``.
 
     The message ends with ``at degree n`` whenever ``degree`` is set, also
     when a caller sets it after the raise.  A failure at degree n in the
@@ -34,10 +36,6 @@ class DegenerateMeasureError(NumericalFailure):
 
 class RankDeficiencyError(NumericalFailure):
     """A matrix that must be full rank fails ``require_rank``."""
-
-
-class ConditioningError(NumericalFailure):
-    """Cholesky breakdown of a Gram matrix (expected at high degree)."""
 
 
 class NonConvergenceError(NumericalFailure):

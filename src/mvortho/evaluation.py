@@ -45,14 +45,6 @@ class BasisEvaluation:
     blocks: list
     points: np.ndarray
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.blocks) - 1
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
 
 def descending_eigh(mat: np.ndarray):
     """Eigenpairs of sym(``mat``), eigenvalues non-increasing (stable

@@ -37,7 +37,7 @@ from .diagnostics import (ErrorReport, commuting_residuals,
                           gram_condition_numbers, gram_error_streaming)
 # Unused here; bound for the layer probe of ``benchmarks/spans.py``.
 from .diagnostics import christoffel_streaming  # noqa: F401
-from .errors import ConditioningError, NumericalFailure
+from .errors import NumericalFailure
 from .evaluation import evaluator as recurrence_evaluator, to_canonical
 from .indexing import MultiIndexSet
 from .measures import (annulus_measure, point_cloud_measure, spiral_measure,
@@ -165,7 +165,10 @@ def default_degree(d: int) -> int:
 
 
 def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
-    """Validate tags and fill size defaults; raises ValueError on misuse."""
+    """Validate tags and fill size defaults; raises ValueError on misuse.
+
+    A cloud's default degree depends on its file, which ``run_experiment``
+    reads and fills in before this runs."""
     if config.experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {config.experiment!r}; "
                          f"choose from {', '.join(EXPERIMENTS)}")
@@ -179,9 +182,7 @@ def resolve_config(config: ExperimentConfig) -> ExperimentConfig:
         raise ValueError("cloud experiment requires --cloud PATH")
     out = dataclasses.replace(config)
     if out.degree is None:
-        d = (EXPERIMENTS[out.experiment][0]
-             or point_cloud_measure(out.cloud_path).d)
-        out.degree = default_degree(d)
+        out.degree = default_degree(EXPERIMENTS[out.experiment][0])
     if out.degree < 1:
         raise ValueError("degree must be >= 1")
     n = out.degree
@@ -232,16 +233,13 @@ def _run_moment(config, measure, index_set) -> Construction:
     gram = build_gram(basis, measure)
     cond = gram_condition_numbers(
         gram.gram, [index_set.cumulative(n) for n in range(config.degree + 1)])
-    usable = gram.chol_degree
+    usable, failed = gram.usable_degree, gram.failure_degree
     return Construction(
-        recurrence=extract_recurrence(gram, usable) if usable >= 1 else None,
-        evaluate_chunk=(orthonormal_evaluator(gram, usable) if usable >= 0
-                        else None),
-        cond=cond, usable_degree=usable,
-        breakdown_degree=gram.failure_degree,
-        failure_message=None if gram.failure_degree is None else str(
-            ConditioningError("Gram matrix not positive definite",
-                              degree=gram.failure_degree)))
+        recurrence=extract_recurrence(gram) if usable >= 1 else None,
+        evaluate_chunk=orthonormal_evaluator(gram) if usable >= 0 else None,
+        cond=cond, usable_degree=usable, breakdown_degree=failed,
+        failure_message=None if failed is None else
+        f"Gram matrix not positive definite at degree {failed}")
 
 
 CONSTRUCTIONS = {"exact": _run_exact, "ms": _run_ms,

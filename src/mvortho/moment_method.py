@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import lapack, measures
-from .errors import ConditioningError
 from .indexing import MultiIndexSet
 from .lapack import solve_lower
 from .measures import DiscreteMeasure
@@ -124,25 +123,28 @@ def legendre_box_basis(index_set: MultiIndexSet, measure: DiscreteMeasure) -> Sp
 
 @dataclass
 class GramData:
-    """Gram matrices of a spanning basis and their block Cholesky factor.
+    """Gram matrices of a spanning basis and the block Cholesky factor
+    they reached.
 
     ``gram`` is (R_N, R_N); ``coordinate_grams[i]`` weights the product by
-    x_i.  ``chol`` holds the lower factor of the largest leading block
-    that is finite and numerically positive definite; ``chol_degree`` is
-    that block's degree (N when factorization ran to completion) and
-    ``failure_degree`` the first degree whose block failed, or None.
+    x_i.  ``failure_degree`` is the first degree whose block is not
+    finite or not numerically positive definite, or None; ``chol`` is the
+    C-contiguous lower factor of the leading block through
+    ``usable_degree``, the degree before it (N when none failed), so
+    (0, 0) when degree 0 failed.
     """
 
     basis: SpanningBasis
     gram: np.ndarray
     coordinate_grams: list
     chol: np.ndarray
-    chol_degree: int
     failure_degree: int | None = None
 
     @property
-    def max_degree(self) -> int:
-        return self.basis.max_degree
+    def usable_degree(self) -> int:
+        if self.failure_degree is None:
+            return self.basis.max_degree
+        return self.failure_degree - 1
 
 
 @lapack.one_thread()
@@ -155,6 +157,10 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     not finite (an overflowing Gram) or not numerically positive
     definite; that degree is recorded rather than raised here, since
     partial factorizations are a reported outcome of the experiments.
+    The assembly and the factorization run under
+    ``np.errstate(over="ignore", invalid="ignore")``, which
+    ``measures.chunk_sum`` carries to its workers: an overflowing
+    product is such a block, not a warning.
 
     The nodes are taken in chunks of ``measures.CHUNK`` in order, and
     the call holds two (size × chunk) buffers throughout: ``vals``, the
@@ -202,25 +208,27 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
             coord[i][rows] += work @ vals.T
         return []
 
-    for lo in range(0, measure.n_nodes, width):
-        sl = slice(lo, min(lo + width, measure.n_nodes))
-        k = sl.stop - lo
-        vals = basis.values(nodes[sl], out=vbuf[:, :k])
-        measures.chunk_sum(panel, panels, [])
-    gram = 0.5 * (gram + gram.T)
-    coord = [0.5 * (c + c.T) for c in coord]
-    chol, chol_degree, failure_degree = _blocked_cholesky(gram, basis.index_set)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, measure.n_nodes, width):
+            sl = slice(lo, min(lo + width, measure.n_nodes))
+            k = sl.stop - lo
+            vals = basis.values(nodes[sl], out=vbuf[:, :k])
+            measures.chunk_sum(panel, panels, [])
+        gram = 0.5 * (gram + gram.T)
+        coord = [0.5 * (c + c.T) for c in coord]
+        chol, failure_degree = _blocked_cholesky(gram, basis.index_set)
     return GramData(basis=basis, gram=gram, coordinate_grams=coord,
-                    chol=chol, chol_degree=chol_degree,
-                    failure_degree=failure_degree)
+                    chol=chol, failure_degree=failure_degree)
 
 
 def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
     """Lower Cholesky factor built one degree block at a time, up to the
     first degree whose Schur block is not finite or not positive definite.
 
-    Returns (L, last_ok_degree, failure_degree).  Leading blocks of L are
-    the factors of the corresponding leading blocks of the Gram matrix.
+    Returns (L, failure_degree): L is the C-contiguous factor of the
+    leading block through the degree before ``failure_degree`` (the
+    whole Gram when that is None), and its leading blocks are the
+    factors of the Gram's leading blocks.
     """
     size = gram.shape[0]
     chol = np.zeros((size, size))
@@ -239,28 +247,16 @@ def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
                 raise np.linalg.LinAlgError("Schur block not finite")
             block = np.linalg.cholesky(0.5 * (schur + schur.T))
         except np.linalg.LinAlgError:
-            chol[lo:, :] = 0.0
-            return chol, n - 1, n
+            return chol[:lo, :lo].copy(), n
         chol[lo:hi, lo:hi] = block
         lo = hi
-    return chol, index_set.max_degree, None
+    return chol, None
 
 
-def _factored_degree(gram: GramData, max_degree: int | None) -> int:
-    """``max_degree`` (default: the basis degree) after checking it is
-    factored; otherwise ConditioningError carrying the failure degree,
-    the expected high-degree outcome for ill-conditioned Grams."""
-    n_max = gram.max_degree if max_degree is None else max_degree
-    if n_max > gram.chol_degree:
-        raise ConditioningError("Gram matrix not positive definite",
-                                degree=gram.failure_degree)
-    return n_max
-
-
-def orthonormal_evaluator(gram: GramData, max_degree: int | None = None):
+def orthonormal_evaluator(gram: GramData):
     """Point-chunk closure evaluating the Cholesky-orthonormalized basis
-    (for the streaming accumulators); see ``_factored_degree``.  Only the
-    spanning functions up to that degree are evaluated.
+    through ``gram.usable_degree`` (for the streaming accumulators): only
+    the spanning functions up to that degree are evaluated.
 
     Each chunk is one ``lapack.solve_lower`` (LAPACK ``dtrtrs``), which
     copies the C-ordered values to Fortran order as scipy's
@@ -269,31 +265,27 @@ def orthonormal_evaluator(gram: GramData, max_degree: int | None = None):
     of the Gram-error sweep run in parallel (``hol`` mm N=20, M=1e5, BLAS
     on one thread, 2-core host: 0.49 s on one thread, 0.26 s on two)."""
     basis = replace(gram.basis, index_set=MultiIndexSet.build(
-        gram.basis.d, _factored_degree(gram, max_degree)))
-    chol = gram.chol[:basis.size, :basis.size]
+        gram.basis.d, gram.usable_degree))
 
     def run(points_chunk):
-        return solve_lower(chol, basis.values(points_chunk))
+        return solve_lower(gram.chol, basis.values(points_chunk))
 
     return run
 
 
-def extract_recurrence(gram: GramData, max_degree: int | None = None) -> RecurrenceData:
-    """Recurrence matrices from the factored Gram data.
+def extract_recurrence(gram: GramData) -> RecurrenceData:
+    """Recurrence matrices through ``gram.usable_degree`` from the
+    factored Gram data.
 
     With Linv the inverse Cholesky factor and taking the rows of Linv
     belonging to exact degree n,
 
         A_{n+1,i} = Ln_rows @ coordinate_gram_i @ Ln_rows^T
         B_{n+1,i} = Ln_rows @ coordinate_gram_i[:, :R_{n+1}] @ Lnp1_rows^T
-
-    Raises ConditioningError when the factorization did not reach
-    ``max_degree``.
     """
     iset = gram.basis.index_set
-    n_max = _factored_degree(gram, max_degree)
-    size = iset.cumulative(n_max)
-    linv = solve_lower(gram.chol[:size, :size], np.eye(size))
+    n_max = gram.usable_degree
+    linv = solve_lower(gram.chol, np.eye(len(gram.chol)))
     rec = RecurrenceData.start(iset.d)
     for n in range(n_max):
         lo_n, hi_n = (iset.cumulative(n - 1) if n else 0), iset.cumulative(n)

@@ -137,10 +137,9 @@ def build_gram_reference(basis, measure) -> GramData:
             coord[i] += (weighted * nodes[sl, i][None, :]) @ vals.T
     gram = 0.5 * (gram + gram.T)
     coord = [0.5 * (c + c.T) for c in coord]
-    chol, chol_degree, failure_degree = _blocked_cholesky(gram, basis.index_set)
+    chol, failure_degree = _blocked_cholesky(gram, basis.index_set)
     return GramData(basis=basis, gram=gram, coordinate_grams=coord,
-                    chol=chol, chol_degree=chol_degree,
-                    failure_degree=failure_degree)
+                    chol=chol, failure_degree=failure_degree)
 
 
 def scipy_eigh_tridiagonal(d, e):

@@ -7,7 +7,6 @@ from scipy.linalg import solve_triangular
 
 from mvortho import measures
 from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
-from mvortho.errors import ConditioningError
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
 from mvortho.measures import square_minus_ball, tensor_jacobi
@@ -90,7 +89,6 @@ class TestGramBuffers:
                             strict=True):
                 assert np.array_equal(g, w)
             assert np.array_equal(got.chol, want.chol)
-            assert got.chol_degree == want.chol_degree
             assert got.failure_degree == want.failure_degree
             failures.append(want.failure_degree)
         assert failures == [16 if measure.d == 2 else None, None]
@@ -201,26 +199,24 @@ class TestOrthonormalize:
 
     def test_breakdown_reported_with_degree(self):
         # Monomials at high degree on the square: the Gram must fail
-        # numerically before N=39; the failure carries the degree.
+        # numerically before N=39, and the factor stops at the degree
+        # before the failure.
         iset = MultiIndexSet.build(2, 39)
         m = tensor_jacobi(2, 41, (0.0, 0.0), (0.0, 0.0))
         gram = build_gram(monomial_basis(iset), m)
         assert gram.failure_degree is not None
-        with pytest.raises(ConditioningError) as err:
-            orthonormal_evaluator(gram)
-        assert err.value.degree == gram.failure_degree
-        assert str(err.value) == ("Gram matrix not positive definite at "
-                                  f"degree {gram.failure_degree}")
-        # partial orthonormalization up to the last good degree still
-        # works; it evaluates only the spanning functions up to that
-        # degree, bit for bit the leading rows of the full basis
-        size = iset.cumulative(gram.chol_degree)
-        vals = orthonormal_evaluator(gram, max_degree=gram.chol_degree)(m.nodes)
-        full = solve_triangular(gram.chol[:size, :size],
-                                gram.basis.values(m.nodes)[:size],
+        assert gram.usable_degree == gram.failure_degree - 1
+        size = iset.cumulative(gram.usable_degree)
+        assert gram.chol.shape == (size, size) and size < gram.basis.size
+        assert gram.chol.flags.c_contiguous
+        # The evaluator serves the usable degrees: only the spanning
+        # functions up to that degree, bit for bit the leading rows of
+        # the full basis; so does the recurrence.
+        vals = orthonormal_evaluator(gram)(m.nodes)
+        full = solve_triangular(gram.chol, gram.basis.values(m.nodes)[:size],
                                 lower=True, check_finite=False)
-        assert size < gram.basis.size
         assert np.array_equal(vals, full)
+        assert extract_recurrence(gram).max_degree == gram.usable_degree
 
     @pytest.mark.parametrize("entry", [np.inf, np.nan])
     @pytest.mark.parametrize("where,degree", [((1, 1), 1), ((0, 2), 2)])
@@ -230,10 +226,10 @@ class TestOrthonormalize:
         # through the off-diagonal solve.
         gram = np.eye(3)
         gram[where] = gram[where[::-1]] = entry
-        chol, ok, failed = _blocked_cholesky(gram, MultiIndexSet.build(1, 2))
-        assert (ok, failed) == (degree - 1, degree)
-        assert np.array_equal(chol[:degree, :degree], np.eye(degree))
-        assert not np.any(chol[degree:])
+        chol, failed = _blocked_cholesky(gram, MultiIndexSet.build(1, 2))
+        assert failed == degree
+        assert chol.shape == (degree, degree)
+        assert np.array_equal(chol, np.eye(degree))
 
 
 class TestExtractRecurrence:
