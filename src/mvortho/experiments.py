@@ -83,13 +83,15 @@ class ExperimentConfig:
     4N+5), except the spiral's outer angle which is intrinsically
     approximate and defaults to 25000 points.  The moment-method Gram
     takes the package-wide ``measures.CHUNK`` of nodes at a time, in two
-    reused (R × ``CHUNK``) buffers, and cuts its rows into two panels
-    by R alone; the ``ms`` sweeps and the Gram-error sweep are cut by
-    ``measures.STACK_BYTES``.  ``measures.chunk_sum`` runs the panels and
-    the sweeps' chunks on ``measures.WORKERS`` threads: the usable cores,
-    at most ``measures.MAX_WORKERS``, where BLAS can be held to one
-    thread whatever BLAS variable is set (``environment.blas_pinned``),
-    else 1.  Where BLAS can be held, every method runs it on one thread,
+    reused (R_N × ``CHUNK``) buffers, in two passes: the Gram, cut into
+    two row panels by R_N alone, then the coordinate-weighted Grams only
+    through the leading C rows its Cholesky factor needs (C a multiple of
+    ``moment_method.PANEL_ROWS``, cut by C alone); the ``ms`` sweeps and
+    the Gram-error sweep are cut by ``measures.STACK_BYTES``.
+    ``measures.chunk_sum`` runs the panels and the sweeps' chunks on
+    ``measures.WORKERS`` threads: the usable cores, at most
+    ``measures.MAX_WORKERS``, where BLAS can be held to one thread
+    whatever BLAS variable is set (``environment.blas_pinned``), else 1.  Where BLAS can be held, every method runs it on one thread,
     so no output depends on a BLAS variable.
     For d = 2 the Gram-error sweep also takes the Christoffel
     kernel at every s-th node (s from ``christoffel_stride``), so the Gram

@@ -79,12 +79,16 @@ def jacobi_recurrence(max_degree: int, alpha: float, beta: float) -> UnivariateR
     return UnivariateRecurrence(a=centers, b=np.sqrt(widths_sq))
 
 
-def evaluate_univariate(rec: UnivariateRecurrence, n: int, x) -> np.ndarray:
-    """Values of p_0..p_n at the points x, shape (n+1, len(x))."""
+def evaluate_univariate(rec: UnivariateRecurrence, n: int, x,
+                        out=None) -> np.ndarray:
+    """Values of p_0..p_n at the points x, shape (n+1, len(x)), written
+    into ``out`` when it is given (an (n+1, len(x)) float64 array) and
+    returned."""
     if n > rec.max_degree:
         raise ValueError(f"degree {n} exceeds stored maximum {rec.max_degree}")
     x = np.asarray(x, dtype=float).reshape(-1)
-    out = np.empty((n + 1, x.shape[0]))
+    if out is None:
+        out = np.empty((n + 1, x.shape[0]))
     out[0] = 1.0 / rec.b[0]
     if n == 0:
         return out

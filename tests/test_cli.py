@@ -116,6 +116,27 @@ class TestExitCodes:
         assert np.all(np.isfinite(cond[:breakdown, 1]))
         assert runs["ms"][0] == 0
 
+    def test_zero_width_axis_is_exit_two(self, tmp_path):
+        # Every node at x = 0.5: the Legendre box has a zero-width axis,
+        # which maps to its center, so the degree-1 block is singular.
+        # In process, under the suite's ``filterwarnings = error``: the
+        # Gram-error sweep evaluates the basis outside ``build_gram``.
+        cloud = tmp_path / "flat.csv"
+        np.savetxt(cloud, np.column_stack(
+            [np.full(200, 0.5), np.random.default_rng(0).uniform(-1, 1, 200)]),
+            fmt="%.17g", delimiter=",")
+        written = {}
+        for method in ("ml", "mm"):
+            out = tmp_path / method
+            assert main(["run", "--experiment", "cloud", "--method", method,
+                         "--degree", "3", "--cloud", str(cloud),
+                         "--out", str(out)]) == 2
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["breakdown_degree"] == 1
+            written[method] = sorted(p.name for p in out.iterdir())
+        assert written["ml"] == written["mm"] == [
+            "christoffel.csv", "cond.csv", "error_matrix.csv", "manifest.json"]
+
     def test_numerical_failure_is_exit_two(self, tmp_path):
         code = main(["run", "--experiment", "jac2", "--method", "mm",
                      "--degree", "39", "--out", str(tmp_path)])

@@ -9,7 +9,8 @@ from mvortho import measures
 from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
-from mvortho.measures import square_minus_ball, tensor_jacobi
+from mvortho.experiments import JACOBI_PARAMS
+from mvortho.measures import DiscreteMeasure, square_minus_ball, tensor_jacobi
 from mvortho.moment_method import (SpanningBasis, _blocked_cholesky,
                                    build_gram, extract_recurrence,
                                    legendre_box_basis, monomial_basis,
@@ -75,23 +76,70 @@ def both_bases(measure, n_max):
     return [monomial_basis(iset), legendre_box_basis(iset, measure)]
 
 
+def assert_matches_reference(got, want):
+    """``build_gram`` against the full-depth ``build_gram_reference``:
+    the same Gram, factor and failure bit for bit, and coordinate-weighted
+    Grams that are the reference's leading (C, C) blocks; returns C."""
+    assert np.array_equal(got.gram, want.gram)
+    assert np.array_equal(got.chol, want.chol)
+    assert got.failure_degree == want.failure_degree
+    extent = got.coordinate_grams[0].shape[0]
+    for g, w in zip(got.coordinate_grams, want.coordinate_grams,
+                    strict=True):
+        assert np.array_equal(g, w[:extent, :extent])
+    return extent
+
+
 class TestGramBuffers:
     @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
     def test_bit_identical_to_fresh_arrays(self, measure, n_max, monkeypatch):
+        # The monomial Gram on the 2-d set breaks down at 16: u = 15 and
+        # R_15 = 136 rounds up to C = 144.  The others reach N, so C = R_N.
         monkeypatch.setattr(measures, "CHUNK", 97)
         assert measure.n_nodes % 97
-        failures = []
+        failures, extents = [], []
         for basis in both_bases(measure, n_max):
             want = build_gram_reference(basis, measure)
-            got = build_gram(basis, measure)
-            assert np.array_equal(got.gram, want.gram)
-            for g, w in zip(got.coordinate_grams, want.coordinate_grams,
-                            strict=True):
-                assert np.array_equal(g, w)
-            assert np.array_equal(got.chol, want.chol)
-            assert got.failure_degree == want.failure_degree
+            extents.append(assert_matches_reference(
+                build_gram(basis, measure), want))
             failures.append(want.failure_degree)
-        assert failures == [16 if measure.d == 2 else None, None]
+        if measure.d == 2:
+            assert (failures, extents) == ([16, None], [144, 190])
+        else:
+            assert (failures, extents) == ([None, None], [165, 165])
+
+    @pytest.mark.parametrize("case,extent", [("hol", 144), ("jac2", 456)])
+    def test_breakdown_matches_full_depth(self, case, extent):
+        # On a breakdown, the (C, C) blocks and the recurrence read from
+        # them are the full-depth reference's, bit for bit.  ``jac2`` ml
+        # N=39 (1681 nodes, one chunk) breaks down at 29, so R_u = R_28 =
+        # 435, which rounds up to C = 456 of 820.
+        if case == "hol":
+            measure, n_max = GRAM_CASES[0]
+            basis = monomial_basis(MultiIndexSet.build(2, n_max))
+        else:
+            measure = tensor_jacobi(2, 41, *JACOBI_PARAMS["jac2"])
+            basis = legendre_box_basis(MultiIndexSet.build(2, 39), measure)
+        want = build_gram_reference(basis, measure)
+        got = build_gram(basis, measure)
+        assert got.failure_degree == (16 if case == "hol" else 29)
+        assert assert_matches_reference(got, want) == extent
+        rec, full = extract_recurrence(got), extract_recurrence(want)
+        assert rec.max_degree == full.max_degree == got.usable_degree
+        for n in range(rec.max_degree):
+            for i in range(2):
+                assert same_bits(rec.A[n][i], full.A[n][i])
+                assert same_bits(rec.B[n][i], full.B[n][i])
+
+    def test_no_coordinate_grams_below_degree_one(self):
+        # Every node at x = 0.5: the degree-1 block is singular, so no
+        # degree >= 1 is usable and no coordinate-weighted Gram is built.
+        flat = DiscreteMeasure(np.column_stack(
+            [np.full(200, 0.5), np.random.default_rng(0).uniform(-1, 1, 200)]),
+            np.full(200, 1 / 200))
+        gram = build_gram(legendre_box_basis(MultiIndexSet.build(2, 3), flat),
+                          flat)
+        assert (gram.failure_degree, gram.coordinate_grams) == (1, [])
 
     @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
     def test_same_bits_at_every_worker_count(self, measure, n_max,
