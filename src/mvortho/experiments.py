@@ -83,11 +83,10 @@ class ExperimentConfig:
     4N+5), except the spiral's outer angle which is intrinsically
     approximate and defaults to 25000 points.  The moment-method Gram
     takes the package-wide ``measures.CHUNK`` of nodes at a time, in two
-    reused (R_N × ``CHUNK``) buffers, in two passes: the Gram, cut into
-    two row panels by R_N alone, then the coordinate-weighted Grams only
-    through the leading C rows its Cholesky factor needs (C a multiple of
-    ``moment_method.PANEL_ROWS``, cut by C alone); the ``ms`` sweeps and
-    the Gram-error sweep are cut by ``measures.STACK_BYTES``.
+    reused (R_N × ``CHUNK``) buffers, in one pass cut into two row panels
+    by R_N alone; its coordinate-weighted Grams are read off the Gram
+    through the spanning basis's multiplication rule.  The ``ms`` sweeps
+    and the Gram-error sweep are cut by ``measures.STACK_BYTES``.
     ``measures.chunk_sum`` runs the panels and the sweeps' chunks on
     ``measures.WORKERS`` threads: the usable cores, at most
     ``measures.MAX_WORKERS``, where BLAS can be held to one thread

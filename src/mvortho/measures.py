@@ -24,13 +24,13 @@ from . import lapack
 from .errors import PointCloudError
 from .univariate import jacobi_recurrence
 
-# Points per chunk in both passes of the moment-method Gram assembly
-# (``build_gram``).  The chunk fixes the summation order of the Grams the
-# baselines factor and read, so changing it moves their recurrence, not
-# just the run time.  It also sets that assembly's memory: two (R_N × CHUNK)
-# buffers, the basis values and their weighted copy (whose leading rows
-# first hold the chunk's per-axis factors), held through both passes
-# (430 MB each at R_N = 820).
+# Points per chunk in the moment-method Gram assembly (``build_gram``).
+# The chunk fixes the summation order of the Gram the baselines factor
+# and read, so changing it moves their recurrence, not just the run time.
+# It also sets that assembly's memory: two (R_N × CHUNK) buffers, the
+# basis values and their weighted copy (whose leading rows first hold the
+# chunk's per-axis factors), held through the pass (430 MB each at
+# R_N = 820).
 CHUNK = 65536
 # Bytes of float64 values one slice of a node sweep (``node_slices``) may
 # hold: small enough that the chunks in flight stay in cache.  Every

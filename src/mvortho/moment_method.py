@@ -4,7 +4,8 @@ Two spanning bases are provided: raw monomials, and tensor-product
 Legendre polynomials orthonormal on an axis-aligned bounding box of the
 measure's nodes.  Orthonormal polynomials come from the inverse Cholesky
 factor of the Gram matrix; recurrence matrices from row blocks of that
-inverse applied to coordinate-weighted Grams.
+inverse applied to coordinate-weighted Grams, which the basis's own
+multiplication rule reads off the Gram.
 
 This route is deliberately implemented without pivoting, equilibration,
 or re-orthogonalization: its ill-conditioning at moderately large degree
@@ -60,7 +61,7 @@ class SpanningBasis:
         when it is given (a (size, m) float64 array, such as a column
         slice of a wider buffer) and returned: ``factors`` then
         ``products`` over every row, so the same bits as ``build_gram``
-        forms."""
+        forms for its Gram and ``orthonormal_evaluator`` for E."""
         factors = self.factors(points)
         if out is None:
             out = np.empty((self.size, factors[0].shape[1]))
@@ -96,6 +97,40 @@ class SpanningBasis:
         else:
             raise ValueError(f"unknown spanning basis kind {self.kind!r}")
         return blocks
+
+    def multiplication(self, i: int, degree: int) -> np.ndarray:
+        """The (R_{degree-1}, R_degree) matrix J with x_i f_a = sum_b
+        J[a, b] f_b for every function f_a of degree at most degree - 1
+        (no rows when degree is 0).
+
+        For monomials J[a, a + e_i] = 1.  For the box Legendre basis, with
+        x_i = mid + half t on box axis i and the Legendre recurrence
+        t p_k = b_{k+1} p_{k+1} + a_{k+1} p_k + b_k p_{k-1}, row a holds
+        mid + half a_{k+1} at a, half b_{k+1} at a + e_i and half b_k at
+        a - e_i, k = a_i: a zero-width axis (half = 0) gives mid I."""
+        exponents = np.concatenate(self.index_set.levels[:degree + 1])
+        position = {tuple(alpha): r for r, alpha in enumerate(exponents)}
+        if self.kind == "monomial":
+            diag = down = np.zeros(degree)
+            up = np.ones(degree)
+        elif self.kind == "tensor-legendre":
+            lo, hi = self.bounding_box[i]
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            rec = jacobi_recurrence(degree, 0.0, 0.0)
+            diag = mid + half * rec.a
+            up, down = half * rec.b[1:], half * rec.b[:-1]
+        else:
+            raise ValueError(f"unknown spanning basis kind {self.kind!r}")
+        step = np.eye(self.d, dtype=np.int64)[i]
+        rows = self.index_set.cumulative(degree - 1) if degree else 0
+        jac = np.zeros((rows, len(exponents)))
+        for r, alpha in enumerate(exponents[:rows]):
+            k = alpha[i]
+            jac[r, r] = diag[k]
+            jac[r, position[tuple(alpha + step)]] = up[k]
+            if k:
+                jac[r, position[tuple(alpha - step)]] = down[k]
+        return jac
 
     def products(self, factors, rows: slice, out) -> None:
         """Write the stacked values of ``rows`` into ``out`` (a
@@ -138,14 +173,10 @@ def legendre_box_basis(index_set: MultiIndexSet, measure: DiscreteMeasure) -> Sp
 
 @dataclass
 class GramData:
-    """Gram matrices of a spanning basis and the block Cholesky factor
-    they reached.
+    """Gram matrix of a spanning basis and the block Cholesky factor it
+    reached.
 
-    ``gram`` is (R_N, R_N).  ``coordinate_grams[i]`` weights the product
-    by x_i and is (C, C), the leading block the recurrence reads: C is
-    R_u for u = ``usable_degree`` rounded up to a multiple of
-    ``PANEL_ROWS``, at most R_N (so R_N when none failed), and the list
-    is empty when u < 1.  ``failure_degree`` is the first degree whose
+    ``gram`` is (R_N, R_N).  ``failure_degree`` is the first degree whose
     block is not finite or not numerically positive definite, or None;
     ``chol`` is the C-contiguous lower factor of the leading block
     through ``usable_degree``, the degree before it (N when none failed),
@@ -154,7 +185,6 @@ class GramData:
 
     basis: SpanningBasis
     gram: np.ndarray
-    coordinate_grams: list
     chol: np.ndarray
     failure_degree: int | None = None
 
@@ -174,10 +204,9 @@ def _row_panels(extent: int) -> list:
 
 @lapack.one_thread()
 def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
-    """Assemble the Gram matrix and factor it degree block by degree
-    block, then assemble the coordinate-weighted Grams only as deep as
-    the factor reached, all on one BLAS thread, so the result depends on
-    the basis and the measure alone.
+    """Assemble the Gram matrix in one pass over the nodes and factor it
+    degree block by degree block, all on one BLAS thread, so the result
+    depends on the basis and the measure alone.
 
     The Cholesky factorization stops at the first degree whose block is
     not finite (an overflowing Gram) or not numerically positive
@@ -188,115 +217,73 @@ def build_gram(basis: SpanningBasis, measure: DiscreteMeasure) -> GramData:
     ``measures.chunk_sum`` carries to its workers: an overflowing
     product is such a block, not a warning.
 
-    Two passes take the nodes in chunks of ``measures.CHUNK`` in order,
+    The pass takes the nodes in chunks of ``measures.CHUNK`` in order,
     and the call holds two (R_N × chunk) buffers throughout: ``vals``,
-    the basis values of a chunk, and ``work``, the weighted values w·v
-    and then (w·v)·x_i.  The first pass adds ``work[rows] @ vals.T`` into
-    the Gram and is followed by the factorization.  The second runs only
-    when the usable degree u is at least 1; it adds the d products
-    (w·v·x_i)[rows] @ vals[:C].T over the leading C rows, C = R_u rounded
-    up to a multiple of ``PANEL_ROWS`` (at most R_N), the block
-    ``extract_recurrence`` reads.  Each pass cuts its rows into two row
+    the basis values of a chunk, and ``work``, the weighted values w·v.
+    It adds ``work[rows] @ vals.T`` into the Gram for each of two row
     panels, which ``measures.chunk_sum`` runs on its worker threads for
     each chunk: first each panel forms its rows of ``vals`` from the
     chunk's per-axis factors (``SpanningBasis.factors``, formed once and
-    shared), then it forms its rows of ``work`` and adds its products,
-    forming ``work`` again for each coordinate rather than keeping it.
-    The last, narrower chunk uses column views of the buffers.
+    shared), then its rows of ``work`` and its product.  The last,
+    narrower chunk uses column views of the buffers.  No
+    coordinate-weighted Gram is assembled: ``extract_recurrence`` reads
+    those moments off the Gram through ``SpanningBasis.multiplication``.
 
     The factors sit in the leading rows of ``work``, which no panel
-    writes before its products, when they fit there (d (n + 1) ≤ R_N, n
-    the degree of the pass's last row), so they add nothing to the call's
-    high-water mark; but the first chunk of the first pass forms them in
-    arrays of their own, before ``work`` is touched, and drops them
-    before its products.  (With none such, glibc's adaptive mmap
-    threshold stays low, so the Gram-error sweep after the call takes
-    every chunk's arrays as fresh mappings: about 0.04 s slower on
-    ``hol`` mm N=20, M=1e5.)
+    writes before its products, when they fit there (d (N + 1) ≤ R_N),
+    so they add nothing to the call's high-water mark; but the first
+    chunk forms them in arrays of their own, before ``work`` is touched,
+    and drops them before its products.  (With none such, glibc's
+    adaptive mmap threshold stays low, so the Gram-error sweep after the
+    call takes every chunk's arrays as fresh mappings: about 0.04 s
+    slower on ``hol`` mm N=20, M=1e5.)
 
     The baselines' breakdown is what the experiments measure, so the
     bits must not move.  Stacking the products into one GEMM changes the
-    bits BLAS returns, and so may cutting a product's rows or columns:
-    numpy's OpenBLAS (0.3.31) with its SkylakeX kernel returns a
-    one-thread product cut into row blocks at multiples of 12 bit for bit
-    as the uncut one, but not one cut at rows 64 or 116 of 231 (measured
-    at sizes 171 to 820 and chunks of 97 to 65536 nodes; its Haswell, Zen
-    and Sandybridge kernels kept the bits at every even cut tried).
-    Columns cut at multiples of 8 kept the bits, but not every other
-    cut: on ``jac2`` ml N=39, C = R_u = 435 itself changes 4,838 of the
-    378,450 coordinate-weighted entries, where 456 changes none.  So C
-    and each pass's panel cut are multiples of ``PANEL_ROWS`` = 24 (a
-    multiple of both 12 and 8), the cut the one nearest half the pass's
-    rows: they depend on the basis and the failure degree alone, never
-    on ``measures.WORKERS``, and the coordinate-weighted Grams are the
-    leading (C, C) blocks of the full-depth ones, bit for bit.  There
-    are two panels because each one
-    packs ``vals`` for BLAS again: on ``hol`` mm N=20, M=1e5, four panels
-    were slower than two on one worker and no faster on two.
+    bits BLAS returns, and so may cutting a product's rows: numpy's
+    OpenBLAS (0.3.31) with its SkylakeX kernel returns a one-thread
+    product cut into row blocks at multiples of 12 bit for bit as the
+    uncut one, but not one cut at rows 64 or 116 of 231 (measured at
+    sizes 171 to 820 and chunks of 97 to 65536 nodes; its Haswell, Zen
+    and Sandybridge kernels kept the bits at every even cut tried).  So
+    the panel cut is a multiple of ``PANEL_ROWS`` = 24, the one nearest
+    half the rows: it depends on the basis alone, never on
+    ``measures.WORKERS``.  There are two panels because each one packs
+    ``vals`` for BLAS again: on ``hol`` mm N=20, M=1e5, four panels were
+    slower than two on one worker and no faster on two.
     """
-    d, size = basis.d, basis.size
+    size = basis.size
     nodes, w = measure.nodes, measure.weights
     width = min(measures.CHUNK, measure.n_nodes)
     vbuf, wbuf = np.empty((size, width)), np.empty((size, width))
-
-    def sweep(part, extent, add, first_pass):
-        """Call ``add(rows, sl, work, vals)`` on the row panels of the
-        leading ``extent`` rows of ``part`` (a basis through at most N
-        whose leading rows are the basis'), chunk by chunk."""
-        panels = _row_panels(extent)
-        factor_rows = d * (part.max_degree + 1)
+    panels = _row_panels(size)
+    factor_rows = basis.d * (basis.max_degree + 1)
+    gram = np.zeros((size, size))
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, measure.n_nodes, width):
             sl = slice(lo, min(lo + width, measure.n_nodes))
             k = sl.stop - lo
-            vals = vbuf[:extent, :k]
-            in_work = factor_rows <= size and not (first_pass and lo == 0)
-            factors = part.factors(
+            vals = vbuf[:, :k]
+            in_work = factor_rows <= size and lo > 0
+            factors = basis.factors(
                 nodes[sl], out=wbuf[:factor_rows, :k] if in_work else None)
 
             def form(rows):
-                part.products(factors, rows, vals[rows])
+                basis.products(factors, rows, vals[rows])
                 return []
 
             def panel(rows):
                 work = np.multiply(vals[rows], w[sl], out=wbuf[rows, :k])
-                add(rows, sl, work, vals)
+                gram[rows] += work @ vals.T
                 return []
 
             measures.chunk_sum(form, panels, [])
             del factors
             measures.chunk_sum(panel, panels, [])
-
-    gram = np.zeros((size, size))
-
-    def add_gram(rows, sl, work, vals):
-        gram[rows] += work @ vals.T
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        sweep(basis, size, add_gram, first_pass=True)
         gram = 0.5 * (gram + gram.T)
         chol, failure_degree = _blocked_cholesky(gram, basis.index_set)
-        data = GramData(basis=basis, gram=gram, coordinate_grams=[],
-                        chol=chol, failure_degree=failure_degree)
-        if data.usable_degree < 1:
-            return data
-        iset = basis.index_set
-        extent = min(size, PANEL_ROWS * -(-iset.cumulative(data.usable_degree)
-                                          // PANEL_ROWS))
-        depth = next(n for n in range(iset.max_degree + 1)
-                     if iset.cumulative(n) >= extent)
-        coord = [np.zeros((extent, extent)) for _ in range(d)]
-
-        def add_coordinates(rows, sl, work, vals):
-            for i in range(d):
-                if i:
-                    np.multiply(vals[rows], w[sl], out=work)
-                work *= nodes[sl, i]
-                coord[i][rows] += work @ vals.T
-
-        sweep(replace(basis, index_set=MultiIndexSet.build(d, depth)),
-              extent, add_coordinates, first_pass=False)
-        data.coordinate_grams = [0.5 * (c + c.T) for c in coord]
-    return data
+    return GramData(basis=basis, gram=gram, chol=chol,
+                    failure_degree=failure_degree)
 
 
 def _blocked_cholesky(gram: np.ndarray, index_set: MultiIndexSet):
@@ -352,18 +339,24 @@ def orthonormal_evaluator(gram: GramData):
 
 
 def extract_recurrence(gram: GramData) -> RecurrenceData:
-    """Recurrence matrices through ``gram.usable_degree`` from the
+    """Recurrence matrices through u = ``gram.usable_degree`` from the
     factored Gram data.
 
-    With Linv the inverse Cholesky factor and taking the rows of Linv
-    belonging to exact degree n,
+    The coordinate-weighted Gram cg_i[a, b] = <x_i f_a, f_b>, for |a| < u
+    and |b| <= u, is J_i @ G[:R_u, :R_u], J_i the basis's
+    ``multiplication(i, u)``: only the Gram through degree u is read,
+    which the factor has found finite.  With Linv the inverse Cholesky
+    factor and taking the rows of Linv belonging to exact degree n,
 
-        A_{n+1,i} = Ln_rows @ coordinate_gram_i @ Ln_rows^T
-        B_{n+1,i} = Ln_rows @ coordinate_gram_i[:, :R_{n+1}] @ Lnp1_rows^T
+        A_{n+1,i} = Ln_rows @ cg_i[:R_n, :R_n] @ Ln_rows^T   (symmetrized)
+        B_{n+1,i} = Ln_rows @ cg_i[:R_n, :R_{n+1}] @ Lnp1_rows^T
     """
     iset = gram.basis.index_set
     n_max = gram.usable_degree
     linv = solve_lower(gram.chol, np.eye(len(gram.chol)))
+    usable = gram.gram[:len(gram.chol), :len(gram.chol)]
+    coordinate_grams = [gram.basis.multiplication(i, n_max) @ usable
+                        for i in range(iset.d)]
     rec = RecurrenceData.start(iset.d)
     for n in range(n_max):
         lo_n, hi_n = (iset.cumulative(n - 1) if n else 0), iset.cumulative(n)
@@ -372,7 +365,7 @@ def extract_recurrence(gram: GramData) -> RecurrenceData:
         rows_p = linv[lo_p:hi_p, :hi_p]
         A_row, B_row = [], []
         for i in range(iset.d):
-            cg = gram.coordinate_grams[i]
+            cg = coordinate_grams[i]
             a_mat = rows_n @ cg[:hi_n, :hi_n] @ rows_n.T
             A_row.append(0.5 * (a_mat + a_mat.T))
             B_row.append(rows_n @ cg[:hi_n, :hi_p] @ rows_p.T)

@@ -119,11 +119,16 @@ def recurrence_to_json(rec) -> str:
 
 
 @lapack.one_thread()
-def build_gram_reference(basis, measure) -> GramData:
+def build_gram_reference(basis, measure):
     """``moment_method.build_gram`` with fresh arrays per chunk and
-    uncut products: the weighted values and each coordinate product are
-    new temporaries, each multiplied whole on one BLAS thread.  The
-    two-buffer assembly in row panels must match it bit for bit."""
+    uncut products, and the naive coordinate-weighted Grams beside it.
+
+    Returns (GramData, coordinate Grams): the weighted values and each
+    coordinate product are new temporaries, each multiplied whole on one
+    BLAS thread.  The one-pass assembly in row panels must match the
+    GramData bit for bit; the (R_N, R_N) Grams of <x_i f_a, f_b>, summed
+    node by node, are the oracle for the coordinate-weighted Grams that
+    ``extract_recurrence`` reads off the Gram."""
     size = basis.size
     gram = np.zeros((size, size))
     coord = [np.zeros((size, size)) for _ in range(basis.d)]
@@ -136,10 +141,10 @@ def build_gram_reference(basis, measure) -> GramData:
         for i in range(basis.d):
             coord[i] += (weighted * nodes[sl, i][None, :]) @ vals.T
     gram = 0.5 * (gram + gram.T)
-    coord = [0.5 * (c + c.T) for c in coord]
     chol, failure_degree = _blocked_cholesky(gram, basis.index_set)
-    return GramData(basis=basis, gram=gram, coordinate_grams=coord,
-                    chol=chol, failure_degree=failure_degree)
+    return (GramData(basis=basis, gram=gram, chol=chol,
+                     failure_degree=failure_degree),
+            [0.5 * (c + c.T) for c in coord])
 
 
 def scipy_eigh_tridiagonal(d, e):

@@ -9,7 +9,7 @@ from mvortho import measures
 from mvortho.diagnostics import gram_error_streaming, max_commuting_residual
 from mvortho.evaluation import evaluate, to_canonical
 from mvortho.indexing import MultiIndexSet
-from mvortho.experiments import JACOBI_PARAMS
+from mvortho.experiments import JACOBI_PARAMS, ExperimentConfig, _run_moment
 from mvortho.measures import DiscreteMeasure, square_minus_ball, tensor_jacobi
 from mvortho.moment_method import (SpanningBasis, _blocked_cholesky,
                                    build_gram, extract_recurrence,
@@ -38,8 +38,9 @@ class TestBuildGram:
     def test_coordinate_gram_entry(self):
         iset = MultiIndexSet.build(2, 1)
         gram = build_gram(monomial_basis(iset), uniform_square())
-        # <x1 * 1, x1> = 1/3
-        assert gram.coordinate_grams[0][0, 1] == pytest.approx(1 / 3, abs=1e-14)
+        # <x1 * 1, x1> = 1/3, read off the Gram through x1 * 1 = x1.
+        weighted = gram.basis.multiplication(0, 1) @ gram.gram
+        assert weighted[0, 1] == pytest.approx(1 / 3, abs=1e-14)
 
     def test_legendre_box_identity_gram(self):
         # A basis orthonormal on the measure's exact support box gives the
@@ -77,69 +78,75 @@ def both_bases(measure, n_max):
 
 
 def assert_matches_reference(got, want):
-    """``build_gram`` against the full-depth ``build_gram_reference``:
-    the same Gram, factor and failure bit for bit, and coordinate-weighted
-    Grams that are the reference's leading (C, C) blocks; returns C."""
+    """``build_gram`` against ``build_gram_reference``: the same Gram,
+    factor and failure bit for bit."""
     assert np.array_equal(got.gram, want.gram)
     assert np.array_equal(got.chol, want.chol)
     assert got.failure_degree == want.failure_degree
-    extent = got.coordinate_grams[0].shape[0]
-    for g, w in zip(got.coordinate_grams, want.coordinate_grams,
-                    strict=True):
-        assert np.array_equal(g, w[:extent, :extent])
-    return extent
+
+
+def same_bits(got, want) -> bool:
+    return (got.shape == want.shape
+            and np.ascontiguousarray(got).tobytes() == want.tobytes())
+
+
+def assert_same_recurrence(got, want):
+    assert got.max_degree == want.max_degree
+    for n in range(got.max_degree + 1):
+        for i in range(got.d):
+            assert same_bits(got.A[n][i], want.A[n][i])
+            assert same_bits(got.B[n][i], want.B[n][i])
+
+
+def jac2_ml():
+    """``jac2`` ml N=39 (1681 nodes, one chunk): it breaks down at 29."""
+    measure = tensor_jacobi(2, 41, *JACOBI_PARAMS["jac2"])
+    return measure, legendre_box_basis(MultiIndexSet.build(2, 39), measure)
 
 
 class TestGramBuffers:
     @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
     def test_bit_identical_to_fresh_arrays(self, measure, n_max, monkeypatch):
-        # The monomial Gram on the 2-d set breaks down at 16: u = 15 and
-        # R_15 = 136 rounds up to C = 144.  The others reach N, so C = R_N.
+        # The monomial Gram on the 2-d set breaks down at 16; the others
+        # reach N.
         monkeypatch.setattr(measures, "CHUNK", 97)
         assert measure.n_nodes % 97
-        failures, extents = [], []
+        failures = []
         for basis in both_bases(measure, n_max):
-            want = build_gram_reference(basis, measure)
-            extents.append(assert_matches_reference(
-                build_gram(basis, measure), want))
+            want, _ = build_gram_reference(basis, measure)
+            assert_matches_reference(build_gram(basis, measure), want)
             failures.append(want.failure_degree)
-        if measure.d == 2:
-            assert (failures, extents) == ([16, None], [144, 190])
-        else:
-            assert (failures, extents) == ([None, None], [165, 165])
+        assert failures == ([16, None] if measure.d == 2 else [None, None])
 
-    @pytest.mark.parametrize("case,extent", [("hol", 144), ("jac2", 456)])
-    def test_breakdown_matches_full_depth(self, case, extent):
-        # On a breakdown, the (C, C) blocks and the recurrence read from
-        # them are the full-depth reference's, bit for bit.  ``jac2`` ml
-        # N=39 (1681 nodes, one chunk) breaks down at 29, so R_u = R_28 =
-        # 435, which rounds up to C = 456 of 820.
+    @pytest.mark.parametrize("case,failure", [("hol", 16), ("jac2", 29)])
+    def test_breakdown_matches_full_depth(self, case, failure):
+        # ``extract_recurrence`` reads only the Gram and its factor, so on
+        # a breakdown the recurrence is the reference's, bit for bit.
         if case == "hol":
             measure, n_max = GRAM_CASES[0]
             basis = monomial_basis(MultiIndexSet.build(2, n_max))
         else:
-            measure = tensor_jacobi(2, 41, *JACOBI_PARAMS["jac2"])
-            basis = legendre_box_basis(MultiIndexSet.build(2, 39), measure)
-        want = build_gram_reference(basis, measure)
+            measure, basis = jac2_ml()
+        want, _ = build_gram_reference(basis, measure)
         got = build_gram(basis, measure)
-        assert got.failure_degree == (16 if case == "hol" else 29)
-        assert assert_matches_reference(got, want) == extent
-        rec, full = extract_recurrence(got), extract_recurrence(want)
-        assert rec.max_degree == full.max_degree == got.usable_degree
-        for n in range(rec.max_degree):
-            for i in range(2):
-                assert same_bits(rec.A[n][i], full.A[n][i])
-                assert same_bits(rec.B[n][i], full.B[n][i])
+        assert got.failure_degree == failure
+        assert_matches_reference(got, want)
+        rec = extract_recurrence(got)
+        assert rec.max_degree == got.usable_degree
+        assert_same_recurrence(rec, extract_recurrence(want))
 
     def test_no_coordinate_grams_below_degree_one(self):
         # Every node at x = 0.5: the degree-1 block is singular, so no
-        # degree >= 1 is usable and no coordinate-weighted Gram is built.
+        # degree >= 1 is usable and no recurrence is extracted.
         flat = DiscreteMeasure(np.column_stack(
             [np.full(200, 0.5), np.random.default_rng(0).uniform(-1, 1, 200)]),
             np.full(200, 1 / 200))
-        gram = build_gram(legendre_box_basis(MultiIndexSet.build(2, 3), flat),
-                          flat)
-        assert (gram.failure_degree, gram.coordinate_grams) == (1, [])
+        iset = MultiIndexSet.build(2, 3)
+        gram = build_gram(legendre_box_basis(iset, flat), flat)
+        assert gram.failure_degree == 1
+        built = _run_moment(ExperimentConfig("cloud", "ml", degree=3), flat,
+                            iset)
+        assert (built.breakdown_degree, built.recurrence) == (1, None)
 
     @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
     def test_same_bits_at_every_worker_count(self, measure, n_max,
@@ -160,11 +167,28 @@ class TestGramBuffers:
                 sys.setswitchinterval(interval)
             for got in built[1:]:
                 assert np.array_equal(got.gram, built[0].gram)
-                for g, w in zip(got.coordinate_grams,
-                                built[0].coordinate_grams, strict=True):
-                    assert np.array_equal(g, w)
                 assert np.array_equal(got.chol, built[0].chol)
                 assert got.failure_degree == built[0].failure_degree
+                assert_same_recurrence(extract_recurrence(got),
+                                       extract_recurrence(built[0]))
+
+    def test_one_pass_over_the_nodes(self, monkeypatch):
+        # One chunk's factors per chunk; the first chunk's in arrays of
+        # their own, the others in the weighted-values buffer.
+        monkeypatch.setattr(measures, "CHUNK", 97)
+        measure, n_max = GRAM_CASES[0]
+        outs = []
+        factors = SpanningBasis.factors
+
+        def counted(self, points, out=None):
+            outs.append(out)
+            return factors(self, points, out)
+
+        monkeypatch.setattr(SpanningBasis, "factors", counted)
+        build_gram(monomial_basis(MultiIndexSet.build(2, n_max)), measure)
+        assert len(outs) == -(-measure.n_nodes // 97) == 21
+        assert outs[0] is None
+        assert all(out is not None for out in outs[1:])
 
     @pytest.mark.parametrize("measure,n_max", GRAM_CASES)
     def test_values_into_column_view(self, measure, n_max):
@@ -192,9 +216,59 @@ class TestGramBuffers:
             assert peak < 2.75 * unit, (basis.kind, peak / unit)
 
 
-def same_bits(got, want) -> bool:
-    return (got.shape == want.shape
-            and np.ascontiguousarray(got).tobytes() == want.tobytes())
+class TestMultiplication:
+    """``SpanningBasis.multiplication`` is the basis's own rule for x_i f:
+    exact pointwise, and so it reads the coordinate-weighted Grams off
+    the Gram."""
+
+    @pytest.mark.parametrize("d,n_max", [(1, 20), (2, 12), (3, 8)])
+    @pytest.mark.parametrize("kind", ["monomial", "tensor-legendre",
+                                      "zero-width"])
+    def test_exact_at_points(self, d, n_max, kind):
+        rng = np.random.default_rng(d)
+        pts = rng.uniform(-1.3, 2.1, (300, d))
+        iset = MultiIndexSet.build(d, n_max)
+        if kind == "monomial":
+            basis = monomial_basis(iset)
+        else:
+            if kind == "zero-width":
+                pts[:, -1] = 0.7
+            basis = legendre_box_basis(iset, DiscreteMeasure(
+                pts, np.full(300, 1 / 300)))
+        values = basis.values(pts)
+        below = iset.cumulative(n_max - 1)
+        for i in range(d):
+            jac = basis.multiplication(i, n_max)
+            assert jac.shape == (below, basis.size)
+            assert (np.max(np.abs(pts[:, i] * values[:below] - jac @ values))
+                    <= 1e-13 * np.max(np.abs(values)))
+
+    @pytest.mark.parametrize("case", ["hol-18", "jac3-8", "jac2-ml"])
+    def test_matches_node_sums(self, case, monkeypatch):
+        # J_i @ G through the usable degree u against the naive
+        # coordinate-weighted Grams, within 1e-14 max |G| (at most
+        # 6.7e-16 max |G| seen, on ``jac2`` ml N=39 at u = 28).
+        if case == "jac2-ml":
+            measure, basis = jac2_ml()
+            bases = [basis]
+        else:
+            monkeypatch.setattr(measures, "CHUNK", 97)
+            measure, n_max = GRAM_CASES[case != "hol-18"]
+            bases = both_bases(measure, n_max)
+        for basis in bases:
+            gram, coord = build_gram_reference(basis, measure)
+            u = gram.usable_degree
+            size = basis.index_set.cumulative(u)
+            below = basis.index_set.cumulative(u - 1)
+            usable = gram.gram[:size, :size]
+            for i in range(basis.d):
+                weighted = basis.multiplication(i, u) @ usable
+                assert (np.max(np.abs(weighted - coord[i][:below, :size]))
+                        <= 1e-14 * np.max(np.abs(usable)))
+
+    def test_no_rows_at_degree_zero(self):
+        basis = monomial_basis(MultiIndexSet.build(2, 3))
+        assert basis.multiplication(1, 0).shape == (0, 1)
 
 
 class TestMonomialPowers:
